@@ -57,7 +57,7 @@ from .linalg import (
     pseudo_inverse,
     sym_sqrt,
 )
-from .ortho import OrthoResult, cross_cov_residual, orthogonalize
+from .ortho import CascadeMap, OrthoResult, cascade_map, cross_cov_residual, orthogonalize
 from .signals import (
     CovMatrix,
     DistinctnessReport,

@@ -165,6 +165,8 @@ def _cmd_fit(args) -> int:
 def _cmd_apply(args) -> int:
     model = load_model(Path(args.model).read_bytes())
     ys = load_sequence(args.obs)
+    if not 1 <= args.index <= len(ys):
+        raise IfltError(f"--index {args.index} out of range [1, {len(ys)}]")
     estimate = apply_filter(
         model, FilterContext(ys), args.index - 1, fixed_r=args.fixed_r
     )

@@ -25,6 +25,16 @@ Deflation matrices are recomputed from each input's own transformed
 observations by default (this is what makes the cascade outputs orthogonal
 for unseen inputs); ``fixed_r=True`` replays the deflation matrices frozen at
 fit time instead.
+
+Each cascade output is a linear map of the stacked transformed observations
+V (pn x s), w_j = B_j V, so applying the filter is one m x pn matrix times V:
+
+    x_hat = ([T_1 ... T_p] B) V.
+
+``apply_filter`` builds B with ``ortho.cascade_map`` from the Gram matrix of V
+(or from the frozen deflation matrices). ``fit``, ``input_cascade`` and the
+diagnostics keep the reference cascade ``ortho.orthogonalize``, which
+deflates in data space.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ import numpy as np
 
 from .exceptions import InvalidInput, ParseError
 from .linalg import pseudo_inverse
-from .ortho import OrthoResult, orthogonalize
+from .ortho import OrthoResult, cascade_map, orthogonalize
 from .signals import Ensemble, QOperatorSpec, SignalSequence, TrainingSet, apply_q, cov
 
 MODEL_VERSION = 1
@@ -164,15 +174,31 @@ def interp_residual(model: FilterModel, train: TrainingSet) -> list[float]:
     return residuals
 
 
-def input_cascade(model: FilterModel, ctx: FilterContext, i: int) -> list[Ensemble]:
-    """Transformed observations at position ``i``, passed through the cascade."""
+def _transformed_inputs(model: FilterModel, ctx: FilterContext, i: int) -> list[Ensemble]:
+    """The p transformed observations the filter sees at position ``i``."""
     if len(ctx.history) < model.required_window():
         raise InvalidInput(
             f"history of {len(ctx.history)} positions is shorter than the "
             f"required window {model.required_window()}"
         )
-    vs = [apply_q(q, ctx.history, i) for q in model.q_specs]
-    return list(orthogonalize(vs).ws)
+    return [apply_q(q, ctx.history, i) for q in model.q_specs]
+
+
+def input_cascade(model: FilterModel, ctx: FilterContext, i: int) -> list[Ensemble]:
+    """Transformed observations at position ``i``, passed through the cascade."""
+    return list(orthogonalize(_transformed_inputs(model, ctx, i)).ws)
+
+
+def _replay_map(r_mats, n: int) -> np.ndarray:
+    """Cascade map B of frozen deflation matrices: B_j = E_j - sum_l K_jl B_l."""
+    p = len(r_mats)
+    b = np.zeros((p * n, p * n))
+    for j, row in enumerate(r_mats):
+        b_j = b[j * n : (j + 1) * n]
+        b_j[:, j * n : (j + 1) * n] = np.eye(n)
+        for l, k_mat in enumerate(row):
+            b_j[:, : (l + 1) * n] -= k_mat @ b[l * n : (l + 1) * n, : (l + 1) * n]
+    return b
 
 
 def apply_filter(
@@ -183,27 +209,23 @@ def apply_filter(
     With ``fixed_r=True`` the deflation matrices stored at fit time are
     replayed instead of being recomputed from the input's own covariances.
     """
-    if len(ctx.history) < model.required_window():
+    n = ctx.history.m
+    cols = sorted({t.shape[1] for t in model.t_mats})
+    if cols != [n]:
         raise InvalidInput(
-            f"history of {len(ctx.history)} positions is shorter than the "
-            f"required window {model.required_window()}"
+            f"model t_mats have {', '.join(map(str, cols))} columns but the "
+            f"observations have {n} components"
         )
-    vs = [apply_q(q, ctx.history, i) for q in model.q_specs]
+    vs = _transformed_inputs(model, ctx, i)
     if fixed_r:
         if model.r_mats is None:
             raise InvalidInput("model carries no frozen deflation matrices")
-        ws_data = []
-        for j, v in enumerate(vs):
-            data = v.data.copy()
-            for l, k_mat in enumerate(model.r_mats[j]):
-                data -= k_mat @ ws_data[l]
-            ws_data.append(data)
+        v = np.vstack([x.data for x in vs])
+        b = _replay_map(model.r_mats, n)
     else:
-        ws_data = [w.data for w in orthogonalize(vs).ws]
-    mdim = model.t_mats[0].shape[0]
-    acc = np.zeros((mdim, vs[0].s))
-    for t, w in zip(model.t_mats, ws_data):
-        acc += t @ w
+        cmap = cascade_map(vs)
+        v, b = cmap.v, cmap.b
+    acc = (np.hstack(model.t_mats) @ b) @ v
     acc -= acc.mean(axis=1, keepdims=True)
     return Ensemble(acc, centered=True)
 
@@ -224,6 +246,24 @@ def save_model(model: FilterModel) -> bytes:
         "meta": model.meta,
     }
     return json.dumps(doc, sort_keys=True).encode()
+
+
+def _matrix_list(entries, name: str, count: int, shape) -> list[np.ndarray]:
+    """``count`` finite matrices of ``shape`` from a model field, else ParseError."""
+    if not isinstance(entries, list) or len(entries) != count:
+        raise ParseError(f"{name} must hold {count} matrices of shape {shape}")
+    out = []
+    for j, entry in enumerate(entries):
+        try:
+            arr = np.asarray(entry, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{name}[{j}] is not a numeric matrix") from exc
+        if arr.shape != shape:
+            raise ParseError(f"{name}[{j}] has shape {arr.shape}, expected {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ParseError(f"{name}[{j}] contains non-finite entries")
+        out.append(arr)
+    return out
 
 
 def load_model(blob: bytes | str) -> FilterModel:
@@ -247,12 +287,19 @@ def load_model(blob: bytes | str) -> FilterModel:
     shapes = {t.shape for t in t_mats}
     if len(shapes) != 1 or any(t.ndim != 2 for t in t_mats):
         raise ParseError("coefficient matrices must share one 2-D shape")
+    if not all(np.all(np.isfinite(t)) for t in t_mats):
+        raise ParseError("t_mats contain non-finite entries")
+    t_shape = t_mats[0].shape
+    n = t_shape[1]
     a_mats = doc.get("a_mats")
     if a_mats is not None:
-        a_mats = [np.asarray(a, dtype=float) for a in a_mats]
+        a_mats = _matrix_list(a_mats, "a_mats", p, t_shape)
     r_mats = doc.get("r_mats")
     if r_mats is not None:
-        r_mats = [[np.asarray(k, dtype=float) for k in row] for row in r_mats]
+        if not isinstance(r_mats, list) or len(r_mats) != p:
+            raise ParseError(f"r_mats must hold {p} rows, one per term")
+        r_mats = [_matrix_list(row, f"r_mats[{j}]", j, (n, n))
+                  for j, row in enumerate(r_mats)]
     return FilterModel(
         p=p,
         q_specs=q_specs,

@@ -17,6 +17,11 @@ If an input is an exact linear image of earlier outputs its residual is the
 zero ensemble; residual norms at or below ``1e-12`` times the input scale are
 snapped to exact zeros so that downstream pseudo-inverses of their covariance
 are zero matrices rather than noise amplifiers.
+
+``orthogonalize`` runs the cascade in data space and is the reference.
+``cascade_map`` computes the same outputs as one block-lower-triangular map of
+the stacked inputs, from their Gram matrix alone; applying a filter needs only
+that map.
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ from .linalg import pseudo_inverse
 from .signals import Ensemble, cov
 
 ZERO_W_RTOL = 1e-12
+# Stage energies read from the Gram matrix carry rounding of about eps times
+# the input energy, far above the ZERO_W_RTOL snap level; stages below this
+# share of the largest input energy are re-checked in data space.
+GRAM_RECHECK_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -44,6 +53,21 @@ class OrthoResult:
     ws: tuple[Ensemble, ...]
     k_mats: tuple[tuple[np.ndarray, ...], ...]
     max_cross_residual: float
+    zero_indices: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class CascadeMap:
+    """Cascade outputs as one linear map of the stacked inputs.
+
+    ``v`` stacks the p inputs (pn x s). Block row k of ``b`` (pn x pn, block
+    lower triangular) maps ``v`` to output k: ``w_k = b[k*n:(k+1)*n] @ v``.
+    ``zero_indices`` flags outputs that collapsed to the zero ensemble; their
+    block rows are zero.
+    """
+
+    b: np.ndarray
+    v: np.ndarray
     zero_indices: tuple[int, ...]
 
 
@@ -106,6 +130,58 @@ def orthogonalize(vs, m_free: dict[tuple[int, int], np.ndarray] | None = None) -
         max_cross_residual=cross_cov_residual(ws),
         zero_indices=tuple(zero_indices),
     )
+
+
+def cascade_map(vs) -> CascadeMap:
+    """The cascade of ``orthogonalize`` (free matrices zero) as a map of the inputs.
+
+    With V the stacked inputs, E_k the selector of input k and
+    G = V V^T / s their Gram matrix, output k is w_k = B_k V with
+
+        B_k = E_k - sum_{l < k} C(v_k, w_l) C(w_l, w_l)^+ B_l,
+        C(v_i, w_l) = G_i B_l^T,   C(w_k, w_k) = C(v_k, w_k),
+
+    the last because w_k is orthogonal to the earlier outputs. This is block
+    Gram-Schmidt (Golub & Van Loan, Matrix Computations, 5.2): one GEMM for G
+    and one pseudo-inverse per stage instead of one per stage pair, and no
+    pass over the data after G.
+
+    A stage whose energy tr C(w_k, w_k) read from G is at most
+    ``GRAM_RECHECK_RTOL`` times the largest input energy is formed in data
+    space instead. It is snapped to zero by the ``ZERO_W_RTOL`` rule of
+    ``orthogonalize``; if it survives, its covariances are taken from the data.
+    """
+    vs = tuple(vs)
+    _check_aligned(vs)
+    p, n, s = len(vs), vs[0].m, vs[0].s
+    v = np.vstack([x.data for x in vs])
+    g = (v @ v.T) / s
+    max_energy = float(np.diag(g).reshape(p, n).sum(axis=1).max())
+    scale = float(np.sqrt(s * max_energy))  # largest input norm, as in orthogonalize
+    b = np.zeros((p * n, p * n))
+    # block row l holds C(w_l, w_l)^+ B_l; block column l of h holds C(v_i, w_l)
+    pinv_b = np.zeros_like(b)
+    h = np.zeros_like(b)
+    zero_indices: list[int] = []
+    for k in range(p):
+        rows = slice(k * n, (k + 1) * n)
+        done = k * n  # columns of the earlier inputs
+        b_k = b[rows, : done + n]
+        b_k[:, done:] = np.eye(n)
+        b_k[:, :done] = -h[rows, :done] @ pinv_b[:done, :done]
+        cross = g[k * n :, : done + n] @ b_k.T
+        d = 0.5 * (cross[:n] + cross[:n].T)
+        if np.trace(d) <= GRAM_RECHECK_RTOL * max_energy:
+            w = b_k @ v[: done + n]
+            if float(np.linalg.norm(w)) <= ZERO_W_RTOL * scale:
+                b_k[:] = 0.0
+                zero_indices.append(k)
+                continue
+            cross = (v[k * n :] @ w.T) / s
+            d = (w @ w.T) / s
+        h[k * n :, rows] = cross
+        pinv_b[rows, : done + n] = pseudo_inverse(d) @ b_k
+    return CascadeMap(b=b, v=v, zero_indices=tuple(zero_indices))
 
 
 def cross_cov_residual(ws) -> float:

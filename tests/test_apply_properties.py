@@ -1,0 +1,97 @@
+"""Property tests: ``apply_filter`` against a data-space reference on ``orthogonalize``.
+
+``apply_filter`` evaluates the filter as one matrix over the stacked inputs,
+built from their Gram matrix (or from the frozen deflation matrices). The
+reference below deflates in data space, stage by stage, as the cascade is
+defined. Both must agree to 1e-10 relative on random inputs, on inputs where
+one transformed observation is a linear image of earlier ones (exactly, or up
+to a perturbation too small for the Gram matrix to resolve), at lag-clamped
+positions (duplicated inputs) and on all-zero observations.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from iflt import (
+    Ensemble,
+    FilterContext,
+    FilterModel,
+    SignalSequence,
+    apply_filter,
+    apply_q,
+    center,
+    orthogonalize,
+)
+from iflt.bench import lag_specs
+
+REL_TOL = 1e-10
+KINDS = ("random", "rank_deficient", "near_deficient", "clamped", "zero")
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                             database=None)
+
+
+def reference_apply(model, ys, i, fixed_r):
+    """Sum of T_j w_j with the cascade run in data space, re-centered."""
+    vs = [apply_q(q, ys, i) for q in model.q_specs]
+    if fixed_r:
+        ws = []
+        for j, v in enumerate(vs):
+            data = v.data.copy()
+            for l, k_mat in enumerate(model.r_mats[j]):
+                data -= k_mat @ ws[l]
+            ws.append(data)
+    else:
+        ws = [w.data for w in orthogonalize(vs).ws]
+    acc = sum(t @ w for t, w in zip(model.t_mats, ws))
+    return acc - acc.mean(axis=1, keepdims=True)
+
+
+@st.composite
+def filter_cases(draw):
+    """(model, observation sequence, position) for one input class."""
+    kind = draw(st.sampled_from(KINDS))
+    p = draw(st.integers(1 if kind in ("random", "zero") else 2, 5))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    # well above p*n, so that the Gram matrix's squared conditioning stays
+    # far from the tolerance
+    s = draw(st.integers(p * n + 8, p * n + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    length = p + 3
+    if kind == "zero":
+        items = [Ensemble(np.zeros((n, s)), centered=True) for _ in range(length)]
+    else:
+        items = [center(Ensemble(10.0 ** rng.uniform(-1, 1) * rng.normal(size=(n, s))))
+                 for _ in range(length)]
+    if kind == "clamped":
+        i = draw(st.integers(0, p - 2))
+    else:
+        i = draw(st.integers(p - 1, length - 1))
+    if kind in ("rank_deficient", "near_deficient"):
+        # term j reads position i - (p - 1 - j); make term k's input a linear
+        # image of the inputs of the terms before it
+        k = draw(st.integers(1, p - 1))
+        first = i - (p - 1)
+        image = sum(rng.normal(size=(n, n)) @ items[first + l].data for l in range(k))
+        if kind == "near_deficient":
+            # a live stage whose energy is 1e-12..1e-9 of its input's
+            noise = rng.normal(size=(n, s))
+            image += (10.0 ** rng.uniform(-6, -4.5) * np.linalg.norm(image)
+                      / np.linalg.norm(noise)) * noise
+        items[first + k] = center(Ensemble(image))
+    model = FilterModel(
+        p=p,
+        q_specs=lag_specs(p),
+        t_mats=[rng.normal(size=(m, n)) for _ in range(p)],
+        r_mats=[[rng.normal(size=(n, n)) / n for _ in range(j)] for j in range(p)],
+    )
+    return model, SignalSequence(tuple(items)), i
+
+
+@PROPERTY_SETTINGS
+@given(case=filter_cases(), fixed_r=st.booleans())
+def test_apply_matches_data_space_reference(case, fixed_r):
+    model, ys, i = case
+    got = apply_filter(model, FilterContext(ys), i, fixed_r=fixed_r).data
+    want = reference_apply(model, ys, i, fixed_r)
+    assert np.linalg.norm(got - want) <= REL_TOL * np.linalg.norm(want)

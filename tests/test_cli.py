@@ -194,3 +194,63 @@ def test_bound_constants_file(tmp_path, cfg_path, capsys):
                                "lambda_q": 0, "r_hat": [1.0], "x_energy": 1.0}))
     assert cli_main(["bench", "--config", str(cfg_path), "--out", str(out),
                      "--bound-constants", str(bad)]) == 1
+
+
+def _gen_and_fit(tmp_path, cfg_path):
+    data = tmp_path / "data"
+    assert cli_main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 0
+    model_path = tmp_path / "m2.json"
+    assert cli_main(["fit", "--config", str(cfg_path),
+                     "--refs", str(data / "refs_manifest.json"),
+                     "--obs", str(data / "obs_manifest.json"), "--p", "2",
+                     "--out", str(model_path)]) == 0
+    return data / "obs_manifest.json", model_path
+
+
+def _apply_error(tmp_path, capsys, model_path, obs, index, *extra) -> str:
+    """Run ``iflt apply``, require exit 1 without a traceback, return stderr."""
+    capsys.readouterr()
+    code = cli_main(["apply", "--model", str(model_path), "--obs", str(obs),
+                     "--index", str(index), "--out", str(tmp_path / "est.iflt"),
+                     *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    return err
+
+
+def test_apply_rejects_model_of_other_component_count(tmp_path, cfg_path, capsys):
+    obs, _ = _gen_and_fit(tmp_path, cfg_path)
+    model_path = tmp_path / "m3.json"
+    model_path.write_text(json.dumps({
+        "version": 1, "p": 1, "q_specs": [{"kind": "identity"}],
+        "t_mats": [[[1.0, 0.0, 0.0]] * 3],
+    }))
+    err = _apply_error(tmp_path, capsys, model_path, obs, 5)
+    assert "t_mats have 3 columns" in err and "4 components" in err
+
+
+def test_apply_index_out_of_range_reports_cli_positions(tmp_path, cfg_path, capsys):
+    obs, model_path = _gen_and_fit(tmp_path, cfg_path)
+    n = SMALL_CFG["n_signals"]
+    for index in (0, n + 1):
+        err = _apply_error(tmp_path, capsys, model_path, obs, index)
+        assert f"--index {index} out of range [1, {n}]" in err
+
+
+def test_apply_fixed_r_rejects_missing_deflation_rows(tmp_path, cfg_path, capsys):
+    obs, model_path = _gen_and_fit(tmp_path, cfg_path)
+    doc = json.loads(model_path.read_text())
+    doc["r_mats"] = [[], []]
+    model_path.write_text(json.dumps(doc))
+    err = _apply_error(tmp_path, capsys, model_path, obs, 5, "--fixed-r")
+    assert "r_mats[1]" in err
+
+
+def test_apply_fixed_r_rejects_non_finite_deflation_matrix(tmp_path, cfg_path, capsys):
+    obs, model_path = _gen_and_fit(tmp_path, cfg_path)
+    doc = json.loads(model_path.read_text())
+    doc["r_mats"][1][0][0][0] = float("nan")
+    model_path.write_text(json.dumps(doc))
+    err = _apply_error(tmp_path, capsys, model_path, obs, 5, "--fixed-r")
+    assert "r_mats[1][0] contains non-finite entries" in err

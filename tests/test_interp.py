@@ -262,3 +262,37 @@ def test_benchmark_style_fit_residuals(rng):
     for rho, scale in zip(interp_residual(model, train),
                           model.meta["residual_scales"]):
         assert rho <= 1e-6 * scale
+
+
+def test_apply_rejects_t_mats_of_other_component_count(rng):
+    y = make_ensemble(rng, 4, 20)
+    model = FilterModel(p=1, q_specs=[QOperatorSpec.identity()],
+                        t_mats=[np.eye(3)], r_mats=[[]])
+    with pytest.raises(InvalidInput, match="t_mats have 3 columns.* 4 components"):
+        apply_filter(model, FilterContext(SignalSequence((y,))), 0)
+
+
+def _fitted_doc(rng):
+    xs = [make_ensemble(rng, 2, 30) for _ in range(2)]
+    ys = SignalSequence(tuple(make_ensemble(rng, 3, 30) for _ in range(2)))
+    model = fit(TrainingSet(tuple(xs), ys, (0, 1)), lag_specs(2),
+                a_mats=[np.zeros((2, 3)), np.ones((2, 3))])
+    return json.loads(save_model(model))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("r_mats", [[]]),
+    ("r_mats", [[], []]),
+    ("r_mats", [[], [np.zeros((2, 2)).tolist()]]),
+    ("r_mats", [[], [[[float("nan"), 0.0, 0.0]] * 3]]),
+    ("r_mats", [[], ["abc"]]),
+    ("a_mats", [np.zeros((2, 3)).tolist()]),
+    ("a_mats", [np.zeros((2, 3)).tolist(), np.zeros((3, 3)).tolist()]),
+    ("a_mats", [np.zeros((2, 3)).tolist(), [[float("inf"), 0.0, 0.0]] * 2]),
+])
+def test_load_model_rejects_malformed_matrix_fields(rng, field, value):
+    doc = _fitted_doc(rng)
+    load_model(json.dumps(doc))  # the unmodified document loads
+    doc[field] = value
+    with pytest.raises(ParseError, match=field):
+        load_model(json.dumps(doc))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from iflt import Ensemble, InvalidInput, center, cross_cov_residual, est_cov, orthogonalize
+from iflt import (Ensemble, InvalidInput, cascade_map, center, cross_cov_residual, est_cov,
+                  orthogonalize)
 from conftest import make_ensemble
 
 
@@ -105,3 +106,34 @@ def test_cross_cov_residual_values(rng):
     assert cross_cov_residual([w]) == 0.0
     dup = Ensemble(w.data.copy(), centered=True)
     assert cross_cov_residual([w, dup]) > 0.0
+
+
+def test_cascade_map_reproduces_orthogonalize(rng):
+    # full rank, a duplicated input, more inputs than the realizations hold,
+    # and an input far below the others' scale: the last two snap stages
+    v = make_ensemble(rng, 3, 40)
+    cases = [
+        [make_ensemble(rng, 3, 40) for _ in range(4)],
+        [v, make_ensemble(rng, 3, 40), Ensemble(v.data.copy(), centered=True)],
+        [make_ensemble(rng, 6, 10) for _ in range(4)],
+        [make_ensemble(rng, 3, 40), make_ensemble(rng, 3, 40, scale=1e-14),
+         make_ensemble(rng, 3, 40)],
+    ]
+    for vs in cases:
+        ref = orthogonalize(vs)
+        cmap = cascade_map(vs)
+        n = vs[0].m
+        scale = max(np.linalg.norm(x.data) for x in vs)
+        assert cmap.zero_indices == ref.zero_indices
+        for k, w in enumerate(ref.ws):
+            got = cmap.b[k * n:(k + 1) * n] @ cmap.v
+            assert np.linalg.norm(got - w.data) <= 1e-12 * scale
+        for k in cmap.zero_indices:
+            assert not np.any(cmap.b[k * n:(k + 1) * n])
+
+
+def test_cascade_map_rejects_misaligned(rng):
+    with pytest.raises(InvalidInput):
+        cascade_map([make_ensemble(rng, 3, 10), make_ensemble(rng, 2, 10)])
+    with pytest.raises(InvalidInput):
+        cascade_map([])
