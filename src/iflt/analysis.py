@@ -90,14 +90,23 @@ def optimal_error(x: Ensemble, ws, residual_rtol: float = ORTHO_RTOL) -> float:
     ws = tuple(ws)
     if not ws:
         raise InvalidInput("need at least one ensemble")
-    scale = max(float(np.linalg.norm(cov(w, w))) for w in ws)
-    if cross_cov_residual(ws) > residual_rtol * scale:
+    return _optimal_error_terms(x, ws, cross_cov_residual(ws), residual_rtol)[0]
+
+
+def _optimal_error_terms(x: Ensemble, ws, cross_residual: float, residual_rtol: float):
+    """``optimal_error`` given the largest cross-covariance norm of ``ws``.
+
+    Also returns each term's ``(C(w, w)^{1/2})^+`` for callers that reuse it.
+    """
+    covs = [cov(w, w) for w in ws]
+    scale = max(float(np.linalg.norm(c)) for c in covs)
+    if cross_residual > residual_rtol * scale:
         raise InvalidInput("ensembles are not mutually orthogonal within tolerance")
+    half_pinvs = [pseudo_inverse(sym_sqrt(c)) for c in covs]
     captured = 0.0
-    for w in ws:
-        half_pinv = pseudo_inverse(sym_sqrt(cov(w, w)))
+    for w, half_pinv in zip(ws, half_pinvs):
         captured += frob_norm_sq(cov(x, w) @ half_pinv)
-    return energy(x) - captured
+    return energy(x) - captured, half_pinvs
 
 
 def node_error_decomposition(model: FilterModel, train: TrainingSet, k: int) -> dict:
@@ -121,18 +130,21 @@ def node_error_decomposition(model: FilterModel, train: TrainingSet, k: int) -> 
         raise InvalidInput(f"node index {k} out of range [0, {model.p - 1}]")
     idx = train.s_y_indices[k]
     vs = [apply_q(q, train.s_y_context, idx) for q in model.q_specs]
-    ws = orthogonalize(vs).ws
+    cascade = orthogonalize(vs)
+    ws = cascade.ws
     a_mats = model.a_mats or [None] * model.p
     x_k = train.s_x[k]
+    optimal, half_pinvs = _optimal_error_terms(
+        x_k, ws, cascade.max_cross_residual, ORTHO_RTOL
+    )
     estimate = np.zeros((x_k.m, x_k.s))
     mismatch = 0.0
     for j, w in enumerate(ws):
         t_j = _coefficients(train.s_x[j], w, a_mats[j])
         estimate += t_j @ w.data
-        half_pinv = pseudo_inverse(sym_sqrt(cov(w, w)))
-        mismatch += frob_norm_sq((cov(train.s_x[j], w) - cov(x_k, w)) @ half_pinv)
+        mismatch += frob_norm_sq((cov(train.s_x[j], w) - cov(x_k, w)) @ half_pinvs[j])
     lhs = float(np.sum((x_k.data - estimate) ** 2)) / x_k.s
-    rhs = optimal_error(x_k, ws) + mismatch
+    rhs = optimal + mismatch
     return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
 
 

@@ -3,7 +3,10 @@
 Both estimate one reference ensemble from one observation ensemble. The
 Wiener filter is the one-shot least-squares solution through empirical
 covariances; RLS reaches a discounted version of the same solution by
-streaming realization columns one at a time.
+streaming realization columns one at a time. ``rls_step`` is that streaming
+recursion; ``rls_run`` applies a whole block of columns at once through the
+weighted normal equations the recursion solves, and returns the state that
+streaming every column with ``rls_step`` would give.
 """
 
 from __future__ import annotations
@@ -99,11 +102,40 @@ def rls_step(state: RlsState, y_col, x_col) -> RlsState:
 
 
 def rls_run(state: RlsState, x: Ensemble, y: Ensemble) -> RlsState:
-    """Stream every realization column of an aligned (x, y) pair."""
+    """Take every realization column of an aligned (x, y) pair as one block.
+
+    Streaming columns r = 0..s-1 through ``rls_step`` keeps W P^{-1} and
+    P^{-1} equal to discounted sums (Haykin, Adaptive Filter Theory, ch. 10),
+    so with Lambda = diag(lambda^(s-1-r)) the state after the block is
+
+        Phi = lambda^s P0^{-1} + Y Lambda Y^T,       P = Phi^{-1}
+        W   = (lambda^s W0 P0^{-1} + X Lambda Y^T) Phi^{-1}
+
+    from any starting state (W0, P0). This equals the streaming recursion up
+    to rounding; ``rls_step`` remains the one-column oracle.
+    """
     if x.s != y.s:
         raise InvalidInput(f"realization counts differ: {x.s} vs {y.s}")
-    for r in range(y.s):
-        rls_step(state, y.data[:, r], x.data[:, r])
+    n, m = state.p_inv_corr.shape[0], state.weights.shape[0]
+    if y.m != n or x.m != m:
+        raise InvalidInput(f"expected columns of length {n} and {m}")
+    lam, s = state.forgetting, y.s
+    yw = y.data * lam ** np.arange(s - 1, -1, -1, dtype=float)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
+            prior = np.linalg.inv(state.p_inv_corr) * lam**s
+            phi = prior + yw @ y.data.T
+            rhs = state.weights @ prior + x.data @ yw.T
+            w_new = np.linalg.solve(phi.T, rhs.T).T
+            p_new = np.linalg.inv(phi)
+            p_new = 0.5 * (p_new + p_new.T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("RLS block update is singular") from exc
+    if not (np.all(np.isfinite(p_new)) and np.all(np.isfinite(w_new))):
+        raise NumericalError("RLS update produced non-finite values")
+    state.p_inv_corr = p_new
+    state.weights = w_new
+    state.steps += s
     return state
 
 

@@ -11,9 +11,7 @@ JSON summary. Runs are deterministic given the configuration and seed.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -232,24 +230,12 @@ def gen_observations(xs: SignalSequence, cfg: ExperimentConfig) -> SignalSequenc
 
 
 def default_rls_delta(y: Ensemble) -> float:
-    """Weak-prior inverse-correlation scale: large relative to the data's."""
+    """Weak-prior inverse-correlation scale: large relative to the data's.
+
+    All-zero observations get 1: RLS keeps zero weights for any finite delta.
+    """
     tr = float(np.trace(cov(y, y)))
-    return 100.0 * y.m / max(tr, np.finfo(float).tiny)
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("IFLT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    threads = _thread_count()
-    if threads == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return 100.0 * y.m / tr if tr > 0.0 else 1.0
 
 
 def fit_benchmark_models(
@@ -278,7 +264,7 @@ def evaluate_interp(
         )
         return RunRow(method, i + 1, err_f / xs.s, err_f, i in nodes)
 
-    return _pmap(one, range(len(xs)))
+    return [one(i) for i in range(len(xs))]
 
 
 def evaluate_wiener(xs: SignalSequence, ys: SignalSequence) -> list[RunRow]:
@@ -287,7 +273,7 @@ def evaluate_wiener(xs: SignalSequence, ys: SignalSequence) -> list[RunRow]:
         err_f = float(np.sum((xs[i].data - wiener_apply(model, ys[i]).data) ** 2))
         return RunRow("wiener", i + 1, err_f / xs.s, err_f, False)
 
-    return _pmap(one, range(len(xs)))
+    return [one(i) for i in range(len(xs))]
 
 
 def evaluate_rls(cfg: ExperimentConfig, xs: SignalSequence, ys: SignalSequence) -> list[RunRow]:
@@ -298,7 +284,7 @@ def evaluate_rls(cfg: ExperimentConfig, xs: SignalSequence, ys: SignalSequence) 
         err_f = float(np.sum((xs[i].data - rls_apply(state, ys[i]).data) ** 2))
         return RunRow("rls", i + 1, err_f / xs.s, err_f, False)
 
-    return _pmap(one, range(len(xs)))
+    return [one(i) for i in range(len(xs))]
 
 
 def _method_summary(rows: list[RunRow]) -> dict:

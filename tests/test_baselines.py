@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iflt import (
     Ensemble,
@@ -147,7 +150,62 @@ def test_rls_nonfinite_update_raises():
         rls_step(state, np.full(2, 1e300), np.ones(2))
 
 
+def test_rls_run_nonfinite_update_raises():
+    state = rls_init(2, 2, forgetting=1.0, delta=1e300)
+    y = Ensemble(np.full((2, 3), 1e300))
+    with pytest.raises(NumericalError):
+        rls_run(state, Ensemble(np.ones((2, 3))), y)
+
+
+RLS_KINDS = ("full_rank", "repeated_row", "zero_columns")
+
+
+@st.composite
+def rls_cases(draw):
+    """(state, x, y): a fresh or already-stepped state and one block of columns."""
+    kind = draw(st.sampled_from(RLS_KINDS))
+    n = draw(st.integers(2 if kind == "repeated_row" else 1, 8))
+    m = draw(st.integers(1, 8))
+    s = draw(st.integers(n + 2 if kind == "full_rank" else 2, n + 40))
+    forgetting = draw(st.floats(0.9, 1.0))
+    delta = 10.0 ** draw(st.floats(-1.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = rls_init(n, m, forgetting, delta)
+    for _ in range(draw(st.integers(0, 3))):
+        rls_step(state, rng.normal(size=n), rng.normal(size=m))
+    y = rng.normal(size=(n, s))
+    if kind == "repeated_row":
+        y[1] = y[0]
+    elif kind == "zero_columns":
+        y[:, rng.random(s) < 0.5] = 0.0
+    return state, Ensemble(rng.normal(size=(m, s))), Ensemble(y)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rls_cases())
+def test_rls_run_matches_streaming_steps(case):
+    state, x, y = case
+    block = rls_run(replace(state), x, y)
+    loop = replace(state)
+    for r in range(y.s):
+        rls_step(loop, y.data[:, r], x.data[:, r])
+    assert block.steps == loop.steps == state.steps + y.s
+    # Each streaming step subtracts from P a term nearly as large as P, so
+    # the loop itself is only accurate to about eps * ||P0|| * ||Phi||, with
+    # Phi = P^{-1} after the block: about 1e-8 relative at delta = 1e6, where
+    # the block form still matches exact arithmetic to a few eps. Since
+    # Phi >= lambda^s P0^{-1}, cond(Phi) <= kappa / lambda^s, so this also
+    # covers the ill-conditioned Phi of rank-deficient blocks.
+    kappa = np.linalg.norm(state.p_inv_corr, 2) * np.linalg.norm(
+        np.linalg.inv(loop.p_inv_corr), 2)
+    tol = 1e-12 * kappa
+    for got, want in ((block.weights, loop.weights), (block.p_inv_corr, loop.p_inv_corr)):
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
 def test_rls_run_requires_aligned(rng):
     state = rls_init(3, 2)
     with pytest.raises(InvalidInput):
         rls_run(state, make_ensemble(rng, 2, 10), make_ensemble(rng, 3, 12))
+    with pytest.raises(InvalidInput):
+        rls_run(state, make_ensemble(rng, 2, 10), make_ensemble(rng, 4, 10))

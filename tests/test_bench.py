@@ -90,6 +90,15 @@ def test_noise_degenerate_ranges():
         assert np.array_equal(y.data, np.zeros((3, 20)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_noise_benchmark_completes():
+    # all-zero observations: every baseline estimate is zero, so RLS and
+    # Wiener both score the energy of the references
+    report = run_benchmark(ExperimentConfig(noise=NoiseSpec(low=0.0, high=0.0)))
+    methods = report.summary["methods"]
+    assert methods["rls"]["mean_err_e"] == methods["wiener"]["mean_err_e"] > 0.0
+
+
 def test_config_validation_messages():
     with pytest.raises(ConfigError, match="s_indices"):
         validate_config(ExperimentConfig(s_indices=(0, 5)))
@@ -175,13 +184,6 @@ def test_probe_constants_and_bound(tmp_path):
     assert len(consts["r_hat"]) == 2
     for check in diag["node_bound_checks"]:
         assert check["bound"] >= check["optimal"]
-
-
-def test_threaded_evaluation_matches_serial(monkeypatch):
-    serial = report_csv_text(run_benchmark(SMALL).rows)
-    monkeypatch.setenv("IFLT_THREADS", "4")
-    threaded = report_csv_text(run_benchmark(SMALL).rows)
-    assert serial == threaded
 
 
 def trend_errors(cfg_base, seed, node_sets):
