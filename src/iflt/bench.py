@@ -100,8 +100,40 @@ class RunReport:
     models: dict[str, FilterModel]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
+def _check_types(cfg: ExperimentConfig) -> None:
+    for name in ("n_signals", "m", "n", "s", "seed", "base_rank"):
+        if not _is_int(getattr(cfg, name)):
+            raise ConfigError(f"{name}: must be an integer")
+    for name in ("p_values", "s_indices"):
+        value = getattr(cfg, name)
+        if not isinstance(value, tuple) or not all(_is_int(v) for v in value):
+            raise ConfigError(f"{name}: must be a list of integers")
+    for name in ("drift_scale", "rls_forgetting", "residual_tol"):
+        if not _is_real(getattr(cfg, name)):
+            raise ConfigError(f"{name}: must be a number")
+    if cfg.rls_delta is not None and not _is_real(cfg.rls_delta):
+        raise ConfigError("rls_delta: must be a number or null")
+    for name in ("low", "high"):
+        if not _is_real(getattr(cfg.noise, name)):
+            raise ConfigError(f"noise.{name}: must be a number")
+    for name in ("include_baselines", "probe_constants"):
+        if not isinstance(getattr(cfg, name), bool):
+            raise ConfigError(f"{name}: must be true or false")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     """Raise ConfigError naming the offending field on any inconsistency."""
+    _check_types(cfg)
+    if cfg.seed < 0:
+        raise ConfigError("seed: must be nonnegative")
     if cfg.n_signals < 1:
         raise ConfigError("n_signals: must be at least 1")
     if cfg.m < 1 or cfg.n < 1:
@@ -162,6 +194,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         kwargs["noise"] = NoiseSpec(**nd)
     for key in ("p_values", "s_indices"):
         if key in kwargs:
+            if not isinstance(kwargs[key], list):
+                raise ConfigError(f"{key}: must be a list of integers")
             kwargs[key] = tuple(kwargs[key])
     try:
         cfg = ExperimentConfig(**kwargs)
@@ -233,9 +267,12 @@ def default_rls_delta(y: Ensemble) -> float:
     """Weak-prior inverse-correlation scale: large relative to the data's.
 
     All-zero observations get 1: RLS keeps zero weights for any finite delta.
+    So do observations whose covariance trace is so small that the scale
+    overflows: their weights stay at rounding level for any finite delta.
     """
     tr = float(np.trace(cov(y, y)))
-    return 100.0 * y.m / tr if tr > 0.0 else 1.0
+    delta = 100.0 * y.m / tr if tr > 0.0 else np.inf
+    return delta if np.isfinite(delta) else 1.0
 
 
 def fit_benchmark_models(

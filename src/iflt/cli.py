@@ -42,7 +42,13 @@ from .interp import (
     save_model,
 )
 from .signals import TrainingSet
-from .sigio import load_sequence, save_sequence, write_ensemble_bin, write_ensemble_csv
+from .sigio import (
+    ManifestSequence,
+    load_sequence,
+    save_sequence,
+    write_ensemble_bin,
+    write_ensemble_csv,
+)
 
 
 class _UsageError(Exception):
@@ -148,15 +154,35 @@ def _cmd_gen(args) -> int:
 
 def _training_set(cfg: ExperimentConfig, xs, ys, p: int) -> TrainingSet:
     nodes = nodes_for(cfg, p)
+    length = min(len(xs), len(ys))
+    if nodes[-1] >= length:
+        raise IfltError(
+            f"s_indices: position {nodes[-1] + 1} is past the end of the data "
+            f"({length} positions)"
+        )
     return TrainingSet(tuple(xs[k] for k in nodes), ys, tuple(nodes))
+
+
+def _read_windows(seq: ManifestSequence, q_specs, positions) -> None:
+    """Read every ensemble the transforms touch at ``positions``, up front.
+
+    The library calls that follow then do no file I/O, so what they spend is
+    compute only.
+    """
+    for i in positions:
+        for q in q_specs:
+            for t in q.positions(i):
+                seq[t]
 
 
 def _cmd_fit(args) -> int:
     cfg = _load_cfg(args)
-    xs = load_sequence(args.refs)
-    ys = load_sequence(args.obs)
+    xs = ManifestSequence(args.refs)
+    ys = ManifestSequence(args.obs)
+    q_specs = lag_specs(args.p)
     train = _training_set(cfg, xs, ys, args.p)
-    model = fit(train, lag_specs(args.p), residual_tol=cfg.residual_tol)
+    _read_windows(ys, q_specs, train.s_y_indices)
+    model = fit(train, q_specs, residual_tol=cfg.residual_tol)
     Path(args.out).write_bytes(save_model(model))
     print(f"wrote {args.out}")
     return 0
@@ -164,12 +190,12 @@ def _cmd_fit(args) -> int:
 
 def _cmd_apply(args) -> int:
     model = load_model(Path(args.model).read_bytes())
-    ys = load_sequence(args.obs)
+    ys = ManifestSequence(args.obs)
     if not 1 <= args.index <= len(ys):
         raise IfltError(f"--index {args.index} out of range [1, {len(ys)}]")
-    estimate = apply_filter(
-        model, FilterContext(ys), args.index - 1, fixed_r=args.fixed_r
-    )
+    i = args.index - 1
+    _read_windows(ys, model.q_specs, [i])
+    estimate = apply_filter(model, FilterContext(ys), i, fixed_r=args.fixed_r)
     if args.format == "bin":
         write_ensemble_bin(args.out, estimate)
     else:

@@ -55,7 +55,11 @@ RESIDUAL_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class FilterContext:
-    """Observation window an input position is evaluated against."""
+    """Observation window an input position is evaluated against.
+
+    ``history`` may be any sequence offering ``len``, ``[i]``, ``m`` and ``s``
+    as ``SignalSequence`` does, such as ``sigio.ManifestSequence``.
+    """
 
     history: SignalSequence
 

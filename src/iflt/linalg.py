@@ -16,6 +16,7 @@ from .exceptions import InvalidInput, NotPSD
 DEFAULT_RELATIVE_CUTOFF = 1e-12
 SYMMETRY_RTOL = 1e-10
 NEGATIVE_EIG_RTOL = 1e-8
+SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,9 @@ def pseudo_inverse(a, tol: SpectralTolerance | None = None) -> np.ndarray:
 
     Singular values at or below ``relative_cutoff * sigma_max`` are treated
     as exactly zero, so the inverse of a rank-deficient (or zero) matrix is
-    well defined and never raises.
+    well defined and never raises. Singular values at or below the smallest
+    normal float are treated as zero too: the reciprocal of a subnormal one
+    overflows or nearly so, and it carries few significant digits.
 
     Parameters
     ----------
@@ -64,9 +67,9 @@ def pseudo_inverse(a, tol: SpectralTolerance | None = None) -> np.ndarray:
     if arr.size == 0:
         return np.zeros((arr.shape[1], arr.shape[0]))
     u, sv, vt = np.linalg.svd(arr, full_matrices=False)
-    if sv[0] == 0.0:
+    if sv[0] <= SMALLEST_NORMAL:
         return np.zeros((arr.shape[1], arr.shape[0]))
-    keep = sv > tol.relative_cutoff * sv[0]
+    keep = sv > max(tol.relative_cutoff * sv[0], SMALLEST_NORMAL)
     inv = np.zeros_like(sv)
     inv[keep] = 1.0 / sv[keep]
     return (vt.T * inv) @ u.T

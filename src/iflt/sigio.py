@@ -9,7 +9,8 @@ Two interchangeable ensemble formats:
 
 A sequence manifest is a JSON object ``{"m": .., "s": .., "files": [..]}``
 listing ensemble files in order; relative paths resolve against the manifest's
-directory.
+directory. ``ManifestSequence`` reads a file only when its position is first
+used; ``load_sequence`` reads and checks every file.
 
 Data is centered eagerly at ingestion: readers subtract row means unless the
 stored data is already centered within tolerance (in which case it is kept
@@ -44,8 +45,8 @@ def write_ensemble_csv(path, e: Ensemble, header: bool = True) -> None:
     lines = []
     if header:
         lines.append(f"# m={e.m} s={e.s}")
-    for row in e.data:
-        lines.append(",".join(repr(float(v)) for v in row))
+    for row in e.data.tolist():
+        lines.append(",".join(map(repr, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -114,32 +115,74 @@ def write_manifest(path, files, m: int, s: int) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 def read_manifest(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: manifest must be a JSON object")
     for key in ("m", "s", "files"):
         if key not in doc:
             raise ParseError(f"{path}: manifest missing key {key!r}")
-    if not doc["files"]:
+    for key in ("m", "s"):
+        if not _positive_int(doc[key]):
+            raise ParseError(f"{path}: manifest {key} must be a positive integer")
+    files = doc["files"]
+    if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+        raise ParseError(f"{path}: manifest files must be a list of file names")
+    if not files:
         raise ParseError(f"{path}: manifest lists no files")
     return doc
 
 
+class ManifestSequence:
+    """The sequence a manifest lists, read one ensemble at a time.
+
+    ``m``, ``s`` and the length come from the manifest. Ensemble ``i`` is read
+    on first access, checked against the manifest's shape, centered as the
+    readers do, and kept for later accesses. It offers what ``SignalSequence``
+    offers (``m``, ``s``, ``len``, ``[i]``, ``items``), so a command that uses
+    a few positions reads only their files.
+    """
+
+    def __init__(self, manifest_path, center_data: bool = True):
+        doc = read_manifest(manifest_path)
+        self.m, self.s = doc["m"], doc["s"]
+        self._files = doc["files"]
+        self._base = Path(manifest_path).parent
+        self._center = center_data
+        self._read: dict[int, Ensemble] = {}
+
+    def __len__(self) -> int:
+        return len(self._files)
+
+    def __getitem__(self, i: int) -> Ensemble:
+        i = range(len(self._files))[i]
+        e = self._read.get(i)
+        if e is None:
+            rel = self._files[i]
+            p = Path(rel)
+            e = read_ensemble(p if p.is_absolute() else self._base / p, self._center)
+            if (e.m, e.s) != (self.m, self.s):
+                raise ParseError(
+                    f"{rel}: shape {(e.m, e.s)} does not match manifest {(self.m, self.s)}"
+                )
+            self._read[i] = e
+        return e
+
+    @property
+    def items(self) -> tuple[Ensemble, ...]:
+        return tuple(self[i] for i in range(len(self)))
+
+
 def load_sequence(manifest_path, center_data: bool = True) -> SignalSequence:
-    doc = read_manifest(manifest_path)
-    base = Path(manifest_path).parent
-    items = []
-    for rel in doc["files"]:
-        p = Path(rel)
-        e = read_ensemble(p if p.is_absolute() else base / p, center_data)
-        if (e.m, e.s) != (doc["m"], doc["s"]):
-            raise ParseError(
-                f"{rel}: shape {(e.m, e.s)} does not match manifest {(doc['m'], doc['s'])}"
-            )
-        items.append(e)
-    return SignalSequence(tuple(items))
+    """Read and check every ensemble a manifest lists."""
+    return SignalSequence(ManifestSequence(manifest_path, center_data).items)
 
 
 def save_sequence(out_dir, prefix: str, seq: SignalSequence, fmt: str = "bin") -> Path:

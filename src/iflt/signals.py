@@ -151,12 +151,26 @@ class QOperatorSpec:
         return QOperatorSpec("weighted_prefix_sum", weights=tuple(weights))
 
     def window(self) -> int:
-        """Number of trailing sequence positions the transform can touch."""
+        """Length of the stretch of the sequence the transform reads from.
+
+        For ``sequence_lag`` it is the ``lag + 1`` trailing positions ending at
+        the requested one; for ``weighted_prefix_sum`` the ``len(weights)``
+        leading positions, starting at position 0; otherwise the requested
+        position alone. ``positions`` gives the positions read at one index.
+        """
         if self.kind == "sequence_lag":
             return self.lag + 1
         if self.kind == "weighted_prefix_sum":
             return len(self.weights)
         return 1
+
+    def positions(self, i: int) -> tuple[int, ...]:
+        """The sequence positions ``apply_q`` reads to evaluate the transform at ``i``."""
+        if self.kind == "sequence_lag":
+            return (max(0, i - self.lag),)
+        if self.kind == "weighted_prefix_sum":
+            return tuple(range(min(i, len(self.weights) - 1) + 1))
+        return (i,)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}

@@ -116,6 +116,23 @@ def test_config_validation_messages():
         validate_config(ExperimentConfig(noise=NoiseSpec(low=2.0, high=1.0)))
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"m": "16"}, "m"),
+    ({"m": True}, "m"),
+    ({"s": 256.0}, "s"),
+    ({"p_values": 3}, "p_values"),
+    ({"s_indices": [18, "57"]}, "s_indices"),
+    ({"seed": -1}, "seed"),
+    ({"drift_scale": "0.1"}, "drift_scale"),
+    ({"rls_delta": [1.0]}, "rls_delta"),
+    ({"noise": {"low": "0"}}, "noise.low"),
+    ({"include_baselines": "yes"}, "include_baselines"),
+])
+def test_config_field_types_name_the_field(doc, field):
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        config_from_dict(doc)
+
+
 def test_config_round_trip_and_unknown_fields():
     cfg = config_from_dict(config_to_dict(SMALL))
     assert cfg == SMALL

@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+from iflt import cli, sigio
+from iflt.bench import lag_specs
 from iflt.cli import cli_main
-from iflt.sigio import load_sequence, read_ensemble
+from iflt.interp import FilterContext, apply_filter, fit, save_model
+from iflt.signals import TrainingSet
+from iflt.sigio import load_sequence, read_ensemble, write_ensemble_bin
 from iflt.analysis import ensemble_sq_distance
 
 SMALL_CFG = {
@@ -207,16 +211,21 @@ def _gen_and_fit(tmp_path, cfg_path):
     return data / "obs_manifest.json", model_path
 
 
-def _apply_error(tmp_path, capsys, model_path, obs, index, *extra) -> str:
-    """Run ``iflt apply``, require exit 1 without a traceback, return stderr."""
+def _cli_error(capsys, argv) -> str:
+    """Run ``iflt``, require exit 1 without a traceback, return stderr."""
     capsys.readouterr()
-    code = cli_main(["apply", "--model", str(model_path), "--obs", str(obs),
-                     "--index", str(index), "--out", str(tmp_path / "est.iflt"),
-                     *extra])
+    code = cli_main(argv)
     err = capsys.readouterr().err
     assert code == 1
     assert "Traceback" not in err
     return err
+
+
+def _apply_error(tmp_path, capsys, model_path, obs, index, *extra) -> str:
+    """Run ``iflt apply``, require exit 1 without a traceback, return stderr."""
+    return _cli_error(capsys, ["apply", "--model", str(model_path), "--obs", str(obs),
+                               "--index", str(index), "--out", str(tmp_path / "est.iflt"),
+                               *extra])
 
 
 def test_apply_rejects_model_of_other_component_count(tmp_path, cfg_path, capsys):
@@ -254,3 +263,113 @@ def test_apply_fixed_r_rejects_non_finite_deflation_matrix(tmp_path, cfg_path, c
     model_path.write_text(json.dumps(doc))
     err = _apply_error(tmp_path, capsys, model_path, obs, 5, "--fixed-r")
     assert "r_mats[1][0] contains non-finite entries" in err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"m": 4, "s": 40, "files": "abc"}, "files"),
+    ({"m": "16", "s": 40, "files": ["a.csv"]}, "m"),
+    ({"m": 4, "s": True, "files": ["a.csv"]}, "s"),
+])
+def test_manifest_field_errors_exit_1(tmp_path, capsys, doc, field):
+    manifest = tmp_path / "obs_manifest.json"
+    manifest.write_text(json.dumps(doc))
+    model_path = tmp_path / "m.json"
+    model_path.write_text(json.dumps({
+        "version": 1, "p": 1, "q_specs": [{"kind": "identity"}],
+        "t_mats": [[[1.0, 0.0], [0.0, 1.0]]],
+    }))
+    for argv in (["epsnet", "--data", str(manifest), "--eps", "0.1"],
+                 ["apply", "--model", str(model_path), "--obs", str(manifest),
+                  "--index", "1"]):
+        err = _cli_error(capsys, [*argv, "--out", str(tmp_path / "out")])
+        assert f"manifest {field} must be" in err
+
+
+@pytest.mark.parametrize("doc, field", [({"m": "16"}, "m"), ({"p_values": 3}, "p_values")])
+def test_config_field_type_errors_exit_1(tmp_path, capsys, doc, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    err = _cli_error(capsys, ["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert f"error: {field}: must be" in err
+
+
+def test_fit_nodes_past_the_data_exit_1(tmp_path, cfg_path, capsys):
+    data = tmp_path / "data"
+    assert cli_main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 0
+    err = _cli_error(capsys, ["fit", "--refs", str(data / "refs_manifest.json"),
+                              "--obs", str(data / "obs_manifest.json"), "--p", "2",
+                              "--out", str(tmp_path / "m.json")])
+    assert "s_indices: position 57 is past the end of the data (12 positions)" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bench_with_subnormal_covariances_completes(tmp_path, capsys):
+    # observation covariances near 1e-320: their subnormal singular values
+    # count as zero, so every method estimates zero
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"low": 1e-160, "high": 1e-160}, "m": 4, "n": 4,
+                               "s": 48, "p_values": [2], "s_indices": [3, 7]}))
+    out = tmp_path / "bench"
+    assert cli_main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    methods = json.loads((out / "summary.json").read_text())["summary"]["methods"]
+    assert methods["interp_p2"]["mean_err_e"] == methods["wiener"]["mean_err_e"] \
+        == methods["rls"]["mean_err_e"] > 0.0
+
+
+FIT_CFG = {**SMALL_CFG, "p_values": [5], "s_indices": [3, 5, 7, 9, 11]}
+
+
+def test_fit_and_apply_read_only_the_files_they_use(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(FIT_CFG))
+    data = tmp_path / "data"
+    assert cli_main(["gen", "--config", str(cfg_path), "--format", "csv",
+                     "--out", str(data)]) == 0
+    refs, obs = data / "refs_manifest.json", data / "obs_manifest.json"
+    reads, in_library = [], []
+    read_ensemble = sigio.read_ensemble
+
+    def counting_read(path, *args, **kwargs):
+        assert not in_library, f"{path.name} read inside fit/apply_filter"
+        reads.append(path.name)
+        return read_ensemble(path, *args, **kwargs)
+
+    def without_io(fn):
+        def wrapped(*args, **kwargs):
+            in_library.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                in_library.pop()
+        return wrapped
+
+    monkeypatch.setattr(sigio, "read_ensemble", counting_read)
+    monkeypatch.setattr(cli, "fit", without_io(cli.fit))
+    monkeypatch.setattr(cli, "apply_filter", without_io(cli.apply_filter))
+    model_path = tmp_path / "m5.json"
+    assert cli_main(["fit", "--config", str(cfg_path), "--refs", str(refs),
+                     "--obs", str(obs), "--p", "5", "--out", str(model_path)]) == 0
+    nodes = [i - 1 for i in FIT_CFG["s_indices"]]
+    windows = {max(0, k - lag) for k in nodes for lag in range(5)}
+    assert sorted(reads) == sorted([f"refs_{k:04d}.csv" for k in nodes]
+                                   + [f"obs_{i:04d}.csv" for i in windows])
+    assert len(windows) <= 25
+
+    estimates = {}
+    for index, fixed_r, files in ((1, [], 1), (9, ["--fixed-r"], 5), (9, [], 5)):
+        reads.clear()
+        est = tmp_path / f"est_{index}_{len(fixed_r)}.iflt"
+        assert cli_main(["apply", "--model", str(model_path), "--obs", str(obs),
+                         "--index", str(index), "--out", str(est), *fixed_r]) == 0
+        assert len(reads) == len(set(reads)) == files
+        estimates[est] = (index - 1, bool(fixed_r))
+    monkeypatch.undo()
+
+    xs, ys = load_sequence(refs), load_sequence(obs)
+    train = TrainingSet(tuple(xs[k] for k in nodes), ys, tuple(nodes))
+    model = fit(train, lag_specs(5))
+    assert model_path.read_bytes() == save_model(model)
+    for est, (i, fixed_r) in estimates.items():
+        write_ensemble_bin(tmp_path / "eager.iflt",
+                           apply_filter(model, FilterContext(ys), i, fixed_r=fixed_r))
+        assert est.read_bytes() == (tmp_path / "eager.iflt").read_bytes()

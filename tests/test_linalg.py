@@ -23,6 +23,14 @@ def test_pinv_diagonal_reciprocal():
     assert np.allclose(out, np.diag([0.5, 0.0]), atol=1e-14)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pinv_treats_subnormal_singular_values_as_zero():
+    # 1 / 1e-310 overflows; a normal singular value keeps its reciprocal
+    out = pseudo_inverse(np.diag([1e-300, 1e-310]))
+    assert np.allclose(out, np.diag([1e300, 0.0]), rtol=1e-15, atol=0.0)
+    assert np.array_equal(pseudo_inverse(np.full((3, 2), 4e-320)), np.zeros((2, 3)))
+
+
 def test_pinv_rank_one_all_ones():
     a = np.ones((2, 2))
     out = pseudo_inverse(a)

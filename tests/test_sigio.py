@@ -1,8 +1,15 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from iflt import ParseError, SignalSequence
+from iflt import Ensemble, ParseError, SignalSequence
 from iflt.sigio import (
+    ManifestSequence,
     load_sequence,
     read_ensemble,
     read_ensemble_bin,
@@ -143,3 +150,117 @@ def test_manifest_invalid_json(tmp_path):
     path.write_text("{nope")
     with pytest.raises(ParseError):
         read_manifest(path)
+
+
+def test_manifest_rejects_bad_fields(tmp_path):
+    path = tmp_path / "m.json"
+    cases = [
+        ({"m": "16", "s": 4, "files": ["a.csv"]}, "manifest m"),
+        ({"m": True, "s": 4, "files": ["a.csv"]}, "manifest m"),
+        ({"m": 2, "s": 0, "files": ["a.csv"]}, "manifest s"),
+        ({"m": 2, "s": 4.0, "files": ["a.csv"]}, "manifest s"),
+        ({"m": 2, "s": 4, "files": "abc"}, "manifest files"),
+        ({"m": 2, "s": 4, "files": ["a.csv", 3]}, "manifest files"),
+        ({"m": 2, "s": 4, "files": []}, "lists no files"),
+        ([2, 4], "JSON object"),
+    ]
+    for doc, message in cases:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=message):
+            read_manifest(path)
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                             database=None)
+
+
+@st.composite
+def stored_sequences(draw):
+    """A sequence's shape, format and data seed, an access order, a bad position."""
+    length = draw(st.integers(1, 6))
+    return {
+        "m": draw(st.integers(1, 4)),
+        "s": draw(st.integers(2, 6)),
+        "length": length,
+        "fmt": draw(st.sampled_from(("bin", "csv"))),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "order": draw(st.lists(st.integers(0, length - 1), min_size=1, max_size=12)),
+        "bad": draw(st.integers(0, length - 1)),
+        "fault": draw(st.sampled_from(("bad_value", "shape", "truncated"))),
+    }
+
+
+def _write_uncentered(case, out: Path) -> Path:
+    """Save a sequence whose ensembles carry row offsets, so readers center them."""
+    rng = np.random.default_rng(case["seed"])
+    m, s = case["m"], case["s"]
+    seq = SignalSequence(tuple(
+        Ensemble(rng.normal(size=(m, s)) + rng.normal(size=(m, 1)))
+        for _ in range(case["length"])))
+    return save_sequence(out, "seq", seq, case["fmt"])
+
+
+@PROPERTY_SETTINGS
+@given(stored_sequences())
+def test_manifest_sequence_equals_load_sequence(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = _write_uncentered(case, Path(tmp))
+        eager = load_sequence(manifest)
+        lazy = ManifestSequence(manifest)
+        assert (lazy.m, lazy.s, len(lazy)) == (eager.m, eager.s, len(eager))
+        for i in case["order"]:
+            e = lazy[i]
+            assert lazy[i] is e
+            assert e.centered and np.array_equal(e.data, eager[i].data)
+        assert all(np.array_equal(a.data, b.data)
+                   for a, b in zip(lazy.items, eager.items))
+
+
+@PROPERTY_SETTINGS
+@given(stored_sequences())
+def test_manifest_sequence_reports_the_bad_file_it_reads(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = _write_uncentered(case, Path(tmp))
+        bad = case["bad"]
+        name = json.loads(manifest.read_text())["files"][bad]
+        path = Path(tmp) / name
+        if case["fault"] == "bad_value":
+            path.write_text("1.0,spam\n")
+        elif case["fault"] == "truncated":  # one value (binary) or one row (CSV) short
+            blob = path.read_bytes()
+            path.write_bytes(blob[:-8] if case["fmt"] == "bin"
+                             else blob[: blob.rstrip().rfind(b"\n") + 1])
+        else:
+            write_ensemble_bin(path, Ensemble(np.zeros((case["m"] + 1, case["s"]))))
+        lazy = ManifestSequence(manifest)
+        for i in case["order"]:
+            if i != bad:
+                assert lazy[i].m == case["m"]
+        with pytest.raises(ParseError, match=name):
+            lazy[bad]
+        with pytest.raises(ParseError, match=name):
+            load_sequence(manifest)
+
+
+def _old_csv_bytes(e: Ensemble) -> bytes:
+    """The CSV writer's bytes when every value went through ``repr(float(v))``."""
+    lines = [f"# m={e.m} s={e.s}"]
+    lines += [",".join(repr(float(v)) for v in row) for row in e.data]
+    return ("\n".join(lines) + "\n").encode()
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 6)),
+              elements=finite_floats))
+@example(np.array([[5e-324, -0.0, 1e308, -1e308], [0.0, -5e-324, 2.2250738585072014e-308, 1.0]]))
+def test_csv_writer_bytes_and_exact_read_back(data):
+    e = Ensemble(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.csv"
+        write_ensemble_csv(path, e)
+        assert path.read_bytes() == _old_csv_bytes(e)
+        back = read_ensemble_csv(path, center_data=False)
+    assert back.data.view(np.uint64).tobytes() == e.data.view(np.uint64).tobytes()

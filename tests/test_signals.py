@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iflt import (
     Ensemble,
@@ -13,6 +14,7 @@ from iflt import (
     energy,
     est_cov,
 )
+from iflt.signals import Q_KINDS
 from conftest import make_ensemble
 
 
@@ -222,3 +224,45 @@ def test_training_set_validation(rng):
         TrainingSet((), seq, ())  # empty
     with pytest.raises(InvalidInput):
         TrainingSet((make_ensemble(rng, 3, 4),), seq, (0,))  # sample mismatch
+
+
+class RecordingSequence:
+    """A sequence that records the positions read from it."""
+
+    def __init__(self, seq):
+        self.seq = seq
+        self.touched = []
+
+    def __len__(self):
+        return len(self.seq)
+
+    def __getitem__(self, i):
+        self.touched.append(range(len(self.seq))[i])
+        return self.seq[i]
+
+
+@st.composite
+def specs_and_positions(draw):
+    length = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(Q_KINDS))
+    if kind == "weighted_prefix_sum":
+        weights = draw(st.lists(st.sampled_from((-1.5, 0.0, 0.5, 2.0)),
+                                min_size=1, max_size=length))
+        q = QOperatorSpec.weighted_prefix_sum(weights)
+    else:
+        q = QOperatorSpec(kind, lag=draw(st.integers(0, 9)))
+    return q, length, draw(st.integers(0, length - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(specs_and_positions())
+def test_positions_are_exactly_what_apply_q_reads(case):
+    q, length, i = case
+    rng = np.random.default_rng(length)
+    seq = RecordingSequence(SignalSequence(tuple(
+        make_ensemble(rng, 3, 4) for _ in range(length))))
+    apply_q(q, seq, i)
+    positions = q.positions(i)
+    assert set(seq.touched) == set(positions)
+    assert len(set(positions)) == len(positions)
+    assert len(positions) <= q.window()
