@@ -29,7 +29,7 @@ from .analysis import (
     probe_transform_gain,
 )
 from .baselines import rls_apply, rls_init, rls_run, wiener_apply, wiener_fit
-from .exceptions import ConfigError
+from .exceptions import ConfigError, InvalidInput
 from .interp import FilterContext, FilterModel, apply_filter, fit, input_cascade
 from .signals import (
     Ensemble,
@@ -275,18 +275,34 @@ def default_rls_delta(y: Ensemble) -> float:
     return delta if np.isfinite(delta) else 1.0
 
 
+def node_training_set(xs, ys, nodes, field: str) -> TrainingSet:
+    """References at the 0-based ``nodes`` paired with the observations; a node
+    past the end of the data raises ``InvalidInput`` naming ``field``."""
+    length = min(len(xs), len(ys))
+    if max(nodes) >= length:
+        raise InvalidInput(
+            f"{field}: position {max(nodes) + 1} is past the end of the data "
+            f"({length} positions)"
+        )
+    return TrainingSet(tuple(xs[k] for k in nodes), ys, tuple(nodes))
+
+
 def fit_benchmark_models(
     cfg: ExperimentConfig, xs: SignalSequence, ys: SignalSequence
 ) -> dict[str, FilterModel]:
     """One interpolation filter per requested order, keyed ``interp_p<p>``."""
     models: dict[str, FilterModel] = {}
     for p in cfg.p_values:
-        nodes = nodes_for(cfg, p)
-        train = TrainingSet(tuple(xs[k] for k in nodes), ys, tuple(nodes))
+        train = node_training_set(xs, ys, nodes_for(cfg, p), "s_indices")
         models[f"interp_p{p}"] = fit(
             train, lag_specs(p), residual_tol=cfg.residual_tol
         )
     return models
+
+
+def _row(method: str, i: int, x: Ensemble, est: Ensemble, is_node: bool = False) -> RunRow:
+    err_f = float(np.sum((x.data - est.data) ** 2))
+    return RunRow(method, i + 1, err_f / x.s, err_f, is_node)
 
 
 def evaluate_interp(
@@ -294,34 +310,23 @@ def evaluate_interp(
 ) -> list[RunRow]:
     ctx = FilterContext(ys)
     nodes = set(model.meta.get("node_positions", ()))
-
-    def one(i: int) -> RunRow:
-        err_f = float(
-            np.sum((xs[i].data - apply_filter(model, ctx, i).data) ** 2)
-        )
-        return RunRow(method, i + 1, err_f / xs.s, err_f, i in nodes)
-
-    return [one(i) for i in range(len(xs))]
+    return [_row(method, i, xs[i], apply_filter(model, ctx, i), i in nodes)
+            for i in range(len(xs))]
 
 
 def evaluate_wiener(xs: SignalSequence, ys: SignalSequence) -> list[RunRow]:
-    def one(i: int) -> RunRow:
-        model = wiener_fit(xs[i], ys[i])
-        err_f = float(np.sum((xs[i].data - wiener_apply(model, ys[i]).data) ** 2))
-        return RunRow("wiener", i + 1, err_f / xs.s, err_f, False)
-
-    return [one(i) for i in range(len(xs))]
+    return [_row("wiener", i, xs[i], wiener_apply(wiener_fit(xs[i], ys[i]), ys[i]))
+            for i in range(len(xs))]
 
 
 def evaluate_rls(cfg: ExperimentConfig, xs: SignalSequence, ys: SignalSequence) -> list[RunRow]:
-    def one(i: int) -> RunRow:
+    rows = []
+    for i in range(len(xs)):
         delta = cfg.rls_delta if cfg.rls_delta is not None else default_rls_delta(ys[i])
         state = rls_init(ys.m, xs.m, cfg.rls_forgetting, delta)
         rls_run(state, xs[i], ys[i])
-        err_f = float(np.sum((xs[i].data - rls_apply(state, ys[i]).data) ** 2))
-        return RunRow("rls", i + 1, err_f / xs.s, err_f, False)
-
-    return [one(i) for i in range(len(xs))]
+        rows.append(_row("rls", i, xs[i], rls_apply(state, ys[i])))
+    return rows
 
 
 def _method_summary(rows: list[RunRow]) -> dict:
@@ -404,14 +409,72 @@ def node_bound_checks(
     return out
 
 
-def run_benchmark(cfg: ExperimentConfig, bound_constants: dict | None = None) -> RunReport:
-    """Generate data, fit all methods, evaluate everywhere, and summarize.
+def evaluate(
+    cfg: ExperimentConfig,
+    xs: SignalSequence,
+    ys: SignalSequence,
+    models: dict[str, FilterModel],
+    bound_constants: dict | None = None,
+) -> RunReport:
+    """Score every filter in ``models`` (method name -> model) at every position.
 
-    ``bound_constants``, when given (keys as in
-    ``analysis.load_bound_constants``), is used to evaluate the per-node error
-    bound for every fitted filter; otherwise bounds are only computed when
-    ``cfg.probe_constants`` asks for empirically probed constants.
+    Adds the Wiener and RLS rows when ``cfg.include_baselines``. A filter that
+    records its training positions (``meta["node_positions"]``) is diagnosed
+    there: fit residuals, node error decompositions, and the per-node error bound
+    from probed (``cfg.probe_constants``) or supplied ``bound_constants``.
     """
+    rows: list[RunRow] = []
+    for method, model in models.items():
+        rows.extend(evaluate_interp(model, xs, ys, method))
+    if cfg.include_baselines:
+        rows.extend(evaluate_wiener(xs, ys))
+        rows.extend(evaluate_rls(cfg, xs, ys))
+
+    diagnostics: dict = {}
+    for method, model in models.items():
+        nodes = model.meta.get("node_positions")
+        if nodes is None:
+            continue
+        train = node_training_set(xs, ys, nodes, f"{method} meta.node_positions")
+        diag = diagnostics[method] = {
+            key: model.meta.get(key)
+            for key in ("residuals", "residual_scales", "residual_ok", "degenerate_terms")
+        }
+        diag["node_gaps"] = []
+        for k, pos in enumerate(train.s_y_indices):
+            rec = node_error_decomposition(model, train, k)  # lhs, rhs, gap
+            rel = rec["gap"] / rec["lhs"] if rec["lhs"] > 0 else rec["gap"]
+            diag["node_gaps"].append({"node": pos + 1, **rec, "rel_gap": rel})
+        if cfg.probe_constants:
+            constants = probe_bound_constants(cfg, xs, ys, model)
+            diag["probed_constants_lower_bounds"] = {
+                key: constants[key]
+                for key in ("eps_x", "eps_y", "lambda_e", "lambda_q", "r_hat", "x_energy")
+            }
+            diag["node_bound_checks"] = node_bound_checks(model, train, xs, ys, constants)
+        if bound_constants is not None:
+            r_hat = list(bound_constants["r_hat"])
+            if len(r_hat) not in (1, model.p):
+                raise ConfigError(f"r_hat: need 1 or {model.p} stage gains, got {len(r_hat)}")
+            supplied = {**bound_constants, "r_hat": r_hat * (model.p // len(r_hat))}
+            diag["supplied_constants"] = supplied
+            diag["node_bound_checks_supplied"] = node_bound_checks(
+                model, train, xs, ys, supplied
+            )
+
+    methods = list(dict.fromkeys(r.method for r in rows))
+    summary = {
+        "config": config_to_dict(cfg),
+        "methods": {
+            m: _method_summary([r for r in rows if r.method == m]) for m in methods
+        },
+    }
+    return RunReport(rows=rows, summary=summary, diagnostics=diagnostics,
+                     timings={}, models=models)
+
+
+def run_benchmark(cfg: ExperimentConfig, bound_constants: dict | None = None) -> RunReport:
+    """Generate data, fit one filter per order, and ``evaluate`` them all."""
     validate_config(cfg)
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
@@ -426,66 +489,11 @@ def run_benchmark(cfg: ExperimentConfig, bound_constants: dict | None = None) ->
     timings["fit"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rows: list[RunRow] = []
-    for method, model in models.items():
-        rows.extend(evaluate_interp(model, xs, ys, method))
-    if cfg.include_baselines:
-        rows.extend(evaluate_wiener(xs, ys))
-        rows.extend(evaluate_rls(cfg, xs, ys))
+    report = evaluate(cfg, xs, ys, models, bound_constants)
     timings["evaluate"] = time.perf_counter() - t0
-
-    diagnostics: dict = {}
-    for method, model in models.items():
-        nodes = nodes_for(cfg, model.p)
-        train = TrainingSet(tuple(xs[k] for k in nodes), ys, tuple(nodes))
-        gaps = []
-        for k in range(model.p):
-            rec = node_error_decomposition(model, train, k)
-            rel = rec["gap"] / rec["lhs"] if rec["lhs"] > 0 else rec["gap"]
-            gaps.append(
-                {"node": nodes[k] + 1, "lhs": rec["lhs"], "rhs": rec["rhs"],
-                 "gap": rec["gap"], "rel_gap": rel}
-            )
-        diagnostics[method] = {
-            "residuals": model.meta["residuals"],
-            "residual_scales": model.meta["residual_scales"],
-            "residual_ok": model.meta["residual_ok"],
-            "degenerate_terms": model.meta["degenerate_terms"],
-            "node_gaps": gaps,
-        }
-        if cfg.probe_constants:
-            constants = probe_bound_constants(cfg, xs, ys, model)
-            diagnostics[method]["probed_constants_lower_bounds"] = {
-                key: constants[key]
-                for key in ("eps_x", "eps_y", "lambda_e", "lambda_q", "r_hat", "x_energy")
-            }
-            diagnostics[method]["node_bound_checks"] = node_bound_checks(
-                model, train, xs, ys, constants
-            )
-        if bound_constants is not None:
-            supplied = dict(bound_constants)
-            r_hat = supplied["r_hat"]
-            if len(r_hat) == 1 and model.p > 1:
-                supplied["r_hat"] = list(r_hat) * model.p
-            elif len(r_hat) != model.p:
-                raise ConfigError(
-                    f"r_hat: need 1 or {model.p} stage gains, got {len(r_hat)}"
-                )
-            diagnostics[method]["supplied_constants"] = supplied
-            diagnostics[method]["node_bound_checks_supplied"] = node_bound_checks(
-                model, train, xs, ys, supplied
-            )
-
-    methods = list(dict.fromkeys(r.method for r in rows))
-    summary = {
-        "config": config_to_dict(cfg),
-        "methods": {
-            m: _method_summary([r for r in rows if r.method == m]) for m in methods
-        },
-    }
     timings["total"] = time.perf_counter() - t_start
-    return RunReport(rows=rows, summary=summary, diagnostics=diagnostics,
-                     timings=timings, models=models)
+    report.timings = timings
+    return report
 
 
 def report_csv_text(rows: list[RunRow]) -> str:

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: ``gen`` (write synthetic data), ``fit`` (train one filter),
-``apply`` (estimate one position), ``eval`` (score models and baselines on
-stored data), ``bench`` (full generate/fit/evaluate pipeline), ``epsnet``
-(greedy center selection). Exit codes: 0 success, 1 user error, 2 numerical
-failure.
+``apply`` (estimate one position), ``eval`` (score stored models, one per
+order, and baselines on stored data), ``bench`` (full generate/fit/evaluate
+pipeline), ``epsnet`` (greedy center selection). ``eval`` and ``bench`` score
+and diagnose through the same ``bench.evaluate``. Exit codes: 0 success,
+1 user error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,19 +16,17 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import bench as bench_mod
-from .analysis import greedy_eps_net, load_bound_constants, node_error_decomposition
+from .analysis import greedy_eps_net, load_bound_constants
 from .bench import (
     ExperimentConfig,
     RunReport,
     config_to_dict,
-    evaluate_interp,
-    evaluate_rls,
-    evaluate_wiener,
+    evaluate,
     gen_observations,
     gen_reference_sequence,
     lag_specs,
     load_config,
+    node_training_set,
     nodes_for,
     run_benchmark,
     validate_config,
@@ -41,7 +40,6 @@ from .interp import (
     load_model,
     save_model,
 )
-from .signals import TrainingSet
 from .sigio import (
     ManifestSequence,
     load_sequence,
@@ -152,17 +150,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _training_set(cfg: ExperimentConfig, xs, ys, p: int) -> TrainingSet:
-    nodes = nodes_for(cfg, p)
-    length = min(len(xs), len(ys))
-    if nodes[-1] >= length:
-        raise IfltError(
-            f"s_indices: position {nodes[-1] + 1} is past the end of the data "
-            f"({length} positions)"
-        )
-    return TrainingSet(tuple(xs[k] for k in nodes), ys, tuple(nodes))
-
-
 def _read_windows(seq: ManifestSequence, q_specs, positions) -> None:
     """Read every ensemble the transforms touch at ``positions``, up front.
 
@@ -180,7 +167,7 @@ def _cmd_fit(args) -> int:
     xs = ManifestSequence(args.refs)
     ys = ManifestSequence(args.obs)
     q_specs = lag_specs(args.p)
-    train = _training_set(cfg, xs, ys, args.p)
+    train = node_training_set(xs, ys, nodes_for(cfg, args.p), "s_indices")
     _read_windows(ys, q_specs, train.s_y_indices)
     model = fit(train, q_specs, residual_tol=cfg.residual_tol)
     Path(args.out).write_bytes(save_model(model))
@@ -205,46 +192,23 @@ def _cmd_apply(args) -> int:
 
 
 def _evaluate(cfg, xs, ys, models, with_baselines: bool) -> RunReport:
-    rows = []
-    diagnostics = {}
-    for model in models:
-        method = f"interp_p{model.p}"
-        rows.extend(evaluate_interp(model, xs, ys, method))
-        nodes = model.meta.get("node_positions")
-        if nodes:
-            train = TrainingSet(tuple(xs[k] for k in nodes), ys, tuple(nodes))
-            gaps = []
-            for k in range(model.p):
-                rec = node_error_decomposition(model, train, k)
-                rel = rec["gap"] / rec["lhs"] if rec["lhs"] > 0 else rec["gap"]
-                gaps.append({"node": nodes[k] + 1, "lhs": rec["lhs"],
-                             "rhs": rec["rhs"], "gap": rec["gap"], "rel_gap": rel})
-            diagnostics[method] = {
-                "residuals": model.meta.get("residuals"),
-                "node_gaps": gaps,
-            }
-    if with_baselines:
-        rows.extend(evaluate_wiener(xs, ys))
-        rows.extend(evaluate_rls(cfg, xs, ys))
-    methods = list(dict.fromkeys(r.method for r in rows))
-    summary = {
-        "config": config_to_dict(cfg),
-        "methods": {
-            m: bench_mod._method_summary([r for r in rows if r.method == m])
-            for m in methods
-        },
-    }
-    return RunReport(rows=rows, summary=summary, diagnostics=diagnostics,
-                     timings={}, models={f"interp_p{m.p}": m for m in models})
+    """Score the loaded models, keyed ``interp_p<p>``, as ``bench`` scores its own."""
+    return evaluate(replace(cfg, include_baselines=with_baselines), xs, ys,
+                    {f"interp_p{m.p}": m for m in models})
 
 
 def _cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    xs = load_sequence(args.refs)
-    ys = load_sequence(args.obs)
     models = [load_model(Path(p).read_bytes()) for p in args.model]
+    orders = [model.p for model in models]
+    for j, p in enumerate(orders):
+        if orders.index(p) < j:
+            raise IfltError(f"--model {args.model[orders.index(p)]} and {args.model[j]} "
+                            f"are both interp_p{p}")
     if not models and not args.baselines:
         raise IfltError("nothing to evaluate: pass --model and/or --baselines")
+    xs = load_sequence(args.refs)
+    ys = load_sequence(args.obs)
     report = _evaluate(cfg, xs, ys, models, args.baselines)
     paths = write_report(report, args.out)
     for path in paths.values():

@@ -304,11 +304,22 @@ def load_model(blob: bytes | str) -> FilterModel:
             raise ParseError(f"r_mats must hold {p} rows, one per term")
         r_mats = [_matrix_list(row, f"r_mats[{j}]", j, (n, n))
                   for j, row in enumerate(r_mats)]
+    meta = doc.get("meta") or {}
+    if not isinstance(meta, dict):
+        raise ParseError("meta must be a JSON object")
+    nodes = meta.get("node_positions")
+    if nodes is not None and not (
+        isinstance(nodes, list) and len(nodes) == p
+        and all(type(k) is int and k >= 0 for k in nodes) and nodes == sorted(set(nodes))
+    ):
+        raise ParseError(
+            f"meta.node_positions must be {p} strictly increasing nonnegative integers"
+        )
     return FilterModel(
         p=p,
         q_specs=q_specs,
         t_mats=t_mats,
         a_mats=a_mats,
         r_mats=r_mats,
-        meta=doc.get("meta") or {},
+        meta=meta,
     )

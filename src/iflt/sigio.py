@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import InvalidInput, ParseError
-from .signals import CENTER_RTOL, Ensemble, SignalSequence, center
+from .signals import Ensemble, SignalSequence, center, is_centered
 
 MAGIC = b"IFLT"
 BIN_VERSION = 1
@@ -35,8 +35,7 @@ BIN_VERSION = 1
 def _ingest(arr: np.ndarray, center_data: bool) -> Ensemble:
     if not center_data:
         return Ensemble(arr)
-    rms = np.sqrt(np.mean(arr**2, axis=1))
-    if np.all(np.abs(arr.mean(axis=1)) <= CENTER_RTOL * rms):
+    if is_centered(arr):
         return Ensemble(arr, centered=True)
     return center(Ensemble(arr))
 

@@ -16,9 +16,25 @@ import numpy as np
 from .exceptions import InvalidInput
 
 CENTER_RTOL = 1e-10
+_FLOAT = np.finfo(float)
 DISTINCTNESS_RTOL = 1e-10
 
 Q_KINDS = ("identity", "sequence_lag", "component_shift", "weighted_prefix_sum")
+
+
+def is_centered(arr: np.ndarray) -> bool:
+    """Whether every row mean of ``arr`` is at most ``CENTER_RTOL`` times the row RMS.
+
+    Rows whose sum of squares leaves the normal float range are first divided
+    by the power of two above their max-abs value, so the test works at any scale.
+    """
+    mean = np.abs(arr.mean(axis=1))
+    sq = np.einsum("ij,ij->i", arr, arr)
+    if not np.all((sq >= _FLOAT.tiny) & (sq <= _FLOAT.max)):
+        exp = np.frexp(np.abs(arr).max(axis=1))[1]
+        arr, mean = np.ldexp(arr, -exp[:, None]), np.ldexp(mean, -exp)
+        sq = np.einsum("ij,ij->i", arr, arr)
+    return bool(np.all(mean <= CENTER_RTOL * np.sqrt(sq / arr.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -41,10 +57,8 @@ class Ensemble:
         if not np.all(np.isfinite(arr)):
             raise InvalidInput("ensemble data contains non-finite entries")
         object.__setattr__(self, "data", arr)
-        if self.centered:
-            rms = np.sqrt(np.mean(arr**2, axis=1))
-            if np.any(np.abs(arr.mean(axis=1)) > CENTER_RTOL * rms):
-                raise InvalidInput("data marked centered but row means are too large")
+        if self.centered and not is_centered(arr):
+            raise InvalidInput("data marked centered but row means are too large")
 
     @property
     def m(self) -> int:

@@ -84,6 +84,11 @@ def test_gen_fit_eval_reproduces_bench(tmp_path, cfg_path, capsys):
     benchd = tmp_path / "benchd"
     assert cli_main(["bench", "--config", str(cfg_path), "--out", str(benchd)]) == 0
     assert (evald / "report.csv").read_bytes() == (benchd / "report.csv").read_bytes()
+    evals = json.loads((evald / "summary.json").read_text())
+    benchs = json.loads((benchd / "summary.json").read_text())
+    assert set(evals) == set(benchs) == {"summary", "diagnostics", "timings"}
+    for block in ("summary", "diagnostics"):
+        assert evals[block] == benchs[block]
 
 
 def test_bench_deterministic_bytes(tmp_path, cfg_path, capsys):
@@ -373,3 +378,62 @@ def test_fit_and_apply_read_only_the_files_they_use(tmp_path, capsys, monkeypatc
         write_ensemble_bin(tmp_path / "eager.iflt",
                            apply_filter(model, FilterContext(ys), i, fixed_r=fixed_r))
         assert est.read_bytes() == (tmp_path / "eager.iflt").read_bytes()
+
+
+def _eval_argv(data, out, *models):
+    argv = ["eval", "--refs", str(data / "refs_manifest.json"),
+            "--obs", str(data / "obs_manifest.json"), "--out", str(out)]
+    for model in models:
+        argv.extend(["--model", str(model)])
+    return argv
+
+
+def test_eval_probes_constants_when_the_config_asks(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SMALL_CFG, "probe_constants": True}))
+    obs, model_path = _gen_and_fit(tmp_path, cfg_path)
+    out = tmp_path / "eval"
+    assert cli_main([*_eval_argv(obs.parent, out, model_path),
+                     "--config", str(cfg_path)]) == 0
+    diag = json.loads((out / "summary.json").read_text())["diagnostics"]["interp_p2"]
+    assert [c["node"] for c in diag["node_bound_checks"]] == [3, 7]
+    assert set(diag["probed_constants_lower_bounds"]) == {
+        "eps_x", "eps_y", "lambda_e", "lambda_q", "r_hat", "x_energy"}
+
+
+def test_eval_rejects_two_models_of_one_order(tmp_path, cfg_path, capsys):
+    obs, model_path = _gen_and_fit(tmp_path, cfg_path)
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(model_path.read_bytes())
+    err = _cli_error(capsys, _eval_argv(obs.parent, tmp_path / "eval", model_path, copy))
+    assert f"--model {model_path} and {copy} are both interp_p2" in err
+    assert not (tmp_path / "eval").exists()
+
+
+BAD_NODES = "meta.node_positions must be 2 strictly increasing nonnegative integers"
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([2, 20], "interp_p2 meta.node_positions: position 21 is past the end of the data "
+              "(12 positions)"),
+    ([2], BAD_NODES),
+    (["a", "b"], BAD_NODES),
+], ids=["past-the-end", "too-few", "strings"])
+def test_eval_rejects_bad_node_positions(tmp_path, cfg_path, capsys, nodes, message):
+    obs, model_path = _gen_and_fit(tmp_path, cfg_path)
+    doc = json.loads(model_path.read_text())
+    doc["meta"]["node_positions"] = nodes
+    model_path.write_text(json.dumps(doc))
+    err = _cli_error(capsys, _eval_argv(obs.parent, tmp_path / "eval", model_path))
+    assert message in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bench_at_tiny_scale_completes(tmp_path, capsys):
+    # observations near 1e-170, whose squares underflow unless the centering
+    # test scales each row first
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"low": 1e-170, "high": 1e-170}, "m": 4, "n": 4,
+                               "s": 48, "n_signals": 12, "p_values": [2],
+                               "s_indices": [3, 7]}))
+    assert cli_main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0

@@ -296,3 +296,23 @@ def test_load_model_rejects_malformed_matrix_fields(rng, field, value):
     doc[field] = value
     with pytest.raises(ParseError, match=field):
         load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("meta, field", [
+    ({"node_positions": [0]}, "meta.node_positions"),
+    ({"node_positions": [0, 1, 2]}, "meta.node_positions"),
+    ({"node_positions": ["a", "b"]}, "meta.node_positions"),
+    ({"node_positions": [1, 0]}, "meta.node_positions"),
+    ({"node_positions": [0, 0]}, "meta.node_positions"),
+    ({"node_positions": [-1, 0]}, "meta.node_positions"),
+    ({"node_positions": [True, 2]}, "meta.node_positions"),
+    ({"node_positions": [0.0, 1.0]}, "meta.node_positions"),
+    ({"node_positions": "01"}, "meta.node_positions"),
+    ([0, 1], "meta must be a JSON object"),
+])
+def test_load_model_rejects_malformed_meta(rng, meta, field):
+    doc = _fitted_doc(rng)
+    assert load_model(json.dumps(doc)).meta["node_positions"] == [0, 1]
+    doc["meta"] = meta
+    with pytest.raises(ParseError, match=field):
+        load_model(json.dumps(doc))

@@ -266,3 +266,21 @@ def test_positions_are_exactly_what_apply_q_reads(case):
     assert set(seq.touched) == set(positions)
     assert len(set(positions)) == len(positions)
     assert len(positions) <= q.window()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 64),
+       st.floats(-170.0, 300.0))
+def test_center_passes_the_centering_check_at_any_scale(seed, m, s, exponent):
+    rng = np.random.default_rng(seed)
+    data = 10.0**exponent * rng.normal(loc=rng.normal(size=(m, 1)), size=(m, s))
+    with pytest.raises(InvalidInput, match="row means"):
+        Ensemble(data, centered=True)
+    assert center(Ensemble(data)).centered  # center() runs the check on its result
+
+
+def test_tiny_prefix_sum_of_centered_data_stays_centered(rng):
+    seq = SignalSequence((make_ensemble(rng, 3, 8),))
+    out = apply_q(QOperatorSpec.weighted_prefix_sum((1.9e-167,)), seq, 0)
+    assert out.centered
+    assert np.array_equal(out.data, 1.9e-167 * seq[0].data)
