@@ -415,6 +415,7 @@ def evaluate(
     ys: SignalSequence,
     models: dict[str, FilterModel],
     bound_constants: dict | None = None,
+    names: tuple[str, str] = ("references", "observations"),
 ) -> RunReport:
     """Score every filter in ``models`` (method name -> model) at every position.
 
@@ -422,7 +423,12 @@ def evaluate(
     records its training positions (``meta["node_positions"]``) is diagnosed
     there: fit residuals, node error decompositions, and the per-node error bound
     from probed (``cfg.probe_constants``) or supplied ``bound_constants``.
+    References and observations of unequal length raise ``InvalidInput``
+    naming both by ``names``.
     """
+    if len(xs) != len(ys):
+        raise InvalidInput(f"{names[0]} has {len(xs)} positions but {names[1]} has "
+                           f"{len(ys)}; they must have the same length")
     rows: list[RunRow] = []
     for method, model in models.items():
         rows.extend(evaluate_interp(model, xs, ys, method))

@@ -191,10 +191,10 @@ def _cmd_apply(args) -> int:
     return 0
 
 
-def _evaluate(cfg, xs, ys, models, with_baselines: bool) -> RunReport:
+def _evaluate(cfg, xs, ys, models, with_baselines: bool, names) -> RunReport:
     """Score the loaded models, keyed ``interp_p<p>``, as ``bench`` scores its own."""
     return evaluate(replace(cfg, include_baselines=with_baselines), xs, ys,
-                    {f"interp_p{m.p}": m for m in models})
+                    {f"interp_p{m.p}": m for m in models}, names=names)
 
 
 def _cmd_eval(args) -> int:
@@ -209,7 +209,8 @@ def _cmd_eval(args) -> int:
         raise IfltError("nothing to evaluate: pass --model and/or --baselines")
     xs = load_sequence(args.refs)
     ys = load_sequence(args.obs)
-    report = _evaluate(cfg, xs, ys, models, args.baselines)
+    report = _evaluate(cfg, xs, ys, models, args.baselines,
+                       (f"--refs {args.refs}", f"--obs {args.obs}"))
     paths = write_report(report, args.out)
     for path in paths.values():
         print(f"wrote {path}")

@@ -26,15 +26,18 @@ observations by default (this is what makes the cascade outputs orthogonal
 for unseen inputs); ``fixed_r=True`` replays the deflation matrices frozen at
 fit time instead.
 
-Each cascade output is a linear map of the stacked transformed observations
-V (pn x s), w_j = B_j V, so applying the filter is one m x pn matrix times V:
+The cascade outputs are the forward substitution of the inputs through a
+unit block-lower matrix L of deflation blocks K_kl, V = L W (V and W stacking
+the p inputs and outputs), so the estimate is one back-substitution away from
+the inputs:
 
-    x_hat = ([T_1 ... T_p] B) V.
+    x_hat = [T_1 ... T_p] W = Z V,   Z L = [T_1 ... T_p].
 
-``apply_filter`` builds B with ``ortho.cascade_map`` from the Gram matrix of V
-(or from the frozen deflation matrices). ``fit``, ``input_cascade`` and the
-diagnostics keep the reference cascade ``ortho.orthogonalize``, which
-deflates in data space.
+``apply_filter`` takes K either from ``ortho.cascade_map`` on the Gram matrix
+of V, whose blocks the ``FilterContext`` caches across calls, or from the
+deflation matrices frozen at fit time; it solves for Z and sums Z_j v_j.
+``fit``, ``input_cascade`` and the diagnostics keep the reference cascade
+``ortho.orthogonalize``, which deflates in data space.
 """
 
 from __future__ import annotations
@@ -59,9 +62,54 @@ class FilterContext:
 
     ``history`` may be any sequence offering ``len``, ``[i]``, ``m`` and ``s``
     as ``SignalSequence`` does, such as ``sigio.ManifestSequence``.
+
+    The context also keeps the Gram blocks C(y_a, y_b) = y_a y_b^T / s of the
+    observations the latest ``apply_filter`` call read, keyed by the positions
+    (a, b) with a >= b. A call at the next position of a lag filter shares all
+    but p of its p(p+1)/2 blocks with the previous one, so it forms only
+    those. Each block is formed one way, whatever the cache holds, so results
+    do not depend on the order of the calls.
     """
 
     history: SignalSequence
+    _gram: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _gram_matrix(self, q_specs, i: int, vs) -> np.ndarray:
+        """Gram matrix of the stacked inputs ``vs`` that ``q_specs`` give at ``i``.
+
+        An input that reads one observation, rolled by some rows, has the
+        blocks of that observation rolled alike; the cache then holds the
+        blocks among those observations and no others. Blocks of a weighted
+        prefix sum are formed from its data.
+        """
+        # (position, row shift) of each input that reads one observation
+        sources = [None if q.kind == "weighted_prefix_sum"
+                   else (q.positions(i)[0], q.lag if q.kind == "component_shift" else 0)
+                   for q in q_specs]
+        positions = sorted({src[0] for src in sources if src is not None})
+        seq, blocks = self.history, {}
+        for k, a in enumerate(positions):
+            for b in positions[: k + 1]:
+                block = self._gram.get((a, b))
+                if block is None:
+                    block = (seq[a].data @ seq[b].data.T) / seq.s
+                blocks[(a, b)] = block
+        self._gram.clear()
+        self._gram.update(blocks)
+        p, n = len(vs), seq.m
+        g = np.empty((p * n, p * n))
+        for j in range(p):
+            for l in range(j + 1):
+                if sources[j] is None or sources[l] is None:
+                    block = (vs[j].data @ vs[l].data.T) / seq.s
+                else:
+                    (a, shift_a), (b, shift_b) = sources[j], sources[l]
+                    block = blocks[(a, b)] if a >= b else blocks[(b, a)].T
+                    if shift_a or shift_b:
+                        block = np.roll(block, (shift_a, shift_b), axis=(0, 1))
+                g[j * n : (j + 1) * n, l * n : (l + 1) * n] = block
+                g[l * n : (l + 1) * n, j * n : (j + 1) * n] = block.T
+        return g
 
 
 @dataclass
@@ -193,16 +241,16 @@ def input_cascade(model: FilterModel, ctx: FilterContext, i: int) -> list[Ensemb
     return list(orthogonalize(_transformed_inputs(model, ctx, i)).ws)
 
 
-def _replay_map(r_mats, n: int) -> np.ndarray:
-    """Cascade map B of frozen deflation matrices: B_j = E_j - sum_l K_jl B_l."""
-    p = len(r_mats)
-    b = np.zeros((p * n, p * n))
-    for j, row in enumerate(r_mats):
-        b_j = b[j * n : (j + 1) * n]
-        b_j[:, j * n : (j + 1) * n] = np.eye(n)
-        for l, k_mat in enumerate(row):
-            b_j[:, : (l + 1) * n] -= k_mat @ b[l * n : (l + 1) * n, : (l + 1) * n]
-    return b
+def _back_substitute(t_mats, k_mats) -> list[np.ndarray]:
+    """Z with Z L = [T_1 ... T_p], L unit block-lower with blocks ``k_mats``.
+
+    Then sum_j T_j w_j = sum_j Z_j v_j for the outputs W = L^{-1} V.
+    """
+    z = list(t_mats)
+    for k in reversed(range(len(z))):
+        for j in range(k + 1, len(z)):
+            z[k] = z[k] - z[j] @ k_mats[j][k]
+    return z
 
 
 def apply_filter(
@@ -210,8 +258,11 @@ def apply_filter(
 ) -> Ensemble:
     """Estimate the reference ensemble for observation position ``i``.
 
-    With ``fixed_r=True`` the deflation matrices stored at fit time are
-    replayed instead of being recomputed from the input's own covariances.
+    The deflation blocks K are recomputed from the input's own covariances
+    (``ortho.cascade_map`` on the Gram matrix from ``ctx``'s block cache) or,
+    with ``fixed_r=True``, are the ones stored at fit time. Either way one
+    back-substitution Z L = [T_1 ... T_p] turns the coefficients into blocks
+    Z_j over the inputs, and the estimate is sum_j Z_j v_j.
     """
     n = ctx.history.m
     cols = sorted({t.shape[1] for t in model.t_mats})
@@ -224,12 +275,16 @@ def apply_filter(
     if fixed_r:
         if model.r_mats is None:
             raise InvalidInput("model carries no frozen deflation matrices")
-        v = np.vstack([x.data for x in vs])
-        b = _replay_map(model.r_mats, n)
+        z = _back_substitute(model.t_mats, model.r_mats)
     else:
-        cmap = cascade_map(vs)
-        v, b = cmap.v, cmap.b
-    acc = (np.hstack(model.t_mats) @ b) @ v
+        cmap = cascade_map(vs, ctx._gram_matrix(model.q_specs, i, vs))
+        # a zero-snapped output contributes nothing, and its K column is zero
+        t_mats = [np.zeros_like(t) if k in cmap.zero_indices else t
+                  for k, t in enumerate(model.t_mats)]
+        z = _back_substitute(t_mats, cmap.k_mats)
+    acc = np.zeros((z[0].shape[0], ctx.history.s))
+    for z_j, v in zip(z, vs):
+        acc += z_j @ v.data
     acc -= acc.mean(axis=1, keepdims=True)
     return Ensemble(acc, centered=True)
 

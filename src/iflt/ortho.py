@@ -19,9 +19,8 @@ snapped to exact zeros so that downstream pseudo-inverses of their covariance
 are zero matrices rather than noise amplifiers.
 
 ``orthogonalize`` runs the cascade in data space and is the reference.
-``cascade_map`` computes the same outputs as one block-lower-triangular map of
-the stacked inputs, from their Gram matrix alone; applying a filter needs only
-that map.
+``cascade_map`` computes the same deflation matrices from the Gram matrix of
+the inputs alone; applying a filter needs only those.
 """
 
 from __future__ import annotations
@@ -58,16 +57,16 @@ class OrthoResult:
 
 @dataclass(frozen=True)
 class CascadeMap:
-    """Cascade outputs as one linear map of the stacked inputs.
+    """The cascade of ``orthogonalize`` as its deflation blocks.
 
-    ``v`` stacks the p inputs (pn x s). Block row k of ``b`` (pn x pn, block
-    lower triangular) maps ``v`` to output k: ``w_k = b[k*n:(k+1)*n] @ v``.
-    ``zero_indices`` flags outputs that collapsed to the zero ensemble; their
-    block rows are zero.
+    ``k_mats[k]`` holds K_k0 .. K_k,k-1 as ``OrthoResult.k_mats`` does: with L
+    the unit block-lower matrix of these blocks and V the stacked inputs,
+    V = L W, so the outputs are the forward substitution
+    ``w_k = v_k - sum_l K_kl w_l``. ``zero_indices`` flags outputs that
+    collapsed to the zero ensemble; their columns of K are zero.
     """
 
-    b: np.ndarray
-    v: np.ndarray
+    k_mats: tuple[tuple[np.ndarray, ...], ...]
     zero_indices: tuple[int, ...]
 
 
@@ -132,56 +131,65 @@ def orthogonalize(vs, m_free: dict[tuple[int, int], np.ndarray] | None = None) -
     )
 
 
-def cascade_map(vs) -> CascadeMap:
-    """The cascade of ``orthogonalize`` (free matrices zero) as a map of the inputs.
+def cascade_map(vs, g: np.ndarray | None = None) -> CascadeMap:
+    """The deflation blocks of ``orthogonalize`` (free matrices zero) from a Gram matrix.
 
-    With V the stacked inputs, E_k the selector of input k and
-    G = V V^T / s their Gram matrix, output k is w_k = B_k V with
+    ``g`` is the Gram matrix G = V V^T / s of the stacked inputs, block G_ik =
+    C(v_i, v_k); it is formed from ``vs`` when not given. With
+    C(w_k, w_k) = C(v_k, w_k), as w_k is orthogonal to the earlier outputs,
+    the blocks follow stage by stage from
 
-        B_k = E_k - sum_{l < k} C(v_k, w_l) C(w_l, w_l)^+ B_l,
-        C(v_i, w_l) = G_i B_l^T,   C(w_k, w_k) = C(v_k, w_k),
+        C(v_i, w_k) = G_ik - sum_{l < k} C(v_i, w_l) K_kl^T,   i >= k,
+        K_ik = C(v_i, w_k) C(w_k, w_k)^+,                       i > k.
 
-    the last because w_k is orthogonal to the earlier outputs. This is block
-    Gram-Schmidt (Golub & Van Loan, Matrix Computations, 5.2): one GEMM for G
-    and one pseudo-inverse per stage instead of one per stage pair, and no
-    pass over the data after G.
+    This is block LDL^T of G, i.e. block Gram-Schmidt (Golub & Van Loan,
+    Matrix Computations, 4.1 and 5.2): one GEMM and one pseudo-inverse per
+    stage, and no pass over the data.
 
     A stage whose energy tr C(w_k, w_k) read from G is at most
     ``GRAM_RECHECK_RTOL`` times the largest input energy is formed in data
-    space instead. It is snapped to zero by the ``ZERO_W_RTOL`` rule of
-    ``orthogonalize``; if it survives, its covariances are taken from the data.
+    space instead, by forward substitution. It is snapped to zero by the
+    ``ZERO_W_RTOL`` rule of ``orthogonalize``; if it survives, its covariances
+    are taken from the data.
     """
     vs = tuple(vs)
     _check_aligned(vs)
     p, n, s = len(vs), vs[0].m, vs[0].s
-    v = np.vstack([x.data for x in vs])
-    g = (v @ v.T) / s
+    if g is None:
+        v = np.vstack([x.data for x in vs])
+        g = (v @ v.T) / s
     max_energy = float(np.diag(g).reshape(p, n).sum(axis=1).max())
     scale = float(np.sqrt(s * max_energy))  # largest input norm, as in orthogonalize
-    b = np.zeros((p * n, p * n))
-    # block row l holds C(w_l, w_l)^+ B_l; block column l of h holds C(v_i, w_l)
-    pinv_b = np.zeros_like(b)
-    h = np.zeros_like(b)
+    # block (i, l) of h holds C(v_i, w_l); k_full holds the blocks K_il
+    h = np.zeros((p * n, p * n))
+    k_full = np.zeros((p * n, p * n))
+    ws: list[np.ndarray] = []  # data-space outputs, formed up to the last re-check
     zero_indices: list[int] = []
     for k in range(p):
         rows = slice(k * n, (k + 1) * n)
-        done = k * n  # columns of the earlier inputs
-        b_k = b[rows, : done + n]
-        b_k[:, done:] = np.eye(n)
-        b_k[:, :done] = -h[rows, :done] @ pinv_b[:done, :done]
-        cross = g[k * n :, : done + n] @ b_k.T
+        done = k * n  # columns of the earlier outputs
+        cross = g[done:, rows] - h[done:, :done] @ k_full[rows, :done].T
         d = 0.5 * (cross[:n] + cross[:n].T)
         if np.trace(d) <= GRAM_RECHECK_RTOL * max_energy:
-            w = b_k @ v[: done + n]
+            for j in range(len(ws), k + 1):  # forward substitution
+                w = vs[j].data.copy()
+                for l in range(j):
+                    if l not in zero_indices:
+                        w -= k_full[j * n : (j + 1) * n, l * n : (l + 1) * n] @ ws[l]
+                ws.append(w)
+            w = ws[k]
             if float(np.linalg.norm(w)) <= ZERO_W_RTOL * scale:
-                b_k[:] = 0.0
                 zero_indices.append(k)
                 continue
-            cross = (v[k * n :] @ w.T) / s
+            cross = np.vstack([x.data for x in vs[k:]]) @ w.T / s
             d = (w @ w.T) / s
-        h[k * n :, rows] = cross
-        pinv_b[rows, : done + n] = pseudo_inverse(d) @ b_k
-    return CascadeMap(b=b, v=v, zero_indices=tuple(zero_indices))
+        h[done:, rows] = cross
+        k_full[done + n :, rows] = cross[n:] @ pseudo_inverse(d)
+    k_mats = tuple(
+        tuple(k_full[k * n : (k + 1) * n, l * n : (l + 1) * n] for l in range(k))
+        for k in range(p)
+    )
+    return CascadeMap(k_mats=k_mats, zero_indices=tuple(zero_indices))
 
 
 def cross_cov_residual(ws) -> float:

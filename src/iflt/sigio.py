@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import InvalidInput, ParseError
-from .signals import Ensemble, SignalSequence, center, is_centered
+from .signals import Ensemble, SignalSequence, center
 
 MAGIC = b"IFLT"
 BIN_VERSION = 1
@@ -35,9 +35,10 @@ BIN_VERSION = 1
 def _ingest(arr: np.ndarray, center_data: bool) -> Ensemble:
     if not center_data:
         return Ensemble(arr)
-    if is_centered(arr):
+    try:  # centered data is kept bit-for-bit; the claim is checked once
         return Ensemble(arr, centered=True)
-    return center(Ensemble(arr))
+    except InvalidInput:  # not centered, or invalid: then Ensemble(arr) raises alike
+        return center(Ensemble(arr))
 
 
 def write_ensemble_csv(path, e: Ensemble, header: bool = True) -> None:

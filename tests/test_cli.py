@@ -437,3 +437,34 @@ def test_bench_at_tiny_scale_completes(tmp_path, capsys):
                                "s": 48, "n_signals": 12, "p_values": [2],
                                "s_indices": [3, 7]}))
     assert cli_main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+
+
+def _truncated_manifest(path, keep: int):
+    """A copy of the manifest at ``path`` listing only its first ``keep`` files."""
+    doc = json.loads(path.read_text())
+    doc["files"] = doc["files"][:keep]
+    short = path.with_name(f"short_{path.name}")
+    short.write_text(json.dumps(doc))
+    return short
+
+
+@pytest.mark.parametrize("short, extra", [
+    ("obs", ["--baselines"]),
+    ("obs", ["--model"]),
+    ("refs", ["--model"]),
+], ids=["fewer-observations-baselines", "fewer-observations-model", "fewer-references"])
+def test_eval_rejects_sequences_of_unequal_length(tmp_path, cfg_path, capsys, short, extra):
+    obs, model_path = _gen_and_fit(tmp_path, cfg_path)
+    refs = obs.with_name("refs_manifest.json")
+    if short == "obs":
+        obs = _truncated_manifest(obs, 10)
+    else:
+        refs = _truncated_manifest(refs, 10)
+    if extra == ["--model"]:
+        extra = ["--model", str(model_path)]
+    err = _cli_error(capsys, ["eval", "--config", str(cfg_path), "--refs", str(refs),
+                              "--obs", str(obs), "--out", str(tmp_path / "eval"), *extra])
+    n_refs, n_obs = (12, 10) if short == "obs" else (10, 12)
+    assert (f"--refs {refs} has {n_refs} positions but --obs {obs} has {n_obs}; "
+            "they must have the same length") in err
+    assert not (tmp_path / "eval").exists()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from iflt import (Ensemble, InvalidInput, cascade_map, center, cross_cov_residual, est_cov,
-                  orthogonalize)
+from iflt import (Ensemble, InvalidInput, TrainingSet, apply_q, cascade_map, center,
+                  cross_cov_residual, est_cov, fit, orthogonalize)
+from iflt.bench import ExperimentConfig, gen_observations, gen_reference_sequence, lag_specs
 from conftest import make_ensemble
 
 
@@ -108,6 +109,19 @@ def test_cross_cov_residual_values(rng):
     assert cross_cov_residual([w, dup]) > 0.0
 
 
+def forward_substitute(cmap, vs):
+    """Outputs w_k = v_k - sum_l K_kl w_l of the cascade blocks, zero-snapped."""
+    ws = []
+    for k, v in enumerate(vs):
+        w = np.zeros_like(v.data)
+        if k not in cmap.zero_indices:
+            w += v.data
+            for l, k_mat in enumerate(cmap.k_mats[k]):
+                w -= k_mat @ ws[l]
+        ws.append(w)
+    return ws
+
+
 def test_cascade_map_reproduces_orthogonalize(rng):
     # full rank, a duplicated input, more inputs than the realizations hold,
     # and an input far below the others' scale: the last two snap stages
@@ -122,14 +136,27 @@ def test_cascade_map_reproduces_orthogonalize(rng):
     for vs in cases:
         ref = orthogonalize(vs)
         cmap = cascade_map(vs)
-        n = vs[0].m
         scale = max(np.linalg.norm(x.data) for x in vs)
         assert cmap.zero_indices == ref.zero_indices
-        for k, w in enumerate(ref.ws):
-            got = cmap.b[k * n:(k + 1) * n] @ cmap.v
+        assert [len(row) for row in cmap.k_mats] == list(range(len(vs)))
+        for got, w in zip(forward_substitute(cmap, vs), ref.ws):
             assert np.linalg.norm(got - w.data) <= 1e-12 * scale
         for k in cmap.zero_indices:
-            assert not np.any(cmap.b[k * n:(k + 1) * n])
+            assert not any(np.any(row[k]) for row in cmap.k_mats[k + 1:])
+
+
+def test_cascade_map_blocks_are_fits_frozen_deflation_matrices():
+    cfg = ExperimentConfig(n_signals=12, m=4, n=4, s=80, p_values=(4,),
+                           s_indices=(4, 6, 9, 12), seed=2)
+    xs = gen_reference_sequence(cfg)
+    ys = gen_observations(xs, cfg)
+    nodes = (3, 5, 8, 11)
+    model = fit(TrainingSet(tuple(xs[k] for k in nodes), ys, nodes), lag_specs(4))
+    for j, pos in enumerate(nodes):
+        cmap = cascade_map([apply_q(q, ys, pos) for q in model.q_specs])
+        assert not cmap.zero_indices
+        for got, want in zip(cmap.k_mats[j], model.r_mats[j], strict=True):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_cascade_map_rejects_misaligned(rng):

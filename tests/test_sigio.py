@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from iflt import Ensemble, ParseError, SignalSequence
+from iflt import Ensemble, ParseError, SignalSequence, signals, sigio
+from iflt.signals import is_centered
 from iflt.sigio import (
     ManifestSequence,
     load_sequence,
@@ -264,3 +265,20 @@ def test_csv_writer_bytes_and_exact_read_back(data):
         assert path.read_bytes() == _old_csv_bytes(e)
         back = read_ensemble_csv(path, center_data=False)
     assert back.data.view(np.uint64).tobytes() == e.data.view(np.uint64).tobytes()
+
+
+def test_reading_centered_files_checks_each_one_once(rng, tmp_path, monkeypatch):
+    seq = SignalSequence(tuple(make_ensemble(rng, 3, 16) for _ in range(12)))
+    manifest = save_sequence(tmp_path, "obs", seq)
+    calls = []
+
+    def counted(arr):
+        calls.append(arr.shape)
+        return is_centered(arr)
+
+    # patch every binding the readers could call it through
+    for module in (signals, sigio):
+        monkeypatch.setattr(module, "is_centered", counted, raising=False)
+    loaded = load_sequence(manifest)
+    assert len(calls) == 12
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(loaded.items, seq.items))
