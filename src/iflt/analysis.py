@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import InvalidInput, ParseError
-from .interp import FilterModel, _coefficients
+from .interp import FilterModel, _coefficient, _estimate, _node_cascade
 from .linalg import frob_norm_sq, pseudo_inverse, sym_sqrt
-from .ortho import cross_cov_residual, orthogonalize
+from .ortho import cross_cov_residual
 from .signals import Ensemble, TrainingSet, apply_q, cov, energy
 
 ORTHO_RTOL = 1e-8
@@ -90,23 +90,12 @@ def optimal_error(x: Ensemble, ws, residual_rtol: float = ORTHO_RTOL) -> float:
     ws = tuple(ws)
     if not ws:
         raise InvalidInput("need at least one ensemble")
-    return _optimal_error_terms(x, ws, cross_cov_residual(ws), residual_rtol)[0]
-
-
-def _optimal_error_terms(x: Ensemble, ws, cross_residual: float, residual_rtol: float):
-    """``optimal_error`` given the largest cross-covariance norm of ``ws``.
-
-    Also returns each term's ``(C(w, w)^{1/2})^+`` for callers that reuse it.
-    """
     covs = [cov(w, w) for w in ws]
     scale = max(float(np.linalg.norm(c)) for c in covs)
-    if cross_residual > residual_rtol * scale:
+    if cross_cov_residual(ws) > residual_rtol * scale:
         raise InvalidInput("ensembles are not mutually orthogonal within tolerance")
-    half_pinvs = [pseudo_inverse(sym_sqrt(c)) for c in covs]
-    captured = 0.0
-    for w, half_pinv in zip(ws, half_pinvs):
-        captured += frob_norm_sq(cov(x, w) @ half_pinv)
-    return energy(x) - captured, half_pinvs
+    return energy(x) - sum(frob_norm_sq(cov(x, w) @ pseudo_inverse(sym_sqrt(c)))
+                           for w, c in zip(ws, covs))
 
 
 def node_error_decomposition(model: FilterModel, train: TrainingSet, k: int) -> dict:
@@ -128,23 +117,19 @@ def node_error_decomposition(model: FilterModel, train: TrainingSet, k: int) -> 
     """
     if not 0 <= k < model.p:
         raise InvalidInput(f"node index {k} out of range [0, {model.p - 1}]")
-    idx = train.s_y_indices[k]
-    vs = [apply_q(q, train.s_y_context, idx) for q in model.q_specs]
-    cascade = orthogonalize(vs)
-    ws = cascade.ws
+    vs, cmap = _node_cascade(train, model.q_specs, k, train.s_x)
     a_mats = model.a_mats or [None] * model.p
     x_k = train.s_x[k]
-    optimal, half_pinvs = _optimal_error_terms(
-        x_k, ws, cascade.max_cross_residual, ORTHO_RTOL
-    )
-    estimate = np.zeros((x_k.m, x_k.s))
-    mismatch = 0.0
-    for j, w in enumerate(ws):
-        t_j = _coefficients(train.s_x[j], w, a_mats[j])
-        estimate += t_j @ w.data
-        mismatch += frob_norm_sq((cov(train.s_x[j], w) - cov(x_k, w)) @ half_pinvs[j])
+    captured = mismatch = 0.0
+    for j, d_pinv in enumerate(cmap.d_pinvs):
+        # ||A (D^{1/2})^+||_F^2 = tr(A D^+ A^T): sym_sqrt keeps the directions D^+ keeps
+        c_k, delta = cmap.x_cross[k][j], cmap.x_cross[j][j] - cmap.x_cross[k][j]
+        captured += float(np.sum((c_k @ d_pinv) * c_k))
+        mismatch += float(np.sum((delta @ d_pinv) * delta))
+    t_mats = [_coefficient(cmap, j, j, a_mats[j]) for j in range(model.p)]
+    estimate = _estimate(t_mats, cmap.k_mats, vs, cmap.zero_indices)  # in data space
     lhs = float(np.sum((x_k.data - estimate) ** 2)) / x_k.s
-    rhs = optimal + mismatch
+    rhs = energy(x_k) - captured + mismatch
     return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
 
 

@@ -26,18 +26,14 @@ observations by default (this is what makes the cascade outputs orthogonal
 for unseen inputs); ``fixed_r=True`` replays the deflation matrices frozen at
 fit time instead.
 
-The cascade outputs are the forward substitution of the inputs through a
-unit block-lower matrix L of deflation blocks K_kl, V = L W (V and W stacking
-the p inputs and outputs), so the estimate is one back-substitution away from
-the inputs:
-
-    x_hat = [T_1 ... T_p] W = Z V,   Z L = [T_1 ... T_p].
-
-``apply_filter`` takes K either from ``ortho.cascade_map`` on the Gram matrix
-of V, whose blocks the ``FilterContext`` caches across calls, or from the
-deflation matrices frozen at fit time; it solves for Z and sums Z_j v_j.
-``fit``, ``input_cascade`` and the diagnostics keep the reference cascade
-``ortho.orthogonalize``, which deflates in data space.
+Every cascade is read from ``ortho.cascade_map``, the block LDL^T of the
+inputs' Gram matrix: V = L W (V, W stacking the p inputs and outputs) with L
+unit block-lower in the deflation blocks K_kl, so the estimate is one
+back-substitution away from the inputs, x_hat = [T_1 ... T_p] W = Z V with
+Z L = [T_1 ... T_p]. ``apply_filter`` takes K from the Gram blocks the
+``FilterContext`` caches, or frozen from fit. ``fit`` and the diagnostics add
+the references as extra rows of the recursion, so T_j = C(x_j, w_jj) D_jj^+
+with no pass over the data. ``ortho.orthogonalize`` is the data-space reference.
 """
 
 from __future__ import annotations
@@ -48,9 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvalidInput, ParseError
-from .linalg import pseudo_inverse
-from .ortho import OrthoResult, cascade_map, orthogonalize
-from .signals import Ensemble, QOperatorSpec, SignalSequence, TrainingSet, apply_q, cov
+from .ortho import CascadeMap, cascade_map, forward_substitute
+from .signals import Ensemble, QOperatorSpec, SignalSequence, TrainingSet, apply_q
 
 MODEL_VERSION = 1
 RESIDUAL_RTOL = 1e-6
@@ -132,22 +127,37 @@ class FilterModel:
         return max(q.window() for q in self.q_specs)
 
 
-def node_cascades(train: TrainingSet, q_specs) -> list[OrthoResult]:
-    """Deflation cascade of the transformed observations at every training node."""
-    out = []
-    for idx in train.s_y_indices:
-        vs = [apply_q(q, train.s_y_context, idx) for q in q_specs]
-        out.append(orthogonalize(vs))
-    return out
+def _node_cascade(train: TrainingSet, q_specs, k: int, xs=None):
+    """Inputs at node ``k`` and their cascade map, extra rows ``xs`` or x_k."""
+    vs = [apply_q(q, train.s_y_context, train.s_y_indices[k]) for q in q_specs]
+    return vs, cascade_map(vs, xs=(train.s_x[k],) if xs is None else xs)
 
 
-def _coefficients(x: Ensemble, w: Ensemble, a_mat: np.ndarray | None) -> np.ndarray:
-    eww = cov(w, w)
-    eww_pinv = pseudo_inverse(eww)
-    t = cov(x, w) @ eww_pinv
+def _coefficient(cmap: CascadeMap, r: int, k: int, a_mat: np.ndarray | None) -> np.ndarray:
+    """T = C(x_r, w_k) D_k^+ + A (I - D_k D_k^+) for extra row ``r`` and output ``k``."""
+    t = cmap.x_cross[r][k] @ cmap.d_pinvs[k]
     if a_mat is not None:
-        t = t + a_mat @ (np.eye(eww.shape[0]) - eww @ eww_pinv)
+        t = t + a_mat @ (np.eye(t.shape[1]) - cmap.d_mats[k] @ cmap.d_pinvs[k])
     return t
+
+
+def _matching_terms(cmap: CascadeMap, k: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """C(w_j, w_k) for every output j, as the recursion gives them, and C(x_k, w_k):
+    D_k for j = k, the rounding-level C(v_j, w_k) - K_jk D_k for j > k."""
+    def below(j, l):
+        return cmap.cross[j][l] - cmap.k_mats[j][l] @ cmap.d_mats[l]
+
+    covs = [cmap.d_mats[k] if j == k else below(j, k) if j > k else below(k, j).T
+            for j in range(len(cmap.d_mats))]
+    if k in cmap.zero_indices:  # w_k is zero
+        covs = [np.zeros_like(c) for c in covs]
+    return covs, cmap.x_cross[0][k]
+
+
+def _matching_residuals(t_mats, terms) -> tuple[list, list]:
+    """||sum_j T_j C(w_j, w_k) - C(x_k, w_k)||_F and ||C(x_k, w_k)||_F per node k."""
+    return ([float(np.linalg.norm(sum(t @ c for t, c in zip(t_mats, covs)) - target))
+             for covs, target in terms], [float(np.linalg.norm(x)) for _, x in terms])
 
 
 def fit(
@@ -172,18 +182,14 @@ def fit(
         a_mats = [np.asarray(a, dtype=float) for a in a_mats]
         if len(a_mats) != p:
             raise InvalidInput("need one free matrix per term")
-    cascades = node_cascades(train, q_specs)
-    t_mats = []
-    degenerate = []
+    t_mats, r_mats, terms, degenerate = [], [], [], []
     for j in range(p):
-        wjj = cascades[j].ws[j]
-        if not np.any(wjj.data):
-            degenerate.append(j)
-        t_mats.append(
-            _coefficients(train.s_x[j], wjj, a_mats[j] if a_mats else None)
-        )
-    residuals, scales = _matching_residuals(t_mats, train, cascades)
-    r_mats = [list(cascades[j].k_mats[j]) for j in range(p)]
+        _, cmap = _node_cascade(train, q_specs, j)
+        degenerate += [j] if j in cmap.zero_indices else []
+        t_mats.append(_coefficient(cmap, 0, j, a_mats[j] if a_mats else None))
+        r_mats.append([k.copy() for k in cmap.k_mats[j]])
+        terms.append(_matching_terms(cmap, j))
+    residuals, scales = _matching_residuals(t_mats, terms)
     meta = {
         "p": p,
         "m": train.s_x[0].m,
@@ -203,27 +209,14 @@ def fit(
                        r_mats=r_mats, meta=meta)
 
 
-def _matching_residuals(t_mats, train: TrainingSet, cascades) -> tuple[list, list]:
-    residuals, scales = [], []
-    for k in range(train.p):
-        wkk = cascades[k].ws[k]
-        target = cov(train.s_x[k], wkk)
-        acc = np.zeros_like(target)
-        for j, t in enumerate(t_mats):
-            acc += t @ cov(cascades[k].ws[j], wkk)
-        residuals.append(float(np.linalg.norm(acc - target)))
-        scales.append(float(np.linalg.norm(target)))
-    return residuals, scales
-
-
 def interp_residual(model: FilterModel, train: TrainingSet) -> list[float]:
     """Recompute the per-node matching residuals from scratch.
 
     Returns ``||sum_j T_j C(w_jk, w_kk) - C(x_k, w_kk)||_F`` for each node k.
     """
-    cascades = node_cascades(train, model.q_specs)
-    residuals, _ = _matching_residuals(model.t_mats, train, cascades)
-    return residuals
+    terms = [_matching_terms(_node_cascade(train, model.q_specs, k)[1], k)
+             for k in range(train.p)]
+    return _matching_residuals(model.t_mats, terms)[0]
 
 
 def _transformed_inputs(model: FilterModel, ctx: FilterContext, i: int) -> list[Ensemble]:
@@ -238,19 +231,28 @@ def _transformed_inputs(model: FilterModel, ctx: FilterContext, i: int) -> list[
 
 def input_cascade(model: FilterModel, ctx: FilterContext, i: int) -> list[Ensemble]:
     """Transformed observations at position ``i``, passed through the cascade."""
-    return list(orthogonalize(_transformed_inputs(model, ctx, i)).ws)
+    vs = _transformed_inputs(model, ctx, i)
+    cmap = cascade_map(vs, ctx._gram_matrix(model.q_specs, i, vs))
+    # re-centered as orthogonalize re-centers them; zero-snapped outputs are zero
+    return [Ensemble(np.zeros_like(w) if k in cmap.zero_indices
+                     else w - w.mean(axis=1, keepdims=True), centered=True)
+            for k, w in enumerate(forward_substitute(vs, cmap.k_mats, cmap.zero_indices))]
 
 
-def _back_substitute(t_mats, k_mats) -> list[np.ndarray]:
-    """Z with Z L = [T_1 ... T_p], L unit block-lower with blocks ``k_mats``.
+def _estimate(t_mats, k_mats, vs, zero_indices=()) -> np.ndarray:
+    """sum_j T_j w_j for W = L^{-1} V, L unit block-lower with blocks ``k_mats``.
 
-    Then sum_j T_j w_j = sum_j Z_j v_j for the outputs W = L^{-1} V.
+    It is sum_j Z_j v_j after one back-substitution Z L = [T_1 ... T_p]. The
+    outputs in ``zero_indices`` contribute nothing; their K columns are zero.
     """
-    z = list(t_mats)
+    z = [np.zeros_like(t) if k in zero_indices else t for k, t in enumerate(t_mats)]
     for k in reversed(range(len(z))):
         for j in range(k + 1, len(z)):
             z[k] = z[k] - z[j] @ k_mats[j][k]
-    return z
+    acc = np.zeros((z[0].shape[0], vs[0].s))
+    for z_j, v in zip(z, vs):
+        acc += z_j @ v.data
+    return acc
 
 
 def apply_filter(
@@ -275,16 +277,10 @@ def apply_filter(
     if fixed_r:
         if model.r_mats is None:
             raise InvalidInput("model carries no frozen deflation matrices")
-        z = _back_substitute(model.t_mats, model.r_mats)
+        acc = _estimate(model.t_mats, model.r_mats, vs)
     else:
         cmap = cascade_map(vs, ctx._gram_matrix(model.q_specs, i, vs))
-        # a zero-snapped output contributes nothing, and its K column is zero
-        t_mats = [np.zeros_like(t) if k in cmap.zero_indices else t
-                  for k, t in enumerate(model.t_mats)]
-        z = _back_substitute(t_mats, cmap.k_mats)
-    acc = np.zeros((z[0].shape[0], ctx.history.s))
-    for z_j, v in zip(z, vs):
-        acc += z_j @ v.data
+        acc = _estimate(model.t_mats, cmap.k_mats, vs, cmap.zero_indices)
     acc -= acc.mean(axis=1, keepdims=True)
     return Ensemble(acc, centered=True)
 

@@ -18,9 +18,9 @@ zero ensemble; residual norms at or below ``1e-12`` times the input scale are
 snapped to exact zeros so that downstream pseudo-inverses of their covariance
 are zero matrices rather than noise amplifiers.
 
-``orthogonalize`` runs the cascade in data space and is the reference.
-``cascade_map`` computes the same deflation matrices from the Gram matrix of
-the inputs alone; applying a filter needs only those.
+Every library path reads the cascade from ``cascade_map``, which computes it
+from the Gram matrix of the inputs. ``orthogonalize`` runs it in data space;
+it is kept as the reference for the tests and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -34,20 +34,16 @@ from .linalg import pseudo_inverse
 from .signals import Ensemble, cov
 
 ZERO_W_RTOL = 1e-12
-# Stage energies read from the Gram matrix carry rounding of about eps times
-# the input energy, far above the ZERO_W_RTOL snap level; stages below this
-# share of the largest input energy are re-checked in data space.
-GRAM_RECHECK_RTOL = 1e-8
+# A covariance read from the Gram matrix is good to about eps E / lambda in a
+# direction of energy lambda (E the largest input energy); stages with a
+# direction below this share of E are re-checked in data space.
+GRAM_RECHECK_RTOL = 1e-5
 
 
 @dataclass(frozen=True)
 class OrthoResult:
-    """Cascade output: orthogonal ensembles plus the deflation matrices.
-
-    ``k_mats[i]`` holds the matrices used to deflate input ``i`` against
-    outputs ``0..i-1`` (row 0 is empty). ``zero_indices`` flags outputs that
-    collapsed to the zero ensemble.
-    """
+    """Cascade output: orthogonal ensembles, the deflation matrices (``k_mats[i]``
+    deflates input ``i`` against outputs ``0..i-1``) and the zero-snapped outputs."""
 
     ws: tuple[Ensemble, ...]
     k_mats: tuple[tuple[np.ndarray, ...], ...]
@@ -57,23 +53,28 @@ class OrthoResult:
 
 @dataclass(frozen=True)
 class CascadeMap:
-    """The cascade of ``orthogonalize`` as its deflation blocks.
+    """The cascade of ``orthogonalize`` (free matrices zero) as Gram blocks.
 
     ``k_mats[k]`` holds K_k0 .. K_k,k-1 as ``OrthoResult.k_mats`` does: with L
-    the unit block-lower matrix of these blocks and V the stacked inputs,
-    V = L W, so the outputs are the forward substitution
-    ``w_k = v_k - sum_l K_kl w_l``. ``zero_indices`` flags outputs that
-    collapsed to the zero ensemble; their columns of K are zero.
+    their unit block-lower matrix, V = L W for the stacked inputs V and
+    outputs W. ``cross[j][k]`` is C(v_j, w_k) (j >= k), ``x_cross[r][k]`` is
+    C(x_r, w_k), ``d_mats[k]`` is D_k = C(w_k, w_k) and ``d_pinvs[k]`` D_k^+
+    (``None`` for a stage no row below reads). The blocks of the outputs in
+    ``zero_indices``, which collapsed to the zero ensemble, are zero.
     """
 
     k_mats: tuple[tuple[np.ndarray, ...], ...]
+    cross: tuple[tuple[np.ndarray, ...], ...]
+    x_cross: tuple[tuple[np.ndarray, ...], ...]
+    d_mats: tuple[np.ndarray, ...]
+    d_pinvs: tuple[np.ndarray | None, ...]
     zero_indices: tuple[int, ...]
 
 
-def _check_aligned(vs) -> None:
+def _check_aligned(vs, s: int | None = None) -> None:
     if not vs:
         raise InvalidInput("need at least one ensemble")
-    m, s = vs[0].m, vs[0].s
+    m, s = vs[0].m, vs[0].s if s is None else s
     for pos, v in enumerate(vs):
         if (v.m, v.s) != (m, s):
             raise InvalidInput(
@@ -84,15 +85,8 @@ def _check_aligned(vs) -> None:
 
 
 def orthogonalize(vs, m_free: dict[tuple[int, int], np.ndarray] | None = None) -> OrthoResult:
-    """Run the deflation cascade over realization-aligned centered ensembles.
-
-    Parameters
-    ----------
-    vs : sequence of Ensemble
-    m_free : dict, optional
-        Free deflation matrices keyed by (input index, output index); missing
-        entries default to zero.
-    """
+    """Run the deflation cascade over realization-aligned centered ensembles in
+    data space; ``m_free`` maps (input, output) index pairs to free matrices M_il."""
     vs = tuple(vs)
     _check_aligned(vs)
     m_free = m_free or {}
@@ -131,65 +125,89 @@ def orthogonalize(vs, m_free: dict[tuple[int, int], np.ndarray] | None = None) -
     )
 
 
-def cascade_map(vs, g: np.ndarray | None = None) -> CascadeMap:
-    """The deflation blocks of ``orthogonalize`` (free matrices zero) from a Gram matrix.
+def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
+    """The blocks of ``orthogonalize``'s cascade (free matrices zero) from a Gram matrix.
 
-    ``g`` is the Gram matrix G = V V^T / s of the stacked inputs, block G_ik =
-    C(v_i, v_k); it is formed from ``vs`` when not given. With
-    C(w_k, w_k) = C(v_k, w_k), as w_k is orthogonal to the earlier outputs,
-    the blocks follow stage by stage from
+    ``g`` holds the blocks G_ik = C(u_i, v_k) of the inputs ``vs`` and then
+    the extra rows ``xs``, U = [V; X], against the inputs; it is formed when
+    not given. As w_k is orthogonal to the earlier outputs, D_k = C(w_k, w_k)
+    = C(v_k, w_k), and stage by stage
 
-        C(v_i, w_k) = G_ik - sum_{l < k} C(v_i, w_l) K_kl^T,   i >= k,
-        K_ik = C(v_i, w_k) C(w_k, w_k)^+,                       i > k.
+        C(u_i, w_k) = G_ik - sum_{l < k} C(u_i, w_l) K_kl^T,   rows i >= k,
+        K_ik = C(v_i, w_k) D_k^+,                               inputs i > k.
 
     This is block LDL^T of G, i.e. block Gram-Schmidt (Golub & Van Loan,
-    Matrix Computations, 4.1 and 5.2): one GEMM and one pseudo-inverse per
-    stage, and no pass over the data.
+    Matrix Computations, 4.1 and 5.2): one GEMM and at most one
+    pseudo-inverse per stage, and no pass over the data. An extra row x is
+    one more block row, so C(x, w_k) D_k^+ is the best coefficient of w_k for x.
 
-    A stage whose energy tr C(w_k, w_k) read from G is at most
-    ``GRAM_RECHECK_RTOL`` times the largest input energy is formed in data
-    space instead, by forward substitution. It is snapped to zero by the
-    ``ZERO_W_RTOL`` rule of ``orthogonalize``; if it survives, its covariances
-    are taken from the data.
+    G carries rounding of about eps times the largest input energy E, so a
+    stage with energy tr D_k, or a direction of D_k, at most
+    ``GRAM_RECHECK_RTOL`` E is formed in data space instead, by forward
+    substitution: snapped to zero by the ``ZERO_W_RTOL`` rule of
+    ``orthogonalize``, or else with its covariances taken from the data.
     """
-    vs = tuple(vs)
+    vs, xs = tuple(vs), tuple(xs)
     _check_aligned(vs)
     p, n, s = len(vs), vs[0].m, vs[0].s
+    if xs:
+        _check_aligned(xs, s)
     if g is None:
         v = np.vstack([x.data for x in vs])
-        g = (v @ v.T) / s
+        g = v @ v.T
+        if xs:
+            g = np.vstack([g, np.vstack([x.data for x in xs]) @ v.T])
+        g /= s
     max_energy = float(np.diag(g).reshape(p, n).sum(axis=1).max())
     scale = float(np.sqrt(s * max_energy))  # largest input norm, as in orthogonalize
-    # block (i, l) of h holds C(v_i, w_l); k_full holds the blocks K_il
-    h = np.zeros((p * n, p * n))
+    floor = GRAM_RECHECK_RTOL * max_energy
+    # block (i, l) of h holds C(u_i, w_l); k_full holds the blocks K_il
+    h = np.zeros((g.shape[0], p * n))
     k_full = np.zeros((p * n, p * n))
+    cols = [slice(k * n, (k + 1) * n) for k in range(p)]
+    k_mats = tuple(tuple(k_full[cols[j], cols[l]] for l in range(j)) for j in range(p))
+    d_mats, d_pinvs = [], []
     ws: list[np.ndarray] = []  # data-space outputs, formed up to the last re-check
     zero_indices: list[int] = []
     for k in range(p):
-        rows = slice(k * n, (k + 1) * n)
         done = k * n  # columns of the earlier outputs
-        cross = g[done:, rows] - h[done:, :done] @ k_full[rows, :done].T
+        cross = g[done:, cols[k]] - h[done:, :done] @ k_full[cols[k], :done].T
         d = 0.5 * (cross[:n] + cross[:n].T)
-        if np.trace(d) <= GRAM_RECHECK_RTOL * max_energy:
-            for j in range(len(ws), k + 1):  # forward substitution
-                w = vs[j].data.copy()
-                for l in range(j):
-                    if l not in zero_indices:
-                        w -= k_full[j * n : (j + 1) * n, l * n : (l + 1) * n] @ ws[l]
-                ws.append(w)
-            w = ws[k]
-            if float(np.linalg.norm(w)) <= ZERO_W_RTOL * scale:
+        below = len(cross) > n  # rows that read D_k^+
+        d_pinv = pseudo_inverse(d) if below and np.trace(d) > floor else None
+        # tr D_k^+ >= 1 / (smallest eigenvalue D_k^+ keeps)
+        if np.trace(d) <= floor or (d_pinv is not None and floor * np.trace(d_pinv) >= 1.0):
+            forward_substitute(vs, k_mats, zero_indices, ws, k + 1)
+            if float(np.linalg.norm(ws[k])) <= ZERO_W_RTOL * scale:
                 zero_indices.append(k)
+                d_mats.append(np.zeros((n, n)))
+                d_pinvs.append(d_mats[k])
                 continue
-            cross = np.vstack([x.data for x in vs[k:]]) @ w.T / s
-            d = (w @ w.T) / s
-        h[done:, rows] = cross
-        k_full[done + n :, rows] = cross[n:] @ pseudo_inverse(d)
-    k_mats = tuple(
-        tuple(k_full[k * n : (k + 1) * n, l * n : (l + 1) * n] for l in range(k))
-        for k in range(p)
-    )
-    return CascadeMap(k_mats=k_mats, zero_indices=tuple(zero_indices))
+            cross = np.vstack([x.data for x in vs[k:] + xs]) @ ws[k].T / s
+            d = (ws[k] @ ws[k].T) / s
+            d_pinv = pseudo_inverse(d) if below else None
+        h[done:, cols[k]] = cross
+        d_mats.append(d)
+        d_pinvs.append(d_pinv)
+        if k < p - 1:
+            k_full[done + n :, cols[k]] = cross[n : p * n - done] @ d_pinv
+    x_rows = np.split(h[p * n :], len(xs)) if xs else []
+    return CascadeMap(k_mats, tuple(tuple(h[cols[j], cols[k]] for k in range(j + 1))
+                                    for j in range(p)),
+                      tuple(tuple(x[:, c] for c in cols) for x in x_rows),
+                      tuple(d_mats), tuple(d_pinvs), tuple(zero_indices))
+
+
+def forward_substitute(vs, k_mats, zero_indices, ws=None, upto=None) -> list[np.ndarray]:
+    """Extend ``ws`` by w_j = v_j - sum_l K_jl w_l, skipping zero-snapped w_l."""
+    ws = [] if ws is None else ws
+    for j in range(len(ws), len(vs) if upto is None else upto):
+        w = vs[j].data.copy()
+        for l, k_mat in enumerate(k_mats[j]):
+            if l not in zero_indices:
+                w -= k_mat @ ws[l]
+        ws.append(w)
+    return ws
 
 
 def cross_cov_residual(ws) -> float:

@@ -52,31 +52,32 @@ def write_ensemble_csv(path, e: Ensemble, header: bool = True) -> None:
 
 def read_ensemble_csv(path, center_data: bool = True) -> Ensemble:
     text = Path(path).read_text()
-    rows = []
+    rows = []  # (line number, stripped line) of the data rows
     declared = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line:
-            continue
         if line.startswith("#"):
-            fields = dict(
-                part.split("=", 1) for part in line[1:].split() if "=" in part
-            )
+            fields = dict(part.split("=", 1) for part in line[1:].split() if "=" in part)
             try:
                 declared = (int(fields["m"]), int(fields["s"]))
             except (KeyError, ValueError) as exc:
                 raise ParseError(f"{path}: bad header line {lineno}") from exc
-            continue
-        try:
-            rows.append([float(v) for v in line.split(",")])
-        except ValueError as exc:
-            raise ParseError(f"{path}: bad value on line {lineno}") from exc
+        elif line:
+            rows.append((lineno, line))
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ParseError(f"{path}: ragged rows")
-    arr = np.asarray(rows, dtype=float)
+    try:
+        arr = np.loadtxt([line for _, line in rows], delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # parse row by row, naming the first bad line
+        values = []
+        for lineno, line in rows:
+            try:
+                values.append([float(v) for v in line.split(",")])
+            except ValueError as exc:
+                raise ParseError(f"{path}: bad value on line {lineno}") from exc
+        if len({len(r) for r in values}) != 1:
+            raise ParseError(f"{path}: ragged rows")
+        arr = np.asarray(values, dtype=float)
     if declared is not None and declared != arr.shape:
         raise ParseError(f"{path}: header says {declared}, data is {arr.shape}")
     return _ingest(arr, center_data)

@@ -1,0 +1,156 @@
+"""Data-space reference for ``fit`` and ``node_error_decomposition``.
+
+Every training node runs ``orthogonalize``, which deflates the transformed
+observations in data space stage by stage, as the cascade is defined; the
+coefficients, the matching residuals and the node error split are then read
+from the data-space outputs with ``cov``. The library computes all of these
+from the Gram recursion of ``ortho.cascade_map``; the property tests compare
+the two.
+"""
+
+import numpy as np
+
+from iflt import apply_q, orthogonalize, pseudo_inverse, sym_sqrt
+from iflt.linalg import frob_norm_sq
+from iflt.signals import cov, energy
+
+
+def node_cascades(train, q_specs):
+    """``orthogonalize`` of the transformed observations at every training node."""
+    return [orthogonalize([apply_q(q, train.s_y_context, idx) for q in q_specs])
+            for idx in train.s_y_indices]
+
+
+def coefficients(x, w, a_mat):
+    """T = C(x, w) C(w, w)^+ + A (I - C(w, w) C(w, w)^+)."""
+    eww = cov(w, w)
+    eww_pinv = pseudo_inverse(eww)
+    t = cov(x, w) @ eww_pinv
+    if a_mat is not None:
+        t = t + a_mat @ (np.eye(eww.shape[0]) - eww @ eww_pinv)
+    return t
+
+
+def matching_residuals(t_mats, train, cascades):
+    """||sum_j T_j C(w_jk, w_kk) - C(x_k, w_kk)||_F and ||C(x_k, w_kk)||_F per node k."""
+    residuals, scales = [], []
+    for k in range(train.p):
+        wkk = cascades[k].ws[k]
+        target = cov(train.s_x[k], wkk)
+        acc = np.zeros_like(target)
+        for j, t in enumerate(t_mats):
+            acc += t @ cov(cascades[k].ws[j], wkk)
+        residuals.append(float(np.linalg.norm(acc - target)))
+        scales.append(float(np.linalg.norm(target)))
+    return residuals, scales
+
+
+def fit_reference(train, q_specs, a_mats=None) -> dict:
+    """The fitted blocks and diagnostics ``fit`` records, from data space."""
+    cascades = node_cascades(train, q_specs)
+    t_mats = [coefficients(train.s_x[j], c.ws[j], a_mats[j] if a_mats else None)
+              for j, c in enumerate(cascades)]
+    residuals, scales = matching_residuals(t_mats, train, cascades)
+    return {
+        "t_mats": t_mats,
+        "r_mats": [list(c.k_mats[j]) for j, c in enumerate(cascades)],
+        "degenerate_terms": [j for j, c in enumerate(cascades) if not np.any(c.ws[j].data)],
+        "residuals": residuals,
+        "residual_scales": scales,
+    }
+
+
+def node_error_decomposition_reference(model, train, k) -> dict:
+    """``lhs`` and ``rhs`` of the node error split at node ``k``, from data space."""
+    x_k = train.s_x[k]
+    ws = node_cascades(train, model.q_specs)[k].ws
+    a_mats = model.a_mats or [None] * model.p
+    estimate = np.zeros((x_k.m, x_k.s))
+    rhs = energy(x_k)
+    for j, w in enumerate(ws):
+        half_pinv = pseudo_inverse(sym_sqrt(cov(w, w)))
+        estimate += coefficients(train.s_x[j], w, a_mats[j]) @ w.data
+        rhs -= frob_norm_sq(cov(x_k, w) @ half_pinv)
+        rhs += frob_norm_sq((cov(train.s_x[j], w) - cov(x_k, w)) @ half_pinv)
+    return {"lhs": float(np.sum((x_k.data - estimate) ** 2)) / x_k.s, "rhs": rhs}
+
+
+def _inverse(d):
+    """Inverse of a nonsingular extended-precision matrix: a float64 inverse
+    refined by two Newton steps."""
+    x = np.linalg.inv(d.astype(float)).astype(np.longdouble)
+    eye = np.eye(len(d), dtype=np.longdouble)
+    for _ in range(2):
+        x = x + x @ (eye - d @ x)
+    return x
+
+
+def _exact_cascade(vs, zero_indices):
+    """Outputs, D_l^-1 and deflation blocks of the cascade in extended precision.
+
+    The stages in ``zero_indices`` are zero; every other stage must have a
+    nonsingular covariance.
+    """
+    s = vs[0].shape[1]
+    ws, d_invs, k_rows = [], [], []
+    for i, v in enumerate(vs):
+        w, row = v.copy(), []
+        for l, w_l in enumerate(ws):
+            row.append((v @ w_l.T / s) @ d_invs[l])
+            w -= row[-1] @ w_l
+        if i in zero_indices:
+            w[:] = 0.0
+            d_invs.append(np.zeros((len(v), len(v)), dtype=np.longdouble))
+        else:
+            d_invs.append(_inverse(w @ w.T / s))
+        ws.append(w)
+        k_rows.append(row)
+    return ws, d_invs, k_rows
+
+
+def fit_exact(train, q_specs, a_mats, zero_indices) -> dict:
+    """``fit_reference``'s blocks and residuals, and the node error split, in
+    extended precision (``np.longdouble``), with the zero-snapped stages of
+    every node given (as ``orthogonalize`` snaps them).
+
+    The data-space oracle loses accuracy on a live stage far below its
+    input's scale: its outputs are differences of much larger ensembles.
+    Extended precision keeps about three more digits there, so this serves as
+    the truth both the oracle and the library are measured against.
+    """
+    ld = np.longdouble
+    xs = [x.data.astype(ld) for x in train.s_x]
+    s = train.s_y_context.s
+    nodes = []
+    for k, idx in enumerate(train.s_y_indices):
+        vs = [apply_q(q, train.s_y_context, idx).data.astype(ld) for q in q_specs]
+        nodes.append((vs, *_exact_cascade(vs, zero_indices[k])))
+
+    def coefficient(x, w, d_inv, a_mat):
+        t = (x @ w.T / s) @ d_inv
+        if a_mat is not None:
+            t = t + a_mat.astype(ld) @ (np.eye(len(w), dtype=ld) - (w @ w.T / s) @ d_inv)
+        return t
+
+    a_mats = a_mats or [None] * train.p
+    t_mats = [coefficient(xs[j], ws[j], d_invs[j], a_mats[j])
+              for j, (_, ws, d_invs, _) in enumerate(nodes)]
+    residuals, decomposition = [], []
+    for k, (vs, ws, d_invs, _) in enumerate(nodes):
+        target = xs[k] @ ws[k].T / s
+        acc = sum(t @ (w @ ws[k].T / s) for t, w in zip(t_mats, ws)) - target
+        residuals.append(float(np.sqrt(np.sum(acc * acc))))
+        estimate = sum(coefficient(xs[j], w, d_inv, a_mats[j]) @ w
+                       for j, (w, d_inv) in enumerate(zip(ws, d_invs)))
+        rhs = np.sum(xs[k] * xs[k]) / s
+        for j, (w, d_inv) in enumerate(zip(ws, d_invs)):
+            c_k, c_j = xs[k] @ w.T / s, xs[j] @ w.T / s
+            rhs += np.trace((c_j - c_k) @ d_inv @ (c_j - c_k).T) - np.trace(c_k @ d_inv @ c_k.T)
+        decomposition.append({"lhs": float(np.sum((xs[k] - estimate) ** 2) / s),
+                              "rhs": float(rhs)})
+    return {
+        "t_mats": [t.astype(float) for t in t_mats],
+        "r_mats": [[b.astype(float) for b in node[3][j]] for j, node in enumerate(nodes)],
+        "residuals": residuals,
+        "decomposition": decomposition,
+    }

@@ -47,9 +47,9 @@ def reference_apply(model, ys, i, fixed_r):
 
 
 @st.composite
-def filter_cases(draw):
-    """(model, observation sequence, position) for one input class."""
-    kind = draw(st.sampled_from(KINDS))
+def filter_cases(draw, kinds=KINDS):
+    """(model, observation sequence, position) for one input class of ``kinds``."""
+    kind = draw(st.sampled_from(kinds))
     p = draw(st.integers(1 if kind in ("random", "zero") else 2, 5))
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 4))
