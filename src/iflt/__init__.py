@@ -51,7 +51,6 @@ from .interp import (
     save_model,
 )
 from .linalg import (
-    SpectralTolerance,
     frob_norm_sq,
     penrose_residuals,
     pseudo_inverse,

@@ -15,10 +15,12 @@ import numpy as np
 
 from .exceptions import InvalidInput, ParseError
 from .interp import FilterModel, _coefficient, _estimate, _node_cascade
-from .linalg import frob_norm_sq, pseudo_inverse, sym_sqrt
-from .ortho import cross_cov_residual
+from .linalg import frob_norm_sq, pseudo_inverse, root_pinv_norm_sq
+from .ortho import CascadeMap, cross_cov_residual
 from .signals import Ensemble, TrainingSet, apply_q, cov, energy
 
+# optimal_error rejects outputs whose largest cross-covariance exceeds this
+# share of their largest covariance
 ORTHO_RTOL = 1e-8
 
 
@@ -79,23 +81,36 @@ def empirical_error(x: Ensemble, x_hat: Ensemble) -> float:
     return ensemble_sq_distance(x, x_hat)
 
 
-def optimal_error(x: Ensemble, ws, residual_rtol: float = ORTHO_RTOL) -> float:
+def optimal_error(x: Ensemble, ws) -> float:
     """Smallest error any filter ``sum_j T_j w_j`` can achieve for ``x``.
 
-    Requires mutually orthogonal ``ws``; equals the energy of ``x`` minus the
-    energy captured by the best coefficient for each term,
+    Requires mutually orthogonal ``ws`` (within ``ORTHO_RTOL``); equals the
+    energy of ``x`` minus the energy captured by the best coefficient for each
+    term,
 
-        energy(x) - sum_j ||C(x, w_j) (C(w_j, w_j)^{1/2})^+||_F^2.
+        energy(x) - sum_j ||C(x, w_j) (D_j^{1/2})^+||_F^2
+          = energy(x) - sum_j tr(C(x, w_j) D_j^+ C(x, w_j)^T),   D_j = C(w_j, w_j),
+
+    with D_j^+ from ``pseudo_inverse``, whose cutoff is the one rank rule of
+    every error formula here.
     """
     ws = tuple(ws)
     if not ws:
         raise InvalidInput("need at least one ensemble")
     covs = [cov(w, w) for w in ws]
     scale = max(float(np.linalg.norm(c)) for c in covs)
-    if cross_cov_residual(ws) > residual_rtol * scale:
+    if cross_cov_residual(ws) > ORTHO_RTOL * scale:
         raise InvalidInput("ensembles are not mutually orthogonal within tolerance")
-    return energy(x) - sum(frob_norm_sq(cov(x, w) @ pseudo_inverse(sym_sqrt(c)))
+    return energy(x) - sum(root_pinv_norm_sq(cov(x, w), pseudo_inverse(c))
                            for w, c in zip(ws, covs))
+
+
+def captured_energy(cmap: CascadeMap, r: int) -> float:
+    """sum_j tr(C(x_r, w_j) D_j^+ C(x_r, w_j)^T) for extra row ``r`` of ``cmap``:
+    the energy of x_r that the best filter on the cascade outputs explains, so
+    that ``optimal_error(x_r, ws) = energy(x_r) - captured_energy(cmap, r)``."""
+    return sum(root_pinv_norm_sq(c, d_pinv)
+               for c, d_pinv in zip(cmap.x_cross[r], cmap.d_pinvs))
 
 
 def node_error_decomposition(model: FilterModel, train: TrainingSet, k: int) -> dict:
@@ -109,72 +124,62 @@ def node_error_decomposition(model: FilterModel, train: TrainingSet, k: int) -> 
 
         lhs = error at node k of the filter evaluated in this regime
         rhs = optimal_error(x_k, ws)
-              + sum_j ||(C(x_j, w_j) - C(x_k, w_j)) (C(w_j, w_j)^{1/2})^+||_F^2
+              + sum_j ||(C(x_j, w_j) - C(x_k, w_j)) (D_j^{1/2})^+||_F^2
 
     with ws the cascade outputs of node k's observation (the k-th coefficient
-    block coincides with the trained one). Returns ``{"lhs", "rhs", "gap"}``;
-    the identity assumes the fit used zero free terms.
+    block coincides with the trained one) and D_j = C(w_j, w_j). Returns
+    ``{"lhs", "rhs", "gap"}``; the identity assumes the fit used zero free terms.
     """
     if not 0 <= k < model.p:
         raise InvalidInput(f"node index {k} out of range [0, {model.p - 1}]")
     vs, cmap = _node_cascade(train, model.q_specs, k, train.s_x)
     a_mats = model.a_mats or [None] * model.p
     x_k = train.s_x[k]
-    captured = mismatch = 0.0
-    for j, d_pinv in enumerate(cmap.d_pinvs):
-        # ||A (D^{1/2})^+||_F^2 = tr(A D^+ A^T): sym_sqrt keeps the directions D^+ keeps
-        c_k, delta = cmap.x_cross[k][j], cmap.x_cross[j][j] - cmap.x_cross[k][j]
-        captured += float(np.sum((c_k @ d_pinv) * c_k))
-        mismatch += float(np.sum((delta @ d_pinv) * delta))
+    mismatch = sum(root_pinv_norm_sq(cmap.x_cross[j][j] - cmap.x_cross[k][j], d_pinv)
+                   for j, d_pinv in enumerate(cmap.d_pinvs))
     t_mats = [_coefficient(cmap, j, j, a_mats[j]) for j in range(model.p)]
     estimate = _estimate(t_mats, cmap.k_mats, vs, cmap.zero_indices)  # in data space
     lhs = float(np.sum((x_k.data - estimate) ** 2)) / x_k.s
-    rhs = energy(x_k) - captured + mismatch
+    rhs = energy(x_k) - captured_energy(cmap, k) + mismatch
     return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
 
 
-def error_upper_bound(
-    optimal_err: float, inputs: ErrorBoundInputs, w_energies
-) -> float:
+def error_upper_bound(optimal_err: float, inputs: ErrorBoundInputs) -> float:
     """A-priori bound on the filter error for any member of the signal family.
 
     Adds to the optimal error one penalty per term for the reference-side
     covering radius (scaled by the term's energy and inverse-covariance mass)
     and one for the observation-side radius (scaled by the Lipschitz and gain
-    constants), plus the free-term leakage outside each covariance range:
+    constants), plus the free-term leakage outside each covariance range.
+    With D_k = C(w_k, w_k) and D_k^+ its ``pseudo_inverse``, taken once per
+    term, every factor is a trace or a norm (the cutoff of ``pseudo_inverse``
+    is the only rank rule):
 
-        bound = optimal_err
-                + sum_k (eps_x * w_energy_k * E_k + eps_y * D_k) + C,
-        E_k = ||(C(w_k, w_k)^{1/2})^+||_F^2,
-        D_k = lambda_e * lambda_q * r_hat_k
-              * (x_energy * E_k + ||C(x_k, w_k)||_F^2) * ||C(w_k, w_k)^{1/2}||_F^2,
-        C   = sum_k ||A_k (I - C(w_k, w_k) C(w_k, w_k)^+)||_F^2
-              * ||C(w_k, w_k)^{1/2}||_F^2.
+        bound = optimal_err + sum_k (eps_x * tr D_k * E_k + eps_y * P_k) + C,
+        E_k = ||(D_k^{1/2})^+||_F^2 = tr D_k^+,
+        P_k = lambda_e * lambda_q * r_hat_k
+              * (x_energy * E_k + ||C(x_k, w_k)||_F^2) * tr D_k,
+        C   = sum_k ||A_k (I - D_k D_k^+)||_F^2 * tr D_k,
+
+    where tr D_k = ||D_k^{1/2}||_F^2 is the energy of w_k.
     """
     if not (np.isfinite(optimal_err) and optimal_err >= 0.0):
         raise InvalidInput("optimal_err must be finite and nonnegative")
-    w_energies = tuple(float(e) for e in w_energies)
-    if len(w_energies) != len(inputs.r_hat):
-        raise InvalidInput("need one energy per term")
-    if not all(np.isfinite(e) and e >= 0.0 for e in w_energies):
-        raise InvalidInput("term energies must be finite and nonnegative")
     total = optimal_err
     for k, (eww, exw) in enumerate(zip(inputs.w_covs, inputs.xw_covs)):
-        half = sym_sqrt(eww)
-        e_k = frob_norm_sq(pseudo_inverse(half))
-        half_sq = frob_norm_sq(half)
-        d_k = (
+        eww_pinv = pseudo_inverse(eww)
+        e_k, w_energy = float(np.trace(eww_pinv)), float(np.trace(eww))
+        p_k = (
             inputs.lambda_e
             * inputs.lambda_q
             * inputs.r_hat[k]
             * (inputs.x_energy * e_k + frob_norm_sq(exw))
-            * half_sq
+            * w_energy
         )
-        total += inputs.eps_x * w_energies[k] * e_k + inputs.eps_y * d_k
+        total += inputs.eps_x * w_energy * e_k + inputs.eps_y * p_k
         if inputs.a_mats is not None:
-            eww_pinv = pseudo_inverse(eww)
             leak = inputs.a_mats[k] @ (np.eye(eww.shape[0]) - eww @ eww_pinv)
-            total += frob_norm_sq(leak) * half_sq
+            total += frob_norm_sq(leak) * w_energy
     return float(total)
 
 

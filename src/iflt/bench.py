@@ -19,18 +19,18 @@ import numpy as np
 
 from .analysis import (
     ErrorBoundInputs,
+    captured_energy,
     empirical_error,
     error_upper_bound,
     net_radius,
     node_error_decomposition,
-    optimal_error,
     probe_inverse_cov_sensitivity,
     probe_stage_gains,
     probe_transform_gain,
 )
 from .baselines import rls_apply, rls_init, rls_run, wiener_apply, wiener_fit
 from .exceptions import ConfigError, InvalidInput
-from .interp import FilterContext, FilterModel, apply_filter, fit, input_cascade
+from .interp import FilterContext, FilterModel, _node_cascade, apply_filter, fit, input_cascade
 from .signals import (
     Ensemble,
     QOperatorSpec,
@@ -347,15 +347,14 @@ def probe_bound_constants(
     xs: SignalSequence,
     ys: SignalSequence,
     model: FilterModel,
-    sample_size: int = 10,
 ) -> dict:
     """Crude empirical probes of the bound constants (lower bounds, not certificates).
 
     Covering radii are exact over the generated pool; the Lipschitz/gain
-    constants are max observed ratios over a deterministic index sample.
+    constants are max observed ratios over ten evenly spread positions.
     """
     nodes = model.meta["node_positions"]
-    sample = sorted(set(np.linspace(0, len(xs) - 1, sample_size, dtype=int).tolist()))
+    sample = sorted(set(np.linspace(0, len(xs) - 1, 10, dtype=int).tolist()))
     ctx = FilterContext(ys)
     cascades = [input_cascade(model, ctx, i) for i in sample]
     v_lists = [
@@ -383,26 +382,29 @@ def node_bound_checks(
 ) -> list[dict]:
     """Evaluate bound vs realized error at every training node.
 
-    ``scale`` inflates the probed Lipschitz/gain constants (they are lower
-    bounds on the true ones).
+    The optimal error and the bound's covariances D_j = C(w_j, w_j) and
+    C(x_j, w_j) are read from node k's cascade map, the one
+    ``node_error_decomposition`` builds; only the realized error is formed in
+    data space. ``scale`` inflates the probed Lipschitz/gain constants (they
+    are lower bounds on the true ones).
     """
     ctx = FilterContext(ys)
     out = []
     for k, pos in enumerate(train.s_y_indices):
-        ws = input_cascade(model, ctx, pos)
+        _, cmap = _node_cascade(train, model.q_specs, k, train.s_x)
         measured = empirical_error(xs[pos], apply_filter(model, ctx, pos))
-        base = optimal_error(xs[pos], ws)
+        base = energy(train.s_x[k]) - captured_energy(cmap, k)
         inputs = ErrorBoundInputs(
             eps_x=constants["eps_x"],
             eps_y=constants["eps_y"],
             lambda_e=scale * constants["lambda_e"],
             lambda_q=scale * constants["lambda_q"],
             r_hat=tuple(scale * g for g in constants["r_hat"]),
-            w_covs=tuple(cov(w, w) for w in ws),
-            xw_covs=tuple(cov(train.s_x[j], ws[j]) for j in range(model.p)),
+            w_covs=cmap.d_mats,
+            xw_covs=tuple(cmap.x_cross[j][j] for j in range(model.p)),
             x_energy=constants["x_energy"],
         )
-        bound = error_upper_bound(base, inputs, [energy(w) for w in ws])
+        bound = error_upper_bound(base, inputs)
         out.append(
             {"node": pos + 1, "measured": measured, "optimal": base, "bound": bound}
         )

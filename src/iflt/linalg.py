@@ -7,8 +7,6 @@ input never raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import InvalidInput, NotPSD
@@ -17,22 +15,6 @@ DEFAULT_RELATIVE_CUTOFF = 1e-12
 SYMMETRY_RTOL = 1e-10
 NEGATIVE_EIG_RTOL = 1e-8
 SMALLEST_NORMAL = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class SpectralTolerance:
-    """Relative cutoff below which singular values are treated as zero."""
-
-    relative_cutoff: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.relative_cutoff) and self.relative_cutoff > 0.0):
-            raise InvalidInput("relative_cutoff must be a positive finite number")
-
-    @staticmethod
-    def for_shape(rows: int, cols: int) -> "SpectralTolerance":
-        """Default tolerance scaled by the larger matrix dimension."""
-        return SpectralTolerance(DEFAULT_RELATIVE_CUTOFF * max(rows, cols))
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -45,31 +27,23 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def pseudo_inverse(a, tol: SpectralTolerance | None = None) -> np.ndarray:
+def pseudo_inverse(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse computed by SVD.
 
-    Singular values at or below ``relative_cutoff * sigma_max`` are treated
-    as exactly zero, so the inverse of a rank-deficient (or zero) matrix is
-    well defined and never raises. Singular values at or below the smallest
-    normal float are treated as zero too: the reciprocal of a subnormal one
-    overflows or nearly so, and it carries few significant digits.
-
-    Parameters
-    ----------
-    a : array_like, shape (r, c)
-    tol : SpectralTolerance, optional
-        Defaults to ``1e-12 * max(r, c)`` relative to the largest singular
-        value.
+    Singular values at or below ``1e-12 * max(r, c) * sigma_max`` for an
+    r x c matrix are treated as exactly zero, so the inverse of a
+    rank-deficient (or zero) matrix is well defined and never raises.
+    Singular values at or below the smallest normal float are treated as zero
+    too: the reciprocal of a subnormal one overflows or nearly so, and it
+    carries few significant digits. This cutoff is the package's one rank rule.
     """
     arr = as_matrix(a)
-    if tol is None:
-        tol = SpectralTolerance.for_shape(*arr.shape)
     if arr.size == 0:
         return np.zeros((arr.shape[1], arr.shape[0]))
     u, sv, vt = np.linalg.svd(arr, full_matrices=False)
     if sv[0] <= SMALLEST_NORMAL:
         return np.zeros((arr.shape[1], arr.shape[0]))
-    keep = sv > max(tol.relative_cutoff * sv[0], SMALLEST_NORMAL)
+    keep = sv > max(DEFAULT_RELATIVE_CUTOFF * max(arr.shape) * sv[0], SMALLEST_NORMAL)
     inv = np.zeros_like(sv)
     inv[keep] = 1.0 / sv[keep]
     return (vt.T * inv) @ u.T
@@ -109,6 +83,15 @@ def frob_norm_sq(a) -> float:
     """Squared Frobenius norm, the sum of squared entries."""
     arr = as_matrix(a)
     return float(np.sum(arr * arr))
+
+
+def root_pinv_norm_sq(a: np.ndarray, d_pinv: np.ndarray) -> float:
+    """``||A (D^{1/2})^+||_F^2`` for a symmetric PSD D, read as tr(A D^+ A^T).
+
+    ``d_pinv`` is ``pseudo_inverse(D)``; no root is formed, so the directions
+    counted are the ones the pseudo-inverse's cutoff keeps.
+    """
+    return float(np.sum((a @ d_pinv) * a))
 
 
 def penrose_residuals(a, a_pinv) -> tuple[float, float, float, float]:

@@ -6,12 +6,12 @@ later input against the already-produced outputs:
 
     w_1 = v_1
     w_i = v_i - sum_{l < i} K_il w_l,
-    K_il = C(v_i, w_l) C(w_l, w_l)^+ + M_il (I - C(w_l, w_l) C(w_l, w_l)^+)
+    K_il = C(v_i, w_l) C(w_l, w_l)^+
 
-with C the empirical covariance and M_il free matrices (zero by default; any
-choice preserves orthogonality since the second factor annihilates the
-deflated covariance). With the 1/s sample convention the resulting
-cross-covariances vanish to machine precision by construction.
+with C the empirical covariance (a free term M_il (I - C(w_l, w_l) C(w_l, w_l)^+)
+would keep the outputs orthogonal for any M_il; the package takes it zero).
+With the 1/s sample convention the resulting cross-covariances vanish to
+machine precision by construction.
 
 If an input is an exact linear image of earlier outputs its residual is the
 zero ensemble; residual norms at or below ``1e-12`` times the input scale are
@@ -53,7 +53,7 @@ class OrthoResult:
 
 @dataclass(frozen=True)
 class CascadeMap:
-    """The cascade of ``orthogonalize`` (free matrices zero) as Gram blocks.
+    """The cascade of ``orthogonalize`` as Gram blocks.
 
     ``k_mats[k]`` holds K_k0 .. K_k,k-1 as ``OrthoResult.k_mats`` does: with L
     their unit block-lower matrix, V = L W for the stacked inputs V and
@@ -84,30 +84,22 @@ def _check_aligned(vs, s: int | None = None) -> None:
             raise InvalidInput(f"ensemble {pos} is not centered")
 
 
-def orthogonalize(vs, m_free: dict[tuple[int, int], np.ndarray] | None = None) -> OrthoResult:
+def orthogonalize(vs) -> OrthoResult:
     """Run the deflation cascade over realization-aligned centered ensembles in
-    data space; ``m_free`` maps (input, output) index pairs to free matrices M_il."""
+    data space."""
     vs = tuple(vs)
     _check_aligned(vs)
-    m_free = m_free or {}
     scale = max(float(np.linalg.norm(v.data)) for v in vs)
     ws: list[Ensemble] = []
     k_rows: list[tuple[np.ndarray, ...]] = []
     zero_indices: list[int] = []
-    eye = np.eye(vs[0].m)
     for i, v in enumerate(vs):
         data = v.data.copy()
         row: list[np.ndarray] = []
         for l in range(i):
-            wl = ws[l]
-            eww = cov(wl, wl)
-            eww_pinv = pseudo_inverse(eww)
-            k = cov(v, wl) @ eww_pinv
-            m_il = m_free.get((i, l))
-            if m_il is not None:
-                k = k + np.asarray(m_il, dtype=float) @ (eye - eww @ eww_pinv)
+            k = cov(v, ws[l]) @ pseudo_inverse(cov(ws[l], ws[l]))
             row.append(k)
-            data -= k @ wl.data
+            data -= k @ ws[l].data
         if float(np.linalg.norm(data)) <= ZERO_W_RTOL * scale:
             data = np.zeros_like(data)
             zero_indices.append(i)
@@ -126,7 +118,7 @@ def orthogonalize(vs, m_free: dict[tuple[int, int], np.ndarray] | None = None) -
 
 
 def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
-    """The blocks of ``orthogonalize``'s cascade (free matrices zero) from a Gram matrix.
+    """The blocks of ``orthogonalize``'s cascade from a Gram matrix.
 
     ``g`` holds the blocks G_ik = C(u_i, v_k) of the inputs ``vs`` and then
     the extra rows ``xs``, U = [V; X], against the inputs; it is formed when

@@ -2,8 +2,9 @@
 
 Two interchangeable ensemble formats:
 
-* CSV: one row per component, ``s`` comma-separated values per row, with an
-  optional leading header line ``# m=<m> s=<s>``.
+* CSV: one row per component, ``s`` comma-separated values per row, after a
+  leading header line ``# m=<m> s=<s>``; the writer always writes it, the
+  reader also accepts files without it.
 * Raw binary: magic ``IFLT``, then three little-endian u32 (version=1, m, s),
   then ``m*s`` little-endian float64 in row-major order.
 
@@ -41,12 +42,9 @@ def _ingest(arr: np.ndarray, center_data: bool) -> Ensemble:
         return center(Ensemble(arr))
 
 
-def write_ensemble_csv(path, e: Ensemble, header: bool = True) -> None:
-    lines = []
-    if header:
-        lines.append(f"# m={e.m} s={e.s}")
-    for row in e.data.tolist():
-        lines.append(",".join(map(repr, row)))
+def write_ensemble_csv(path, e: Ensemble) -> None:
+    """Write the header line, then one row of ``repr`` values per component."""
+    lines = [f"# m={e.m} s={e.s}"] + [",".join(map(repr, row)) for row in e.data.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

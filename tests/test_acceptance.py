@@ -18,8 +18,8 @@ from iflt import (
     SignalSequence,
     TrainingSet,
     apply_filter,
+    cascade_map,
     empirical_error,
-    energy,
     error_upper_bound,
     est_cov,
     fit,
@@ -48,6 +48,7 @@ from iflt.bench import (
     report_csv_text,
 )
 from iflt.linalg import penrose_residuals
+from iflt.ortho import forward_substitute
 from conftest import make_ensemble
 
 
@@ -85,9 +86,12 @@ def test_criterion_01_pseudo_inverse_identities():
 
 
 def test_criterion_02_cascade_orthogonality():
+    # both cascades: orthogonalize in data space, and the outputs
+    # forward_substitute forms from cascade_map's blocks (zero-snapped ones
+    # zero, as input_cascade gives them)
     rng = np.random.default_rng(202)
     t0 = time.perf_counter()
-    worst_rel = 0.0
+    worst_rel = worst_gram_rel = 0.0
     p_cycle = (2, 3, 5)
     for trial in range(50):
         p = p_cycle[trial % 3]
@@ -97,10 +101,17 @@ def test_criterion_02_cascade_orthogonality():
         res = orthogonalize(vs)
         scale = max(np.linalg.norm(est_cov(v, v).matrix) for v in vs)
         worst_rel = max(worst_rel, res.max_cross_residual / scale)
+        cmap = cascade_map(vs)
+        ws = [np.zeros_like(w) if k in cmap.zero_indices else w
+              for k, w in enumerate(forward_substitute(vs, cmap.k_mats, cmap.zero_indices))]
+        cross = max(np.linalg.norm(ws[i] @ ws[j].T) / s
+                    for i in range(p) for j in range(i + 1, p))
+        worst_gram_rel = max(worst_gram_rel, cross / scale)
     elapsed = time.perf_counter() - t0
     _report(2, "deflation cascade orthogonality on 50 random sets",
-            worst_rel <= 1e-8 and elapsed < 10.0,
-            f"(max relative residual {worst_rel:.2e}, {elapsed:.2f}s)")
+            worst_rel <= 1e-8 and worst_gram_rel <= 1e-8 and elapsed < 10.0,
+            f"(max relative residual {worst_rel:.2e}, from cascade_map "
+            f"{worst_gram_rel:.2e}, {elapsed:.2f}s)")
 
 
 def test_criterion_03_node_matching_residuals():
@@ -193,7 +204,7 @@ def test_criterion_07_error_bound_sanity():
             xw_covs=tuple(cov(train.s_x[j], ws[j]) for j in range(3)),
             x_energy=constants["x_energy"],
         )
-        bounds.append(error_upper_bound(base, inputs, [energy(w) for w in ws]))
+        bounds.append(error_upper_bound(base, inputs))
     monotone = all(b <= a + 1e-12 for a, b in zip(bounds, bounds[1:]))
     reaches_base = abs(bounds[-1] - base) <= 1e-12 * max(base, 1.0)
     ok = dominates and monotone and reaches_base

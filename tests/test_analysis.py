@@ -171,7 +171,7 @@ def test_bound_reduces_to_base_error_at_zero_radii(rng):
         r_hat=inputs.r_hat, w_covs=inputs.w_covs, xw_covs=inputs.xw_covs,
         x_energy=inputs.x_energy,
     )
-    assert error_upper_bound(1.25, zeroed, [energy(w) for w in ws]) == 1.25
+    assert error_upper_bound(1.25, zeroed) == 1.25
 
 
 def test_bound_free_term_vanishes_at_full_rank(rng):
@@ -182,7 +182,7 @@ def test_bound_free_term_vanishes_at_full_rank(rng):
         x_energy=inputs.x_energy, a_mats=tuple(np.eye(3) for _ in ws),
     )
     # full-rank covariances annihilate the free-term leakage
-    assert error_upper_bound(1.25, with_a, [energy(w) for w in ws]) == pytest.approx(
+    assert error_upper_bound(1.25, with_a) == pytest.approx(
         1.25, abs=1e-12
     )
 
@@ -202,7 +202,7 @@ def test_bound_term_by_term_oracle(rng):
     e_1 = float(np.sum(pseudo_inverse(half) ** 2))
     d_1 = 1.3 * 0.9 * 2.0 * (5.0 * e_1 + float(np.sum(exw**2))) * float(np.sum(half**2))
     expected = 0.5 + 0.7 * w_energy * e_1 + 0.11 * d_1
-    got = error_upper_bound(0.5, inputs, [w_energy])
+    got = error_upper_bound(0.5, inputs)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got >= 0.5
 
@@ -215,9 +215,12 @@ def test_bound_validates_inputs(rng):
             w_covs=inputs.w_covs[:1], xw_covs=inputs.xw_covs[:1], x_energy=1.0,
         )
     with pytest.raises(InvalidInput):
-        error_upper_bound(-1.0, inputs, [energy(w) for w in ws])
-    with pytest.raises(InvalidInput):
-        error_upper_bound(1.0, inputs, [1.0])  # wrong arity
+        error_upper_bound(-1.0, inputs)
+    with pytest.raises(InvalidInput):  # one covariance pair for two terms
+        ErrorBoundInputs(
+            eps_x=0.3, eps_y=0.2, lambda_e=1.0, lambda_q=1.0, r_hat=(1.0, 1.0),
+            w_covs=inputs.w_covs[:1], xw_covs=inputs.xw_covs[:1], x_energy=1.0,
+        )
 
 
 def collinear_pool():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iflt import InvalidInput, NotPSD, SpectralTolerance
+from iflt import InvalidInput, NotPSD
 from iflt.linalg import frob_norm_sq, penrose_residuals, pseudo_inverse, sym_sqrt
 
 
@@ -59,21 +59,6 @@ def test_pinv_involution_full_rank(rng):
 def test_pinv_rejects_nonfinite():
     with pytest.raises(InvalidInput):
         pseudo_inverse(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-
-def test_spectral_tolerance_validation():
-    with pytest.raises(InvalidInput):
-        SpectralTolerance(0.0)
-    with pytest.raises(InvalidInput):
-        SpectralTolerance(-1e-3)
-
-
-def test_spectral_tolerance_controls_rank():
-    a = np.diag([1.0, 1e-6])
-    loose = pseudo_inverse(a, SpectralTolerance(1e-3))
-    assert np.allclose(loose, np.diag([1.0, 0.0]), atol=1e-12)
-    tight = pseudo_inverse(a, SpectralTolerance(1e-9))
-    assert np.allclose(tight, np.diag([1.0, 1e6]), rtol=1e-10)
 
 
 def test_sym_sqrt_identity():

@@ -63,25 +63,6 @@ def test_cascade_orthogonality_degenerate_sizes(rng):
         assert np.all(res.ws[i].data == 0.0)
 
 
-def test_free_matrices_preserve_orthogonality(rng):
-    vs = [make_ensemble(rng, 3, 14) for _ in range(3)]
-    m_free = {
-        (1, 0): rng.normal(size=(3, 3)),
-        (2, 0): rng.normal(size=(3, 3)),
-        (2, 1): rng.normal(size=(3, 3)),
-    }
-    res = orthogonalize(vs, m_free=m_free)
-    assert res.max_cross_residual <= 1e-8 * cov_scale(vs)
-
-
-def test_free_matrix_noop_at_full_rank(rng):
-    # with a full-rank output covariance the free term is annihilated
-    vs = [make_ensemble(rng, 2, 30) for _ in range(2)]
-    plain = orthogonalize(vs)
-    nudged = orthogonalize(vs, m_free={(1, 0): np.full((2, 2), 7.0)})
-    assert np.allclose(plain.k_mats[1][0], nudged.k_mats[1][0], atol=1e-10)
-
-
 def test_span_preservation(rng):
     vs = [make_ensemble(rng, 2, 40) for _ in range(3)]
     res = orthogonalize(vs)

@@ -38,7 +38,8 @@ def test_tracer_installs_on_src_and_sees_the_eval_path(tmp_path, capsys):
         assert cli_main(["eval", "--config", str(cfg), "--refs", refs, "--obs", obs,
                          "--model", str(model), "--baselines",
                          "--out", str(tmp_path / "eval")]) == 0
-        assert cli_main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        assert cli_main(["bench", "--config", str(cfg), "--probe-constants",
+                         "--out", str(tmp_path / "b")]) == 0
     finally:
         tracer.uninstall()
     assert (cli._evaluate, bench.evaluate_interp, bench.run_benchmark) == originals
@@ -48,3 +49,7 @@ def test_tracer_installs_on_src_and_sees_the_eval_path(tmp_path, capsys):
     for name in ("bench.evaluate_interp", "bench.evaluate_wiener", "bench.evaluate_rls"):
         assert calls[f"{name}.calls"] == 2, name
     assert calls["analysis.node_error_decomposition.calls"] == 4
+    # the bound path: one probe and one check per model, one bound per node
+    assert calls["bench.probe_bound_constants.calls"] == 1
+    assert calls["bench.node_bound_checks.calls"] == 1
+    assert calls["analysis.error_upper_bound.calls"] == 2
