@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    ORTHO_RTOL,
     ErrorBoundInputs,
     captured_energy,
     empirical_error,
@@ -385,15 +386,21 @@ def node_bound_checks(
     The optimal error and the bound's covariances D_j = C(w_j, w_j) and
     C(x_j, w_j) are read from node k's cascade map, the one
     ``node_error_decomposition`` builds; only the realized error is formed in
-    data space. ``scale`` inflates the probed Lipschitz/gain constants (they
-    are lower bounds on the true ones).
+    data space. An optimum below zero by at most ``ORTHO_RTOL`` times the
+    node reference's energy is rounding (the reference lies in the span of the
+    outputs) and counts as zero; a larger negative one still raises.
+    ``scale`` inflates the probed Lipschitz/gain constants (they are lower
+    bounds on the true ones).
     """
     ctx = FilterContext(ys)
     out = []
     for k, pos in enumerate(train.s_y_indices):
         _, cmap = _node_cascade(train, model.q_specs, k, train.s_x)
         measured = empirical_error(xs[pos], apply_filter(model, ctx, pos))
-        base = energy(train.s_x[k]) - captured_energy(cmap, k)
+        x_energy = energy(train.s_x[k])
+        base = x_energy - captured_energy(cmap, k)
+        if -ORTHO_RTOL * x_energy <= base < 0.0:
+            base = 0.0  # x_k in the span of the outputs, up to rounding
         inputs = ErrorBoundInputs(
             eps_x=constants["eps_x"],
             eps_y=constants["eps_y"],

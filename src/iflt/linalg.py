@@ -36,6 +36,12 @@ def pseudo_inverse(a) -> np.ndarray:
     Singular values at or below the smallest normal float are treated as zero
     too: the reciprocal of a subnormal one overflows or nearly so, and it
     carries few significant digits. This cutoff is the package's one rank rule.
+
+    The rule still defines D^+ where ``ortho.cascade_map`` takes a stage's
+    covariance D through its Cholesky factor instead: it does so only when the
+    trace of D^-1 certifies every eigenvalue above ``GRAM_RECHECK_RTOL`` times
+    the largest input energy, which bounds the condition number of D by 1e5.
+    This cutoff then keeps every direction, so D^-1 is D^+ up to rounding.
     """
     arr = as_matrix(a)
     if arr.size == 0:

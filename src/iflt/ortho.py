@@ -19,8 +19,12 @@ snapped to exact zeros so that downstream pseudo-inverses of their covariance
 are zero matrices rather than noise amplifiers.
 
 Every library path reads the cascade from ``cascade_map``, which computes it
-from the Gram matrix of the inputs. ``orthogonalize`` runs it in data space;
-it is kept as the reference for the tests and the benchmark's tracer.
+from the Gram matrix of the inputs. There each C(w_l, w_l)^+ is a Cholesky
+inverse whose trace certifies every eigenvalue well above the Gram matrix's
+rounding; the SVD ``pseudo_inverse`` runs only on the stages that fail the
+certificate, which are re-formed in data space. ``orthogonalize`` runs the
+whole cascade in data space; it is kept as the reference for the tests and
+the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -30,13 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInput
-from .linalg import pseudo_inverse
+from .linalg import SMALLEST_NORMAL, pseudo_inverse
 from .signals import Ensemble, cov
 
 ZERO_W_RTOL = 1e-12
 # A covariance read from the Gram matrix is good to about eps E / lambda in a
-# direction of energy lambda (E the largest input energy); stages with a
-# direction below this share of E are re-checked in data space.
+# direction of energy lambda (E the largest input energy); stages without a
+# certificate that every direction is above this share of E are re-checked in
+# data space.
 GRAM_RECHECK_RTOL = 1e-5
 
 
@@ -133,11 +138,15 @@ def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
     pseudo-inverse per stage, and no pass over the data. An extra row x is
     one more block row, so C(x, w_k) D_k^+ is the best coefficient of w_k for x.
 
-    G carries rounding of about eps times the largest input energy E, so a
-    stage with energy tr D_k, or a direction of D_k, at most
-    ``GRAM_RECHECK_RTOL`` E is formed in data space instead, by forward
-    substitution: snapped to zero by the ``ZERO_W_RTOL`` rule of
-    ``orthogonalize``, or else with its covariances taken from the data.
+    G carries rounding of about eps times the largest input energy E. A stage
+    that rows below read takes D_k^+ = D_k^-1 from its Cholesky factor when
+    floor tr D_k^-1 < 1 with floor = ``GRAM_RECHECK_RTOL`` E, which certifies
+    every eigenvalue of D_k above the floor. A stage with tr D_k <= floor, or
+    without that certificate (the factorization fails, the trace is too large
+    or not finite, or the floor is subnormal), is formed in data space
+    instead, by forward substitution: snapped to zero by the ``ZERO_W_RTOL``
+    rule of ``orthogonalize``, or else with its covariances taken from the
+    data and D_k^+ from the SVD ``pseudo_inverse``.
     """
     vs, xs = tuple(vs), tuple(xs)
     _check_aligned(vs)
@@ -166,9 +175,8 @@ def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
         cross = g[done:, cols[k]] - h[done:, :done] @ k_full[cols[k], :done].T
         d = 0.5 * (cross[:n] + cross[:n].T)
         below = len(cross) > n  # rows that read D_k^+
-        d_pinv = pseudo_inverse(d) if below and np.trace(d) > floor else None
-        # tr D_k^+ >= 1 / (smallest eigenvalue D_k^+ keeps)
-        if np.trace(d) <= floor or (d_pinv is not None and floor * np.trace(d_pinv) >= 1.0):
+        d_pinv = _certified_inverse(d, floor) if below and np.trace(d) > floor else None
+        if np.trace(d) <= floor or (below and d_pinv is None):
             forward_substitute(vs, k_mats, zero_indices, ws, k + 1)
             if float(np.linalg.norm(ws[k])) <= ZERO_W_RTOL * scale:
                 zero_indices.append(k)
@@ -188,6 +196,26 @@ def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
                                     for j in range(p)),
                       tuple(tuple(x[:, c] for c in cols) for x in x_rows),
                       tuple(d_mats), tuple(d_pinvs), tuple(zero_indices))
+
+
+def _certified_inverse(d: np.ndarray, floor: float) -> np.ndarray | None:
+    """D^-1 = L^-T L^-1 from the Cholesky factor D = L L^T, if floor tr D^-1 < 1.
+
+    As tr D^-1 >= 1 / lambda_min(D), the test certifies every eigenvalue of D
+    above ``floor``, so ``pseudo_inverse``'s cutoff keeps every direction and
+    D^+ = D^-1. A factorization that fails, a trace that is too large or not
+    finite, and a floor below the normal range (subnormal data) give None.
+    """
+    if floor < SMALLEST_NORMAL:
+        return None
+    try:
+        l_inv = np.linalg.inv(np.linalg.cholesky(d))
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_inv = l_inv.T @ l_inv
+        certified = floor * np.trace(d_inv) < 1.0  # false for inf and NaN
+    return d_inv if certified else None
 
 
 def forward_substitute(vs, k_mats, zero_indices, ws=None, upto=None) -> list[np.ndarray]:

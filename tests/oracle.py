@@ -1,11 +1,13 @@
-"""Data-space reference for ``fit`` and ``node_error_decomposition``.
+"""Data-space and extended-precision references for ``fit``, ``apply_filter``
+and ``node_error_decomposition``.
 
 Every training node runs ``orthogonalize``, which deflates the transformed
 observations in data space stage by stage, as the cascade is defined; the
 coefficients, the matching residuals and the node error split are then read
 from the data-space outputs with ``cov``. The library computes all of these
 from the Gram recursion of ``ortho.cascade_map``; the property tests compare
-the two.
+the two. ``fit_exact`` and ``apply_exact`` run the cascade in extended
+precision, the truth on inputs where float64 cannot settle the comparison.
 """
 
 import numpy as np
@@ -106,6 +108,27 @@ def _exact_cascade(vs, zero_indices):
         ws.append(w)
         k_rows.append(row)
     return ws, d_invs, k_rows
+
+
+def apply_exact(model, ys, i, fixed_r) -> np.ndarray:
+    """``apply_filter``'s estimate in extended precision, re-centered.
+
+    The deflation blocks are the stored ``r_mats`` (``fixed_r``) or those of
+    the input's own cascade, with the stages ``orthogonalize`` snaps zero.
+    """
+    vs = [apply_q(q, ys, i) for q in model.q_specs]
+    data = [v.data.astype(np.longdouble) for v in vs]
+    if fixed_r:
+        ws = []
+        for v, row in zip(data, model.r_mats):
+            w = v.copy()
+            for k, w_l in zip(row, ws):
+                w -= k.astype(np.longdouble) @ w_l
+            ws.append(w)
+    else:
+        ws = _exact_cascade(data, orthogonalize(vs).zero_indices)[0]
+    acc = sum(t.astype(np.longdouble) @ w for t, w in zip(model.t_mats, ws))
+    return acc - acc.mean(axis=1, keepdims=True)
 
 
 def fit_exact(train, q_specs, a_mats, zero_indices) -> dict:

@@ -101,6 +101,21 @@ def test_optimal_error_rejects_non_orthogonal(rng):
         optimal_error(make_ensemble(rng, 3, 20), [w, near])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_optimal_error_checks_orthogonality_at_large_scales(rng):
+    # covariances near 1e200, whose norms overflow unless the data is scaled
+    def big(e):
+        return Ensemble(1e100 * e.data, centered=True)
+
+    w, x = make_ensemble(rng, 3, 20), make_ensemble(rng, 3, 20)
+    near = Ensemble(w.data + 0.1 * make_ensemble(rng, 3, 20).data, centered=True)
+    with pytest.raises(InvalidInput):
+        optimal_error(big(x), [big(w), big(near)])
+    ws = orthogonalize([w, make_ensemble(rng, 3, 20)]).ws
+    assert optimal_error(big(x), [big(v) for v in ws]) == pytest.approx(
+        1e200 * optimal_error(x, ws), rel=1e-10)
+
+
 def bench_training(rng, p=3, seed=7):
     cfg = ExperimentConfig(n_signals=24, m=4, n=4, s=96, p_values=(p,),
                            s_indices=(5, 12, 19, 8, 16), seed=seed)

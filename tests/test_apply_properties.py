@@ -4,9 +4,15 @@
 built from their Gram matrix (or from the frozen deflation matrices). The
 reference below deflates in data space, stage by stage, as the cascade is
 defined. Both must agree to 1e-10 relative on random inputs, on inputs where
-one transformed observation is a linear image of earlier ones (exactly, or up
-to a perturbation too small for the Gram matrix to resolve), at lag-clamped
-positions (duplicated inputs) and on all-zero observations.
+one transformed observation is an exact linear image of earlier ones, at
+lag-clamped positions (duplicated inputs) and on all-zero observations.
+
+On the near-deficient class that image is perturbed by 1e-6..10^-4.5 of its
+norm, so one live stage holds 1e-12..1e-9 of its input's energy. There the
+data-space reference itself misses the extended-precision estimate of
+``oracle.apply_exact`` by more than 1e-10 in a few percent of draws, so the
+library is measured against those values too and must miss no more often,
+and by no more, than the reference does.
 """
 
 import numpy as np
@@ -23,9 +29,11 @@ from iflt import (
     orthogonalize,
 )
 from iflt.bench import lag_specs
+from oracle import apply_exact
 
 REL_TOL = 1e-10
 KINDS = ("random", "rank_deficient", "near_deficient", "clamped", "zero")
+WELL_CONDITIONED = tuple(k for k in KINDS if k != "near_deficient")
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
                              database=None)
 
@@ -89,9 +97,33 @@ def filter_cases(draw, kinds=KINDS):
 
 
 @PROPERTY_SETTINGS
-@given(case=filter_cases(), fixed_r=st.booleans())
+@given(case=filter_cases(WELL_CONDITIONED), fixed_r=st.booleans())
 def test_apply_matches_data_space_reference(case, fixed_r):
     model, ys, i = case
     got = apply_filter(model, FilterContext(ys), i, fixed_r=fixed_r).data
     want = reference_apply(model, ys, i, fixed_r)
     assert np.linalg.norm(got - want) <= REL_TOL * np.linalg.norm(want)
+
+
+def test_near_deficient_apply_is_as_accurate_as_the_data_space_reference():
+    # relative distances of the library's and the reference's estimates to
+    # the extended-precision one
+    errors = {"library": [], "reference": []}
+
+    @PROPERTY_SETTINGS
+    @given(case=filter_cases(("near_deficient",)), fixed_r=st.booleans())
+    def collect(case, fixed_r):
+        model, ys, i = case
+        exact = apply_exact(model, ys, i, fixed_r)
+        scale = float(np.sqrt(np.sum(exact * exact)))
+        for name, got in (
+            ("library", apply_filter(model, FilterContext(ys), i, fixed_r=fixed_r).data),
+            ("reference", reference_apply(model, ys, i, fixed_r)),
+        ):
+            errors[name].append(float(np.sqrt(np.sum((got - exact) ** 2))) / scale)
+
+    collect()
+    library, reference = (np.array(errors[name]) for name in ("library", "reference"))
+    assert np.count_nonzero(reference > REL_TOL) > 0  # the class is below float64's reach
+    assert np.count_nonzero(library > REL_TOL) <= np.count_nonzero(reference > REL_TOL)
+    assert library.max() <= reference.max()

@@ -321,6 +321,20 @@ def test_bench_with_subnormal_covariances_completes(tmp_path, capsys):
         == methods["rls"]["mean_err_e"] > 0.0
 
 
+def test_bench_probes_constants_when_observations_equal_the_references(tmp_path, capsys):
+    # every reference lies in the span of its node's cascade outputs, so the
+    # optimum is zero up to rounding, which can leave it slightly negative
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"low": 1.0, "high": 1.0}}))
+    out = tmp_path / "bench"
+    assert cli_main(["bench", "--config", str(cfg), "--probe-constants",
+                     "--out", str(out)]) == 0
+    diagnostics = json.loads((out / "summary.json").read_text())["diagnostics"]
+    for method in ("interp_p3", "interp_p5"):
+        checks = diagnostics[method]["node_bound_checks"]
+        assert checks and all(c["bound"] >= c["optimal"] >= 0.0 for c in checks)
+
+
 FIT_CFG = {**SMALL_CFG, "p_values": [5], "s_indices": [3, 5, 7, 9, 11]}
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from iflt import (Ensemble, InvalidInput, TrainingSet, apply_q, cascade_map, center,
-                  cross_cov_residual, est_cov, fit, orthogonalize)
+from iflt import (Ensemble, FilterContext, FilterModel, InvalidInput, SignalSequence,
+                  TrainingSet, apply_filter, apply_q, cascade_map, center,
+                  cross_cov_residual, est_cov, fit, orthogonalize, pseudo_inverse)
+from iflt import ortho
 from iflt.bench import ExperimentConfig, gen_observations, gen_reference_sequence, lag_specs
+from iflt.signals import cov
 from conftest import make_ensemble
 
 
@@ -145,3 +148,72 @@ def test_cascade_map_rejects_misaligned(rng):
         cascade_map([make_ensemble(rng, 3, 10), make_ensemble(rng, 2, 10)])
     with pytest.raises(InvalidInput):
         cascade_map([])
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count the SVD pseudo-inverses ``cascade_map`` takes."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return pseudo_inverse(a)
+
+    monkeypatch.setattr(ortho, "pseudo_inverse", counted)
+    return calls
+
+
+def test_certified_inverse_matches_the_pseudo_inverse(rng, svd_calls):
+    vs = [make_ensemble(rng, 4, 60) for _ in range(4)]
+    cmap = cascade_map(vs, xs=(make_ensemble(rng, 2, 60),))
+    assert not svd_calls
+    for d, d_inv in zip(cmap.d_mats, cmap.d_pinvs, strict=True):
+        want = pseudo_inverse(d)
+        assert np.linalg.norm(d_inv - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_stage_with_a_direction_below_the_floor_is_rechecked(rng, svd_calls):
+    # w_1 keeps a full-energy row and a row with 1e-8 of v_0's energy: its
+    # trace is above GRAM_RECHECK_RTOL E, its smallest eigenvalue below
+    v0 = make_ensemble(rng, 2, 60)
+    tiny = 1e-4 * make_ensemble(rng, 1, 60).data
+    v1 = center(Ensemble(np.vstack([rng.normal(size=(1, 60)), v0.data[:1] + tiny])))
+    cmap = cascade_map([v0, v1], xs=(make_ensemble(rng, 2, 60),))
+    assert len(svd_calls) == 1 and not cmap.zero_indices
+    w1 = orthogonalize([v0, v1]).ws[1]
+    want = pseudo_inverse(cov(w1, w1))
+    assert np.linalg.norm(cmap.d_pinvs[1] - want) <= 1e-6 * np.linalg.norm(want)
+
+
+def test_indefinite_or_singular_gram_block_is_rechecked(rng, svd_calls):
+    v0, v1 = make_ensemble(rng, 2, 60), make_ensemble(rng, 2, 60)
+    g = np.vstack([v0.data, v1.data]) @ np.vstack([v0.data, v1.data]).T / 60
+    g[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]  # eigenvalues -1 and 3
+    cmap = cascade_map([v0, v1], g)
+    assert len(svd_calls) == 1
+    assert np.array_equal(cmap.d_mats[0], cov(v0, v0))
+    # two equal rows: D_0 is singular and D_0^+ keeps one direction
+    twin = Ensemble(np.vstack([v0.data[:1], v0.data[:1]]), centered=True)
+    cmap = cascade_map([twin, v1])
+    assert len(svd_calls) == 2
+    want = pseudo_inverse(cov(twin, twin))
+    assert np.linalg.norm(cmap.d_pinvs[0] - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-155, 1e-150])
+def test_subnormal_scale_data_raises_no_warning(rng, scale):
+    vs = [make_ensemble(rng, 3, 30, scale=scale) for _ in range(3)]
+    cmap = cascade_map(vs, xs=(make_ensemble(rng, 2, 30, scale=scale),))
+    assert all(np.all(np.isfinite(d_pinv)) for d_pinv in cmap.d_pinvs)
+
+
+def test_recomputed_apply_at_a_well_conditioned_position_takes_no_svd(rng, svd_calls):
+    p = 5
+    ys = SignalSequence(tuple(make_ensemble(rng, 4, 80) for _ in range(p + 3)))
+    model = FilterModel(p=p, q_specs=lag_specs(p),
+                        t_mats=[rng.normal(size=(3, 4)) for _ in range(p)])
+    ctx = FilterContext(ys)
+    for i in range(p - 1, len(ys)):
+        apply_filter(model, ctx, i)
+    assert not svd_calls
