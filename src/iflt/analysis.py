@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import InvalidInput, ParseError
 from .interp import FilterModel, _coefficient, _estimate, _node_cascade
-from .linalg import frob_norm_sq, pseudo_inverse, root_pinv_norm_sq
+from .linalg import frob_norm, frob_norm_sq, pseudo_inverse, root_pinv_norm_sq
 from .ortho import CascadeMap, cross_cov_residual
 from .signals import Ensemble, TrainingSet, apply_q, cov, energy
 
@@ -98,12 +98,7 @@ def optimal_error(x: Ensemble, ws) -> float:
     if not ws:
         raise InvalidInput("need at least one ensemble")
     covs = [cov(w, w) for w in ws]
-    # the check reads outputs above 1 divided by the power of two above their
-    # largest entry, so that no norm overflows (an exact, scale-free change)
-    shift = max(0, int(np.frexp(max(np.abs(w.data).max(initial=0.0) for w in ws))[1]))
-    checked = [Ensemble(np.ldexp(w.data, -shift), centered=True) for w in ws] if shift else ws
-    scale = max(float(np.linalg.norm(cov(w, w))) for w in checked)
-    if cross_cov_residual(checked) > ORTHO_RTOL * scale:
+    if cross_cov_residual(ws) > ORTHO_RTOL * max(frob_norm(c) for c in covs):
         raise InvalidInput("ensembles are not mutually orthogonal within tolerance")
     return energy(x) - sum(root_pinv_norm_sq(cov(x, w), pseudo_inverse(c))
                            for w, c in zip(ws, covs))

@@ -33,7 +33,8 @@ back-substitution away from the inputs, x_hat = [T_1 ... T_p] W = Z V with
 Z L = [T_1 ... T_p]. ``apply_filter`` takes K from the Gram blocks the
 ``FilterContext`` caches, or frozen from fit. ``fit`` and the diagnostics add
 the references as extra rows of the recursion, so T_j = C(x_j, w_jj) D_jj^+
-with no pass over the data. ``ortho.orthogonalize`` is the data-space reference.
+with no pass over the data. ``input_cascade`` forms the outputs themselves,
+for the diagnostics that need them, with ``ortho.cascade_outputs``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvalidInput, ParseError
-from .ortho import CascadeMap, cascade_map, forward_substitute
+from .ortho import CascadeMap, cascade_map, cascade_outputs
 from .signals import Ensemble, QOperatorSpec, SignalSequence, TrainingSet, apply_q
 
 MODEL_VERSION = 1
@@ -232,11 +233,7 @@ def _transformed_inputs(model: FilterModel, ctx: FilterContext, i: int) -> list[
 def input_cascade(model: FilterModel, ctx: FilterContext, i: int) -> list[Ensemble]:
     """Transformed observations at position ``i``, passed through the cascade."""
     vs = _transformed_inputs(model, ctx, i)
-    cmap = cascade_map(vs, ctx._gram_matrix(model.q_specs, i, vs))
-    # re-centered as orthogonalize re-centers them; zero-snapped outputs are zero
-    return [Ensemble(np.zeros_like(w) if k in cmap.zero_indices
-                     else w - w.mean(axis=1, keepdims=True), centered=True)
-            for k, w in enumerate(forward_substitute(vs, cmap.k_mats, cmap.zero_indices))]
+    return list(cascade_outputs(vs, cascade_map(vs, ctx._gram_matrix(model.q_specs, i, vs))))
 
 
 def _estimate(t_mats, k_mats, vs, zero_indices=()) -> np.ndarray:

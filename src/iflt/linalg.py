@@ -91,6 +91,15 @@ def frob_norm_sq(a) -> float:
     return float(np.sum(arr * arr))
 
 
+def frob_norm(a) -> float:
+    """Frobenius norm that does not overflow where the squares would: a matrix
+    with an entry of 1 or more is divided by the power of two above its largest
+    entry first and the norm multiplied back (exact). Nothing is scaled up."""
+    arr = np.asarray(a, dtype=float)
+    shift = max(0, int(np.frexp(np.abs(arr).max(initial=0.0))[1]))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(arr, -shift)), shift))
+
+
 def root_pinv_norm_sq(a: np.ndarray, d_pinv: np.ndarray) -> float:
     """``||A (D^{1/2})^+||_F^2`` for a symmetric PSD D, read as tr(A D^+ A^T).
 

@@ -18,13 +18,12 @@ zero ensemble; residual norms at or below ``1e-12`` times the input scale are
 snapped to exact zeros so that downstream pseudo-inverses of their covariance
 are zero matrices rather than noise amplifiers.
 
-Every library path reads the cascade from ``cascade_map``, which computes it
-from the Gram matrix of the inputs. There each C(w_l, w_l)^+ is a Cholesky
-inverse whose trace certifies every eigenvalue well above the Gram matrix's
-rounding; the SVD ``pseudo_inverse`` runs only on the stages that fail the
-certificate, which are re-formed in data space. ``orthogonalize`` runs the
-whole cascade in data space; it is kept as the reference for the tests and
-the benchmark's tracer.
+``cascade_map`` is the one implementation: it computes the cascade from the
+Gram matrix of the inputs. There each C(w_l, w_l)^+ is a Cholesky inverse
+whose trace certifies every eigenvalue well above the Gram matrix's rounding;
+the SVD ``pseudo_inverse`` runs only on the stages that fail the certificate,
+which are re-formed in data space. ``cascade_outputs`` forms the output
+ensembles from its blocks, and ``orthogonalize`` returns both.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInput
-from .linalg import SMALLEST_NORMAL, pseudo_inverse
+from .linalg import SMALLEST_NORMAL, frob_norm, pseudo_inverse
 from .signals import Ensemble, cov
 
 ZERO_W_RTOL = 1e-12
@@ -47,8 +46,9 @@ GRAM_RECHECK_RTOL = 1e-5
 
 @dataclass(frozen=True)
 class OrthoResult:
-    """Cascade output: orthogonal ensembles, the deflation matrices (``k_mats[i]``
-    deflates input ``i`` against outputs ``0..i-1``) and the zero-snapped outputs."""
+    """``orthogonalize``'s result: the ``cascade_outputs``, the deflation matrices
+    (``k_mats[i]`` deflates input ``i`` against outputs ``0..i-1``), the largest
+    cross-covariance norm over pairs of outputs, and the zero-snapped outputs."""
 
     ws: tuple[Ensemble, ...]
     k_mats: tuple[tuple[np.ndarray, ...], ...]
@@ -58,9 +58,9 @@ class OrthoResult:
 
 @dataclass(frozen=True)
 class CascadeMap:
-    """The cascade of ``orthogonalize`` as Gram blocks.
+    """The deflation cascade as Gram blocks.
 
-    ``k_mats[k]`` holds K_k0 .. K_k,k-1 as ``OrthoResult.k_mats`` does: with L
+    ``k_mats[k]`` holds K_k0 .. K_k,k-1, the blocks K_il of the cascade: with L
     their unit block-lower matrix, V = L W for the stacked inputs V and
     outputs W. ``cross[j][k]`` is C(v_j, w_k) (j >= k), ``x_cross[r][k]`` is
     C(x_r, w_k), ``d_mats[k]`` is D_k = C(w_k, w_k) and ``d_pinvs[k]`` D_k^+
@@ -90,40 +90,16 @@ def _check_aligned(vs, s: int | None = None) -> None:
 
 
 def orthogonalize(vs) -> OrthoResult:
-    """Run the deflation cascade over realization-aligned centered ensembles in
-    data space."""
+    """Run the deflation cascade over realization-aligned centered ensembles:
+    ``cascade_map``'s blocks and the outputs ``cascade_outputs`` forms from them."""
     vs = tuple(vs)
-    _check_aligned(vs)
-    scale = max(float(np.linalg.norm(v.data)) for v in vs)
-    ws: list[Ensemble] = []
-    k_rows: list[tuple[np.ndarray, ...]] = []
-    zero_indices: list[int] = []
-    for i, v in enumerate(vs):
-        data = v.data.copy()
-        row: list[np.ndarray] = []
-        for l in range(i):
-            k = cov(v, ws[l]) @ pseudo_inverse(cov(ws[l], ws[l]))
-            row.append(k)
-            data -= k @ ws[l].data
-        if float(np.linalg.norm(data)) <= ZERO_W_RTOL * scale:
-            data = np.zeros_like(data)
-            zero_indices.append(i)
-        elif i > 0:
-            # deflation of centered data is centered in exact arithmetic;
-            # restore it so tiny residuals do not fail the centered claim
-            data -= data.mean(axis=1, keepdims=True)
-        ws.append(Ensemble(data, centered=True))
-        k_rows.append(tuple(row))
-    return OrthoResult(
-        ws=tuple(ws),
-        k_mats=tuple(k_rows),
-        max_cross_residual=cross_cov_residual(ws),
-        zero_indices=tuple(zero_indices),
-    )
+    cmap = cascade_map(vs)
+    ws = cascade_outputs(vs, cmap)
+    return OrthoResult(ws, cmap.k_mats, cross_cov_residual(ws), cmap.zero_indices)
 
 
 def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
-    """The blocks of ``orthogonalize``'s cascade from a Gram matrix.
+    """The blocks of the deflation cascade from a Gram matrix.
 
     ``g`` holds the blocks G_ik = C(u_i, v_k) of the inputs ``vs`` and then
     the extra rows ``xs``, U = [V; X], against the inputs; it is formed when
@@ -144,9 +120,9 @@ def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
     every eigenvalue of D_k above the floor. A stage with tr D_k <= floor, or
     without that certificate (the factorization fails, the trace is too large
     or not finite, or the floor is subnormal), is formed in data space
-    instead, by forward substitution: snapped to zero by the ``ZERO_W_RTOL``
-    rule of ``orthogonalize``, or else with its covariances taken from the
-    data and D_k^+ from the SVD ``pseudo_inverse``.
+    instead, by forward substitution: snapped to zero when its norm is at most
+    ``ZERO_W_RTOL`` times the largest input norm, or else with its covariances
+    taken from the data and D_k^+ from the SVD ``pseudo_inverse``.
     """
     vs, xs = tuple(vs), tuple(xs)
     _check_aligned(vs)
@@ -160,7 +136,7 @@ def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
             g = np.vstack([g, np.vstack([x.data for x in xs]) @ v.T])
         g /= s
     max_energy = float(np.diag(g).reshape(p, n).sum(axis=1).max())
-    scale = float(np.sqrt(s * max_energy))  # largest input norm, as in orthogonalize
+    scale = float(np.sqrt(s * max_energy))  # largest input norm
     floor = GRAM_RECHECK_RTOL * max_energy
     # block (i, l) of h holds C(u_i, w_l); k_full holds the blocks K_il
     h = np.zeros((g.shape[0], p * n))
@@ -230,11 +206,24 @@ def forward_substitute(vs, k_mats, zero_indices, ws=None, upto=None) -> list[np.
     return ws
 
 
+def cascade_outputs(vs, cmap: CascadeMap) -> tuple[Ensemble, ...]:
+    """The output ensembles of the cascade ``cmap`` of ``vs``.
+
+    w_0 = v_0 as it is, and every later w_k = v_k - sum_l K_kl w_l by forward
+    substitution, re-centered: deflation of centered data is centered in exact
+    arithmetic, and this keeps tiny residuals from failing the centered claim.
+    The zero-snapped outputs are exact zeros.
+    """
+    ws = forward_substitute(vs, cmap.k_mats, cmap.zero_indices)
+    for k, w in enumerate(ws):
+        if k in cmap.zero_indices:
+            w[:] = 0.0
+        elif k:
+            w -= w.mean(axis=1, keepdims=True)
+    return tuple(Ensemble(w, centered=True) for w in ws)
+
+
 def cross_cov_residual(ws) -> float:
     """Largest cross-covariance Frobenius norm over distinct pairs."""
     ws = tuple(ws)
-    worst = 0.0
-    for i in range(len(ws)):
-        for j in range(i + 1, len(ws)):
-            worst = max(worst, float(np.linalg.norm(cov(ws[i], ws[j]))))
-    return worst
+    return max([0.0] + [frob_norm(cov(a, b)) for i, a in enumerate(ws) for b in ws[i + 1:]])

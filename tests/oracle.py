@@ -1,25 +1,61 @@
-"""Data-space and extended-precision references for ``fit``, ``apply_filter``
-and ``node_error_decomposition``.
+"""Data-space and extended-precision references for the cascade, ``fit``,
+``apply_filter`` and ``node_error_decomposition``.
 
-Every training node runs ``orthogonalize``, which deflates the transformed
-observations in data space stage by stage, as the cascade is defined; the
-coefficients, the matching residuals and the node error split are then read
-from the data-space outputs with ``cov``. The library computes all of these
-from the Gram recursion of ``ortho.cascade_map``; the property tests compare
-the two. ``fit_exact`` and ``apply_exact`` run the cascade in extended
-precision, the truth on inputs where float64 cannot settle the comparison.
+``data_space_cascade`` deflates its inputs in data space stage by stage, as
+the cascade is defined. Every training node runs it; the coefficients, the
+matching residuals and the node error split are then read from the
+data-space outputs with ``cov``. The library computes all of these from the
+Gram recursion of ``ortho.cascade_map``; the property tests compare the two.
+``fit_exact`` and ``apply_exact`` run the cascade in extended precision, the
+truth on inputs where float64 cannot settle the comparison.
 """
 
 import numpy as np
 
-from iflt import apply_q, orthogonalize, pseudo_inverse, sym_sqrt
+from iflt import Ensemble, OrthoResult, apply_q, cross_cov_residual, pseudo_inverse, sym_sqrt
 from iflt.linalg import frob_norm_sq
+from iflt.ortho import ZERO_W_RTOL, _check_aligned
 from iflt.signals import cov, energy
 
 
+def data_space_cascade(vs) -> OrthoResult:
+    """Run the deflation cascade over realization-aligned centered ensembles in
+    data space: w_i = v_i - sum_{l < i} C(v_i, w_l) C(w_l, w_l)^+ w_l, with
+    outputs of norm at most ``ZERO_W_RTOL`` times the largest input's snapped
+    to zero and the later live ones re-centered."""
+    vs = tuple(vs)
+    _check_aligned(vs)
+    scale = max(float(np.linalg.norm(v.data)) for v in vs)
+    ws: list[Ensemble] = []
+    k_rows: list[tuple[np.ndarray, ...]] = []
+    zero_indices: list[int] = []
+    for i, v in enumerate(vs):
+        data = v.data.copy()
+        row: list[np.ndarray] = []
+        for l in range(i):
+            k = cov(v, ws[l]) @ pseudo_inverse(cov(ws[l], ws[l]))
+            row.append(k)
+            data -= k @ ws[l].data
+        if float(np.linalg.norm(data)) <= ZERO_W_RTOL * scale:
+            data = np.zeros_like(data)
+            zero_indices.append(i)
+        elif i > 0:
+            # deflation of centered data is centered in exact arithmetic;
+            # restore it so tiny residuals do not fail the centered claim
+            data -= data.mean(axis=1, keepdims=True)
+        ws.append(Ensemble(data, centered=True))
+        k_rows.append(tuple(row))
+    return OrthoResult(
+        ws=tuple(ws),
+        k_mats=tuple(k_rows),
+        max_cross_residual=cross_cov_residual(ws),
+        zero_indices=tuple(zero_indices),
+    )
+
+
 def node_cascades(train, q_specs):
-    """``orthogonalize`` of the transformed observations at every training node."""
-    return [orthogonalize([apply_q(q, train.s_y_context, idx) for q in q_specs])
+    """``data_space_cascade`` of the transformed observations at every training node."""
+    return [data_space_cascade([apply_q(q, train.s_y_context, idx) for q in q_specs])
             for idx in train.s_y_indices]
 
 
@@ -114,7 +150,7 @@ def apply_exact(model, ys, i, fixed_r) -> np.ndarray:
     """``apply_filter``'s estimate in extended precision, re-centered.
 
     The deflation blocks are the stored ``r_mats`` (``fixed_r``) or those of
-    the input's own cascade, with the stages ``orthogonalize`` snaps zero.
+    the input's own cascade, with the stages ``data_space_cascade`` snaps zero.
     """
     vs = [apply_q(q, ys, i) for q in model.q_specs]
     data = [v.data.astype(np.longdouble) for v in vs]
@@ -126,7 +162,7 @@ def apply_exact(model, ys, i, fixed_r) -> np.ndarray:
                 w -= k.astype(np.longdouble) @ w_l
             ws.append(w)
     else:
-        ws = _exact_cascade(data, orthogonalize(vs).zero_indices)[0]
+        ws = _exact_cascade(data, data_space_cascade(vs).zero_indices)[0]
     acc = sum(t.astype(np.longdouble) @ w for t, w in zip(model.t_mats, ws))
     return acc - acc.mean(axis=1, keepdims=True)
 
@@ -134,7 +170,7 @@ def apply_exact(model, ys, i, fixed_r) -> np.ndarray:
 def fit_exact(train, q_specs, a_mats, zero_indices) -> dict:
     """``fit_reference``'s blocks and residuals, and the node error split, in
     extended precision (``np.longdouble``), with the zero-snapped stages of
-    every node given (as ``orthogonalize`` snaps them).
+    every node given (as ``data_space_cascade`` snaps them).
 
     The data-space oracle loses accuracy on a live stage far below its
     input's scale: its outputs are differences of much larger ensembles.

@@ -103,7 +103,7 @@ def test_optimal_error_rejects_non_orthogonal(rng):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_optimal_error_checks_orthogonality_at_large_scales(rng):
-    # covariances near 1e200, whose norms overflow unless the data is scaled
+    # covariances near 1e200, whose norms overflow unless they are scaled
     def big(e):
         return Ensemble(1e100 * e.data, centered=True)
 

@@ -1,7 +1,7 @@
 """Property tests: ``fit`` and ``node_error_decomposition`` against the data-space oracle.
 
 Both read every covariance from the Gram recursion of ``ortho.cascade_map``;
-``tests/oracle.py`` runs ``orthogonalize`` at every node instead. The inputs
+``tests/oracle.py`` runs ``data_space_cascade`` at every node instead. The inputs
 are ``test_apply_properties.filter_cases``, with the drawn position among the
 training nodes and references that depend on the observations.
 

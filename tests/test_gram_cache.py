@@ -3,7 +3,7 @@
 One context serves many calls. Whatever positions it served before, and in
 whatever order, a call must give the bits a fresh context gives, must keep at
 most p(p+1)/2 blocks, and must agree with the data-space cascade
-``orthogonalize`` for every kind of transform.
+``oracle.data_space_cascade`` for every kind of transform.
 """
 
 import tempfile
@@ -20,9 +20,9 @@ from iflt import (
     apply_filter,
     apply_q,
     center,
-    orthogonalize,
 )
 from iflt.sigio import ManifestSequence, save_sequence
+from oracle import data_space_cascade
 
 REL_TOL = 1e-10
 CACHE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -81,7 +81,7 @@ def cache_cases(draw, mixed: bool):
 
 def reference_apply(model, ys, i):
     """Sum of T_j w_j with the cascade run in data space, re-centered."""
-    ws = orthogonalize([apply_q(q, ys, i) for q in model.q_specs]).ws
+    ws = data_space_cascade([apply_q(q, ys, i) for q in model.q_specs]).ws
     acc = sum(t @ w.data for t, w in zip(model.t_mats, ws))
     return acc - acc.mean(axis=1, keepdims=True)
 

@@ -13,6 +13,7 @@ from iflt import (
     SignalSequence,
     TrainingSet,
     apply_filter,
+    apply_q,
     empirical_error,
     fit,
     interp_residual,
@@ -22,6 +23,7 @@ from iflt import (
     wiener_fit,
 )
 from iflt.bench import ExperimentConfig, gen_observations, gen_reference_sequence, lag_specs
+from iflt.interp import input_cascade
 from conftest import make_ensemble
 
 
@@ -185,6 +187,21 @@ def test_fixed_r_matches_per_input_at_its_own_node(rng):
     a_off = apply_filter(model, ctx, off, fixed_r=False)
     b_off = apply_filter(model, ctx, off, fixed_r=True)
     assert np.max(np.abs(a_off.data - b_off.data)) > 1e-10 * scale
+
+
+def test_input_cascade_keeps_the_first_input_and_zeros_snapped_stages(rng):
+    # positions 0 and 1 are lag-clamped: inputs repeat, and their stages snap
+    p = 3
+    ys = SignalSequence(tuple(make_ensemble(rng, 3, 40) for _ in range(p + 3)))
+    model = FilterModel(p=p, q_specs=lag_specs(p),
+                        t_mats=[rng.normal(size=(2, 3)) for _ in range(p)])
+    ctx = FilterContext(ys)
+    for i in range(len(ys)):
+        ws = input_cascade(model, ctx, i)
+        assert np.array_equal(ws[0].data, apply_q(model.q_specs[0], ys, i).data), i
+        # term j reads position max(0, i - (p - 1 - j)): terms 1 .. p - 1 - i
+        # repeat term 0
+        assert [k for k, w in enumerate(ws) if not np.any(w.data)] == list(range(1, p - i))
 
 
 def test_fixed_r_requires_stored_matrices(rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from iflt import InvalidInput, NotPSD
-from iflt.linalg import frob_norm_sq, penrose_residuals, pseudo_inverse, sym_sqrt
+from iflt.linalg import frob_norm, frob_norm_sq, penrose_residuals, pseudo_inverse, sym_sqrt
 
 
 def random_matrix(rng, max_dim=10):
@@ -128,6 +128,15 @@ def test_frob_norm_sq_values():
     assert frob_norm_sq(np.eye(3)) == 3.0
     assert frob_norm_sq(np.zeros((4, 2))) == 0.0
     assert frob_norm_sq(np.array([[1.0, 2.0], [3.0, 4.0]])) == 30.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_frob_norm_scales_down_exactly():
+    a = np.array([[3.0, 4.0]])
+    assert frob_norm(a) == 5.0
+    assert frob_norm(np.ldexp(a, 1000)) == np.ldexp(5.0, 1000)
+    tiny = np.full((2, 2), 4e-320)  # not scaled up
+    assert frob_norm(tiny) == np.linalg.norm(tiny)
 
 
 def test_frob_rejects_nonfinite():

@@ -8,6 +8,7 @@ from iflt import ortho
 from iflt.bench import ExperimentConfig, gen_observations, gen_reference_sequence, lag_specs
 from iflt.signals import cov
 from conftest import make_ensemble
+from oracle import data_space_cascade
 
 
 def cov_scale(vs):
@@ -93,17 +94,12 @@ def test_cross_cov_residual_values(rng):
     assert cross_cov_residual([w, dup]) > 0.0
 
 
-def forward_substitute(cmap, vs):
-    """Outputs w_k = v_k - sum_l K_kl w_l of the cascade blocks, zero-snapped."""
-    ws = []
-    for k, v in enumerate(vs):
-        w = np.zeros_like(v.data)
-        if k not in cmap.zero_indices:
-            w += v.data
-            for l, k_mat in enumerate(cmap.k_mats[k]):
-                w -= k_mat @ ws[l]
-        ws.append(w)
-    return ws
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cross_cov_residual_is_exact_at_large_scales(rng):
+    # covariances near 2^660 (about 1e198), whose squared entries overflow
+    ws = [make_ensemble(rng, 3, 20) for _ in range(3)]
+    big = [Ensemble(np.ldexp(w.data, 330), centered=True) for w in ws]
+    assert cross_cov_residual(big) == np.ldexp(cross_cov_residual(ws), 660) > 0.0
 
 
 def test_cascade_map_reproduces_orthogonalize(rng):
@@ -118,15 +114,22 @@ def test_cascade_map_reproduces_orthogonalize(rng):
          make_ensemble(rng, 3, 40)],
     ]
     for vs in cases:
-        ref = orthogonalize(vs)
-        cmap = cascade_map(vs)
+        ref = data_space_cascade(vs)
+        res = orthogonalize(vs)
         scale = max(np.linalg.norm(x.data) for x in vs)
-        assert cmap.zero_indices == ref.zero_indices
-        assert [len(row) for row in cmap.k_mats] == list(range(len(vs)))
-        for got, w in zip(forward_substitute(cmap, vs), ref.ws):
-            assert np.linalg.norm(got - w.data) <= 1e-12 * scale
-        for k in cmap.zero_indices:
-            assert not any(np.any(row[k]) for row in cmap.k_mats[k + 1:])
+        assert res.zero_indices == ref.zero_indices
+        assert [len(row) for row in res.k_mats] == list(range(len(vs)))
+        for got, w in zip(res.ws, ref.ws, strict=True):
+            assert np.linalg.norm(got.data - w.data) <= 1e-12 * scale
+        for k in res.zero_indices:
+            assert not any(np.any(row[k]) for row in res.k_mats[k + 1:])
+
+
+def test_orthogonalize_on_well_conditioned_inputs_takes_no_svd(rng, svd_calls):
+    vs = [make_ensemble(rng, 4, 60) for _ in range(5)]
+    res = orthogonalize(vs)
+    assert not svd_calls and not res.zero_indices
+    assert res.max_cross_residual <= 1e-12 * cov_scale(vs)
 
 
 def test_cascade_map_blocks_are_fits_frozen_deflation_matrices():
@@ -152,7 +155,8 @@ def test_cascade_map_rejects_misaligned(rng):
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Count the SVD pseudo-inverses ``cascade_map`` takes."""
+    """Count the SVD pseudo-inverses ``ortho`` takes: in ``cascade_map``, also
+    when ``orthogonalize`` or ``interp`` calls it."""
     calls = []
 
     def counted(a):
@@ -180,7 +184,7 @@ def test_stage_with_a_direction_below_the_floor_is_rechecked(rng, svd_calls):
     v1 = center(Ensemble(np.vstack([rng.normal(size=(1, 60)), v0.data[:1] + tiny])))
     cmap = cascade_map([v0, v1], xs=(make_ensemble(rng, 2, 60),))
     assert len(svd_calls) == 1 and not cmap.zero_indices
-    w1 = orthogonalize([v0, v1]).ws[1]
+    w1 = data_space_cascade([v0, v1]).ws[1]
     want = pseudo_inverse(cov(w1, w1))
     assert np.linalg.norm(cmap.d_pinvs[1] - want) <= 1e-6 * np.linalg.norm(want)
 
