@@ -10,7 +10,6 @@ from .analysis import (
     net_radius,
     node_error_decomposition,
     optimal_error,
-    param_to_signal_eps,
 )
 from .baselines import (
     RlsState,
@@ -52,21 +51,17 @@ from .interp import (
 )
 from .linalg import (
     frob_norm_sq,
-    penrose_residuals,
     pseudo_inverse,
     sym_sqrt,
 )
 from .ortho import CascadeMap, OrthoResult, cascade_map, cross_cov_residual, orthogonalize
 from .signals import (
-    CovMatrix,
-    DistinctnessReport,
     Ensemble,
     QOperatorSpec,
     SignalSequence,
     TrainingSet,
     apply_q,
     center,
-    distinctness_check,
     energy,
     est_cov,
 )

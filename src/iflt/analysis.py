@@ -8,6 +8,7 @@ mean-square signal norm used everywhere else in the package.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from .exceptions import InvalidInput, ParseError
 from .interp import FilterModel, _coefficient, _estimate, _node_cascade
 from .linalg import frob_norm, frob_norm_sq, pseudo_inverse, root_pinv_norm_sq
 from .ortho import CascadeMap, cross_cov_residual
-from .signals import Ensemble, TrainingSet, apply_q, cov, energy
+from .signals import Ensemble, TrainingSet, apply_q, energy, est_cov
 
 # optimal_error rejects outputs whose largest cross-covariance exceeds this
 # share of their largest covariance
@@ -97,10 +98,10 @@ def optimal_error(x: Ensemble, ws) -> float:
     ws = tuple(ws)
     if not ws:
         raise InvalidInput("need at least one ensemble")
-    covs = [cov(w, w) for w in ws]
+    covs = [est_cov(w, w) for w in ws]
     if cross_cov_residual(ws) > ORTHO_RTOL * max(frob_norm(c) for c in covs):
         raise InvalidInput("ensembles are not mutually orthogonal within tolerance")
-    return energy(x) - sum(root_pinv_norm_sq(cov(x, w), pseudo_inverse(c))
+    return energy(x) - sum(root_pinv_norm_sq(est_cov(x, w), pseudo_inverse(c))
                            for w, c in zip(ws, covs))
 
 
@@ -219,41 +220,34 @@ def net_radius(pool, center_indices) -> float:
     )
 
 
-def param_to_signal_eps(eps_delta: float, lambda_x: float) -> float:
-    """Covering radius induced on signals by a parameter-space net.
-
-    A parameter net of squared radius ``eps_delta`` yields a signal net of
-    squared radius ``lambda_x * eps_delta`` when the family is Lipschitz in
-    its parameter with constant ``lambda_x``.
-    """
-    if eps_delta < 0.0 or lambda_x < 0.0:
-        raise InvalidInput("eps_delta and lambda_x must be nonnegative")
-    return lambda_x * eps_delta
+def _nonnegative_number(value) -> bool:
+    """Whether a JSON value is a number, not a bool, in [0, the largest float]."""
+    return type(value) in (int, float) and 0.0 <= value <= sys.float_info.max
 
 
 def load_bound_constants(path) -> dict:
     """Read bound constants from a JSON file.
 
-    Expected keys: ``eps_x``, ``eps_y``, ``lambda_e``, ``lambda_q``,
-    ``r_hat`` (list, one entry per term) and ``x_energy``. Values must be
-    nonnegative and finite.
+    The file holds a JSON object with the numbers ``eps_x``, ``eps_y``,
+    ``lambda_e``, ``lambda_q`` and ``x_energy`` and the list ``r_hat`` (one
+    number per term). Every number must be finite and nonnegative; a bad or
+    missing field raises ParseError naming it.
     """
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON") from exc
-    required = ("eps_x", "eps_y", "lambda_e", "lambda_q", "r_hat", "x_energy")
-    missing = [k for k in required if k not in doc]
-    if missing:
-        raise ParseError(f"{path}: missing bound constant {missing[0]!r}")
-    out = {k: doc[k] for k in required}
-    scalars = [out[k] for k in ("eps_x", "eps_y", "lambda_e", "lambda_q", "x_energy")]
-    try:
-        values = [float(v) for v in scalars] + [float(v) for v in out["r_hat"]]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bound constants must be numbers") from exc
-    if not all(np.isfinite(v) and v >= 0.0 for v in values):
-        raise ParseError(f"{path}: bound constants must be finite and nonnegative")
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: bound constants must be a JSON object")
+    out = {}
+    for key in ("eps_x", "eps_y", "lambda_e", "lambda_q", "r_hat", "x_energy"):
+        if key not in doc:
+            raise ParseError(f"{path}: missing bound constant {key!r}")
+        value = out[key] = doc[key]
+        if key != "r_hat" and not _nonnegative_number(value):
+            raise ParseError(f"{path}: {key} must be a finite nonnegative number")
+    if not (isinstance(out["r_hat"], list) and all(map(_nonnegative_number, out["r_hat"]))):
+        raise ParseError(f"{path}: r_hat must be a list of finite nonnegative numbers")
     out["r_hat"] = [float(v) for v in out["r_hat"]]
     return out
 
@@ -291,7 +285,7 @@ def probe_inverse_cov_sensitivity(cascade_pairs) -> float:
             base = ensemble_sq_distance(a, b)
             if base <= 0.0:
                 continue
-            moved = frob_norm_sq(pseudo_inverse(cov(a, a)) - pseudo_inverse(cov(b, b)))
+            moved = frob_norm_sq(pseudo_inverse(est_cov(a, a)) - pseudo_inverse(est_cov(b, b)))
             worst = max(worst, moved / base)
     return worst
 

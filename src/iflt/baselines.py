@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import InvalidInput, NumericalError
 from .linalg import pseudo_inverse
-from .signals import Ensemble, cov
+from .signals import Ensemble, est_cov
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class WienerModel:
 
 def wiener_fit(x: Ensemble, y: Ensemble) -> WienerModel:
     """Least-squares coefficient matrix ``C(x, y) C(y, y)^+``."""
-    return WienerModel(cov(x, y) @ pseudo_inverse(cov(y, y)))
+    return WienerModel(est_cov(x, y) @ pseudo_inverse(est_cov(y, y)))
 
 
 def wiener_apply(model: WienerModel, y: Ensemble) -> Ensemble:

@@ -39,8 +39,8 @@ from .signals import (
     TrainingSet,
     apply_q,
     center,
-    cov,
     energy,
+    est_cov,
 )
 
 NOISE_KINDS = ("hadamard_uniform",)
@@ -208,8 +208,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config: {path} is not valid JSON") from exc
     return config_from_dict(doc)
 
@@ -271,7 +271,7 @@ def default_rls_delta(y: Ensemble) -> float:
     So do observations whose covariance trace is so small that the scale
     overflows: their weights stay at rounding level for any finite delta.
     """
-    tr = float(np.trace(cov(y, y)))
+    tr = float(np.trace(est_cov(y, y)))
     delta = 100.0 * y.m / tr if tr > 0.0 else np.inf
     return delta if np.isfinite(delta) else 1.0
 

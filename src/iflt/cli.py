@@ -32,9 +32,10 @@ from .bench import (
     validate_config,
     write_report,
 )
-from .exceptions import IfltError, NumericalError
+from .exceptions import IfltError, NumericalError, ParseError
 from .interp import (
     FilterContext,
+    FilterModel,
     apply_filter,
     fit,
     load_model,
@@ -175,8 +176,15 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _read_model(path) -> FilterModel:
+    try:
+        return load_model(Path(path).read_bytes())
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def _cmd_apply(args) -> int:
-    model = load_model(Path(args.model).read_bytes())
+    model = _read_model(args.model)
     ys = ManifestSequence(args.obs)
     if not 1 <= args.index <= len(ys):
         raise IfltError(f"--index {args.index} out of range [1, {len(ys)}]")
@@ -199,7 +207,7 @@ def _evaluate(cfg, xs, ys, models, with_baselines: bool, names) -> RunReport:
 
 def _cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    models = [load_model(Path(p).read_bytes()) for p in args.model]
+    models = [_read_model(p) for p in args.model]
     orders = [model.p for model in models]
     for j, p in enumerate(orders):
         if orders.index(p) < j:

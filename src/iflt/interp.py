@@ -322,7 +322,7 @@ def load_model(blob: bytes | str) -> FilterModel:
     """Inverse of save_model; raises ParseError on malformed input."""
     try:
         doc = json.loads(blob)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError("model blob is not valid JSON") from exc
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object")

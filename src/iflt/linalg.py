@@ -108,21 +108,3 @@ def root_pinv_norm_sq(a: np.ndarray, d_pinv: np.ndarray) -> float:
     """
     return float(np.sum((a @ d_pinv) * a))
 
-
-def penrose_residuals(a, a_pinv) -> tuple[float, float, float, float]:
-    """Relative Frobenius residuals of the four defining pseudo-inverse identities.
-
-    Returns residuals for A G A = A, G A G = G, (A G) symmetric and (G A)
-    symmetric, each normalized by the scale of the quantity being reproduced.
-    """
-    arr = as_matrix(a)
-    g = as_matrix(a_pinv)
-    scale_a = float(np.linalg.norm(arr)) or 1.0
-    scale_g = float(np.linalg.norm(g)) or 1.0
-    ag = arr @ g
-    ga = g @ arr
-    r1 = float(np.linalg.norm(ag @ arr - arr)) / scale_a
-    r2 = float(np.linalg.norm(ga @ g - g)) / scale_g
-    r3 = float(np.linalg.norm(ag - ag.T)) / (float(np.linalg.norm(ag)) or 1.0)
-    r4 = float(np.linalg.norm(ga - ga.T)) / (float(np.linalg.norm(ga)) or 1.0)
-    return r1, r2, r3, r4

@@ -34,7 +34,7 @@ import numpy as np
 
 from .exceptions import InvalidInput
 from .linalg import SMALLEST_NORMAL, frob_norm, pseudo_inverse
-from .signals import Ensemble, cov
+from .signals import Ensemble, est_cov
 
 ZERO_W_RTOL = 1e-12
 # A covariance read from the Gram matrix is good to about eps E / lambda in a
@@ -226,4 +226,4 @@ def cascade_outputs(vs, cmap: CascadeMap) -> tuple[Ensemble, ...]:
 def cross_cov_residual(ws) -> float:
     """Largest cross-covariance Frobenius norm over distinct pairs."""
     ws = tuple(ws)
-    return max([0.0] + [frob_norm(cov(a, b)) for i, a in enumerate(ws) for b in ws[i + 1:]])
+    return max([0.0] + [frob_norm(est_cov(a, b)) for i, a in enumerate(ws) for b in ws[i + 1:]])

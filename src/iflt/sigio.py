@@ -49,7 +49,10 @@ def write_ensemble_csv(path, e: Ensemble) -> None:
 
 
 def read_ensemble_csv(path, center_data: bool = True) -> Ensemble:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file (invalid UTF-8)") from exc
     rows = []  # (line number, stripped line) of the data rows
     declared = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -100,13 +103,13 @@ def read_ensemble_bin(path, center_data: bool = True) -> Ensemble:
     return _ingest(arr, center_data)
 
 
-def read_ensemble(path, center_data: bool = True) -> Ensemble:
+def read_ensemble(path) -> Ensemble:
     """Read either format, sniffing the binary magic."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == MAGIC:
-        return read_ensemble_bin(path, center_data)
-    return read_ensemble_csv(path, center_data)
+        return read_ensemble_bin(path)
+    return read_ensemble_csv(path)
 
 
 def write_manifest(path, files, m: int, s: int) -> None:
@@ -120,8 +123,8 @@ def _positive_int(value) -> bool:
 
 def read_manifest(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: manifest must be a JSON object")
@@ -149,12 +152,11 @@ class ManifestSequence:
     a few positions reads only their files.
     """
 
-    def __init__(self, manifest_path, center_data: bool = True):
+    def __init__(self, manifest_path):
         doc = read_manifest(manifest_path)
         self.m, self.s = doc["m"], doc["s"]
         self._files = doc["files"]
         self._base = Path(manifest_path).parent
-        self._center = center_data
         self._read: dict[int, Ensemble] = {}
 
     def __len__(self) -> int:
@@ -166,7 +168,7 @@ class ManifestSequence:
         if e is None:
             rel = self._files[i]
             p = Path(rel)
-            e = read_ensemble(p if p.is_absolute() else self._base / p, self._center)
+            e = read_ensemble(p if p.is_absolute() else self._base / p)
             if (e.m, e.s) != (self.m, self.s):
                 raise ParseError(
                     f"{rel}: shape {(e.m, e.s)} does not match manifest {(self.m, self.s)}"
@@ -179,9 +181,9 @@ class ManifestSequence:
         return tuple(self[i] for i in range(len(self)))
 
 
-def load_sequence(manifest_path, center_data: bool = True) -> SignalSequence:
+def load_sequence(manifest_path) -> SignalSequence:
     """Read and check every ensemble a manifest lists."""
-    return SignalSequence(ManifestSequence(manifest_path, center_data).items)
+    return SignalSequence(ManifestSequence(manifest_path).items)
 
 
 def save_sequence(out_dir, prefix: str, seq: SignalSequence, fmt: str = "bin") -> Path:

@@ -17,7 +17,6 @@ from .exceptions import InvalidInput
 
 CENTER_RTOL = 1e-10
 _FLOAT = np.finfo(float)
-DISTINCTNESS_RTOL = 1e-10
 
 Q_KINDS = ("identity", "sequence_lag", "component_shift", "weighted_prefix_sum")
 
@@ -100,22 +99,6 @@ class SignalSequence:
 
     def __getitem__(self, i: int) -> Ensemble:
         return self.items[i]
-
-
-@dataclass(frozen=True)
-class CovMatrix:
-    """Empirical cross-covariance together with the sample count behind it."""
-
-    matrix: np.ndarray
-    samples: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.matrix, dtype=float)
-        if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-            raise InvalidInput("covariance matrix must be finite and 2-D")
-        if self.samples < 2:
-            raise InvalidInput("covariance needs at least two samples")
-        object.__setattr__(self, "matrix", arr)
 
 
 @dataclass(frozen=True)
@@ -238,39 +221,27 @@ class TrainingSet:
         return len(self.s_x)
 
 
-@dataclass(frozen=True)
-class DistinctnessReport:
-    """Pairs of ensembles whose distance is below the distinctness threshold."""
-
-    pairs: tuple[tuple[int, int], ...]
-    threshold: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.pairs
-
-
 def center(e: Ensemble) -> Ensemble:
     """Subtract each row's empirical mean."""
     return Ensemble(e.data - e.data.mean(axis=1, keepdims=True), centered=True)
 
 
-def est_cov(a: Ensemble, b: Ensemble) -> CovMatrix:
+def est_cov(a: Ensemble, b: Ensemble) -> np.ndarray:
     """Empirical cross-covariance ``(1/s) A B^T`` of realization-aligned ensembles.
 
     Both inputs must be centered (covariances of uncentered data would be
-    silently biased) and have the same realization count.
+    silently biased) and have the same realization count. A product that
+    overflows raises instead of returning infinite entries.
     """
     if not (a.centered and b.centered):
         raise InvalidInput("est_cov requires centered ensembles")
     if a.s != b.s:
         raise InvalidInput(f"realization counts differ: {a.s} vs {b.s}")
-    return CovMatrix((a.data @ b.data.T) / a.s, samples=a.s)
-
-
-def cov(a: Ensemble, b: Ensemble) -> np.ndarray:
-    """est_cov shorthand returning the bare matrix."""
-    return est_cov(a, b).matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (a.data @ b.data.T) / a.s
+    if not np.all(np.isfinite(c)):
+        raise InvalidInput("covariance overflows: entries are not finite")
+    return c
 
 
 def energy(e: Ensemble) -> float:
@@ -299,19 +270,3 @@ def apply_q(q: QOperatorSpec, seq: SignalSequence, i: int) -> Ensemble:
         centered = centered and seq[t].centered
     return Ensemble(acc, centered=centered)
 
-
-def distinctness_check(vs: list[Ensemble] | tuple[Ensemble, ...]) -> DistinctnessReport:
-    """Flag pairs of ensembles that are numerically indistinguishable.
-
-    Warning-level: near-identical transformed observations collapse filter
-    terms, so callers may want to reject or report them, but this never
-    raises on its own.
-    """
-    scale = max((float(np.linalg.norm(v.data)) for v in vs), default=0.0)
-    threshold = DISTINCTNESS_RTOL * scale
-    pairs = []
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if float(np.linalg.norm(vs[i].data - vs[j].data)) <= threshold:
-                pairs.append((i, j))
-    return DistinctnessReport(tuple(pairs), threshold)

@@ -4,10 +4,12 @@
 ``data_space_cascade`` deflates its inputs in data space stage by stage, as
 the cascade is defined. Every training node runs it; the coefficients, the
 matching residuals and the node error split are then read from the
-data-space outputs with ``cov``. The library computes all of these from the
-Gram recursion of ``ortho.cascade_map``; the property tests compare the two.
-``fit_exact`` and ``apply_exact`` run the cascade in extended precision, the
-truth on inputs where float64 cannot settle the comparison.
+data-space outputs with ``est_cov``. The library computes all of these from
+the Gram recursion of ``ortho.cascade_map``; the property tests compare the
+two. ``fit_exact`` and ``apply_exact`` run the cascade in extended precision,
+the truth on inputs where float64 cannot settle the comparison.
+``penrose_residuals`` measures how well ``pseudo_inverse`` meets the four
+identities that define the pseudo-inverse.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import numpy as np
 from iflt import Ensemble, OrthoResult, apply_q, cross_cov_residual, pseudo_inverse, sym_sqrt
 from iflt.linalg import frob_norm_sq
 from iflt.ortho import ZERO_W_RTOL, _check_aligned
-from iflt.signals import cov, energy
+from iflt.signals import energy, est_cov
 
 
 def data_space_cascade(vs) -> OrthoResult:
@@ -33,7 +35,7 @@ def data_space_cascade(vs) -> OrthoResult:
         data = v.data.copy()
         row: list[np.ndarray] = []
         for l in range(i):
-            k = cov(v, ws[l]) @ pseudo_inverse(cov(ws[l], ws[l]))
+            k = est_cov(v, ws[l]) @ pseudo_inverse(est_cov(ws[l], ws[l]))
             row.append(k)
             data -= k @ ws[l].data
         if float(np.linalg.norm(data)) <= ZERO_W_RTOL * scale:
@@ -61,9 +63,9 @@ def node_cascades(train, q_specs):
 
 def coefficients(x, w, a_mat):
     """T = C(x, w) C(w, w)^+ + A (I - C(w, w) C(w, w)^+)."""
-    eww = cov(w, w)
+    eww = est_cov(w, w)
     eww_pinv = pseudo_inverse(eww)
-    t = cov(x, w) @ eww_pinv
+    t = est_cov(x, w) @ eww_pinv
     if a_mat is not None:
         t = t + a_mat @ (np.eye(eww.shape[0]) - eww @ eww_pinv)
     return t
@@ -74,10 +76,10 @@ def matching_residuals(t_mats, train, cascades):
     residuals, scales = [], []
     for k in range(train.p):
         wkk = cascades[k].ws[k]
-        target = cov(train.s_x[k], wkk)
+        target = est_cov(train.s_x[k], wkk)
         acc = np.zeros_like(target)
         for j, t in enumerate(t_mats):
-            acc += t @ cov(cascades[k].ws[j], wkk)
+            acc += t @ est_cov(cascades[k].ws[j], wkk)
         residuals.append(float(np.linalg.norm(acc - target)))
         scales.append(float(np.linalg.norm(target)))
     return residuals, scales
@@ -106,10 +108,10 @@ def node_error_decomposition_reference(model, train, k) -> dict:
     estimate = np.zeros((x_k.m, x_k.s))
     rhs = energy(x_k)
     for j, w in enumerate(ws):
-        half_pinv = pseudo_inverse(sym_sqrt(cov(w, w)))
+        half_pinv = pseudo_inverse(sym_sqrt(est_cov(w, w)))
         estimate += coefficients(train.s_x[j], w, a_mats[j]) @ w.data
-        rhs -= frob_norm_sq(cov(x_k, w) @ half_pinv)
-        rhs += frob_norm_sq((cov(train.s_x[j], w) - cov(x_k, w)) @ half_pinv)
+        rhs -= frob_norm_sq(est_cov(x_k, w) @ half_pinv)
+        rhs += frob_norm_sq((est_cov(train.s_x[j], w) - est_cov(x_k, w)) @ half_pinv)
     return {"lhs": float(np.sum((x_k.data - estimate) ** 2)) / x_k.s, "rhs": rhs}
 
 
@@ -213,3 +215,22 @@ def fit_exact(train, q_specs, a_mats, zero_indices) -> dict:
         "residuals": residuals,
         "decomposition": decomposition,
     }
+
+
+def penrose_residuals(a, a_pinv) -> tuple[float, float, float, float]:
+    """Relative Frobenius residuals of the four defining pseudo-inverse identities.
+
+    Returns residuals for A G A = A, G A G = G, (A G) symmetric and (G A)
+    symmetric, each normalized by the scale of the quantity being reproduced.
+    """
+    arr = np.asarray(a, dtype=float)
+    g = np.asarray(a_pinv, dtype=float)
+    scale_a = float(np.linalg.norm(arr)) or 1.0
+    scale_g = float(np.linalg.norm(g)) or 1.0
+    ag = arr @ g
+    ga = g @ arr
+    r1 = float(np.linalg.norm(ag @ arr - arr)) / scale_a
+    r2 = float(np.linalg.norm(ga @ g - g)) / scale_g
+    r3 = float(np.linalg.norm(ag - ag.T)) / (float(np.linalg.norm(ag)) or 1.0)
+    r4 = float(np.linalg.norm(ga - ga.T)) / (float(np.linalg.norm(ga)) or 1.0)
+    return r1, r2, r3, r4

@@ -46,9 +46,8 @@ from iflt.bench import (
     probe_bound_constants,
     report_csv_text,
 )
-from iflt.linalg import penrose_residuals
 from conftest import make_ensemble
-from oracle import data_space_cascade
+from oracle import data_space_cascade, penrose_residuals
 
 
 def _report(num, name, ok, detail=""):
@@ -96,7 +95,7 @@ def test_criterion_02_cascade_orthogonality():
         m = int(rng.integers(2, 7))
         s = int(rng.integers(p * m + 2, p * m + 40)) if trial % 5 else int(rng.integers(6, 12))
         vs = [make_ensemble(rng, m, s, scale=float(1 + trial % 4)) for _ in range(p)]
-        scale = max(np.linalg.norm(est_cov(v, v).matrix) for v in vs)
+        scale = max(np.linalg.norm(est_cov(v, v)) for v in vs)
         worst_rel = max(worst_rel, data_space_cascade(vs).max_cross_residual / scale)
         worst_gram_rel = max(worst_gram_rel, orthogonalize(vs).max_cross_residual / scale)
     elapsed = time.perf_counter() - t0
@@ -160,7 +159,7 @@ def test_criterion_06_optimal_error_oracle():
         x = make_ensemble(rng, m, s)
         estimate = np.zeros_like(x.data)
         for w in ws:
-            t = est_cov(x, w).matrix @ pseudo_inverse(est_cov(w, w).matrix)
+            t = est_cov(x, w) @ pseudo_inverse(est_cov(w, w))
             estimate += t @ w.data
         realized = empirical_error(x, Ensemble(estimate, centered=True))
         value = optimal_error(x, ws)
@@ -179,7 +178,6 @@ def test_criterion_07_error_bound_sanity():
     # limit behaviour: shrink both covering radii along a 5-point grid
     ctx = FilterContext(ys)
     from iflt.interp import input_cascade
-    from iflt.signals import cov
 
     pos = train.s_y_indices[0]
     ws = input_cascade(model, ctx, pos)
@@ -192,8 +190,8 @@ def test_criterion_07_error_bound_sanity():
             lambda_e=10.0 * constants["lambda_e"],
             lambda_q=10.0 * constants["lambda_q"],
             r_hat=tuple(10.0 * g for g in constants["r_hat"]),
-            w_covs=tuple(cov(w, w) for w in ws),
-            xw_covs=tuple(cov(train.s_x[j], ws[j]) for j in range(3)),
+            w_covs=tuple(est_cov(w, w) for w in ws),
+            xw_covs=tuple(est_cov(train.s_x[j], ws[j]) for j in range(3)),
             x_energy=constants["x_energy"],
         )
         bounds.append(error_upper_bound(base, inputs))

@@ -18,7 +18,6 @@ from iflt import (
     node_error_decomposition,
     optimal_error,
     orthogonalize,
-    param_to_signal_eps,
     pseudo_inverse,
     sym_sqrt,
 )
@@ -71,7 +70,7 @@ def test_optimal_error_matches_explicit_filter(rng):
         x = make_ensemble(rng, 3, 48)
         estimate = np.zeros_like(x.data)
         for w in ws:
-            t = est_cov(x, w).matrix @ pseudo_inverse(est_cov(w, w).matrix)
+            t = est_cov(x, w) @ pseudo_inverse(est_cov(w, w))
             estimate += t @ w.data
         realized = empirical_error(x, Ensemble(estimate, centered=True))
         value = optimal_error(x, ws)
@@ -173,8 +172,8 @@ def hand_bound_inputs(rng, p=2):
         lambda_e=1.5,
         lambda_q=2.0,
         r_hat=tuple(1.0 + 0.5 * k for k in range(p)),
-        w_covs=tuple(est_cov(w, w).matrix for w in ws),
-        xw_covs=tuple(est_cov(x, w).matrix for x, w in zip(xs, ws)),
+        w_covs=tuple(est_cov(w, w) for w in ws),
+        xw_covs=tuple(est_cov(x, w) for x, w in zip(xs, ws)),
         x_energy=4.0,
     ), ws
 
@@ -206,8 +205,8 @@ def test_bound_term_by_term_oracle(rng):
     # single-term instance recomputed with raw numpy operations
     ws = ortho_set(rng, 1, m=3, s=36)
     x = make_ensemble(rng, 3, 36)
-    eww = est_cov(ws[0], ws[0]).matrix
-    exw = est_cov(x, ws[0]).matrix
+    eww = est_cov(ws[0], ws[0])
+    exw = est_cov(x, ws[0])
     inputs = ErrorBoundInputs(
         eps_x=0.7, eps_y=0.11, lambda_e=1.3, lambda_q=0.9, r_hat=(2.0,),
         w_covs=(eww,), xw_covs=(exw,), x_energy=5.0,
@@ -312,18 +311,23 @@ def test_load_bound_constants(tmp_path):
     path.write_text("{nope")
     with pytest.raises(ParseError):
         load_bound_constants(path)
-
-
-def test_param_to_signal_eps_values():
-    assert param_to_signal_eps(0.0, 123.0) == 0.0
-    assert param_to_signal_eps(0.1, 2.0) == pytest.approx(0.2, rel=1e-15)
-    with pytest.raises(InvalidInput):
-        param_to_signal_eps(-0.1, 1.0)
+    path.write_bytes(b"\xff{}")
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_bound_constants(path)
+    path.write_text("5")
+    with pytest.raises(ParseError, match="must be a JSON object"):
+        load_bound_constants(path)
+    for key, value in [("r_hat", "12"), ("r_hat", [1.0, "2"]), ("eps_x", "0.1"),
+                       ("lambda_q", True), ("x_energy", None), ("eps_y", 10**400)]:
+        path.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(ParseError, match=f"{key} must be"):
+            load_bound_constants(path)
 
 
 def test_param_to_signal_eps_scaling_family(rng):
     # family x(alpha) = alpha * x0 has squared-distance Lipschitz constant
-    # exactly energy(x0) in the scale parameter
+    # exactly energy(x0) in the scale parameter, so a parameter net of squared
+    # radius d covers the signals at squared radius energy(x0) * d
     x0 = make_ensemble(rng, 3, 20)
     lam = energy(x0)
     alphas = np.linspace(-2.0, 2.0, 9)
@@ -334,5 +338,3 @@ def test_param_to_signal_eps_scaling_family(rng):
                 Ensemble(b * x0.data, centered=True),
             )
             assert lhs <= lam * (a - b) ** 2 + 1e-12
-    induced = param_to_signal_eps((alphas[1] - alphas[0]) ** 2, lam)
-    assert induced == pytest.approx(lam * (alphas[1] - alphas[0]) ** 2, rel=1e-12)

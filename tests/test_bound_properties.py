@@ -34,7 +34,7 @@ from iflt.bench import (
 )
 from iflt.cli import cli_main
 from iflt.interp import FilterContext, input_cascade
-from iflt.signals import cov, energy
+from iflt.signals import energy, est_cov
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
                              database=None)
@@ -85,8 +85,8 @@ def _data_space_checks(model, train, xs, ys, constants, scale):
             lambda_e=scale * constants["lambda_e"],
             lambda_q=scale * constants["lambda_q"],
             r_hat=tuple(scale * g for g in constants["r_hat"]),
-            w_covs=tuple(cov(w, w) for w in ws),
-            xw_covs=tuple(cov(x, w) for x, w in zip(train.s_x, ws)),
+            w_covs=tuple(est_cov(w, w) for w in ws),
+            xw_covs=tuple(est_cov(x, w) for x, w in zip(train.s_x, ws)),
             x_energy=constants["x_energy"],
         )
         out.append((base, error_upper_bound(base, inputs)))

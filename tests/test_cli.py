@@ -298,6 +298,38 @@ def test_config_field_type_errors_exit_1(tmp_path, capsys, doc, field):
     assert f"error: {field}: must be" in err
 
 
+_FIT_ARGS = ["--config", "{cfg}", "--refs", "{refs}", "--obs", "{obs}"]
+
+
+@pytest.mark.parametrize("bad, argv", [
+    pytest.param("cfg.json", ["bench", "--config", "{bad}"], id="bench-config"),
+    pytest.param("c.json", ["bench", "--config", "{cfg}", "--bound-constants", "{bad}"],
+                 id="bound-constants"),
+    pytest.param("data/obs_manifest.json", ["epsnet", "--data", "{bad}", "--eps", "0.1"],
+                 id="epsnet-manifest"),
+    pytest.param("data/obs_0005.csv", ["epsnet", "--data", "{obs}", "--eps", "0.1"],
+                 id="epsnet-csv"),
+    pytest.param("data/refs_0002.csv", ["fit", *_FIT_ARGS, "--p", "2"], id="fit-csv"),
+    pytest.param("data/obs_0004.csv", ["eval", *_FIT_ARGS, "--baselines"], id="eval-csv"),
+    pytest.param("data/obs_0002.csv", ["apply", "--model", "{model}", "--obs", "{obs}",
+                                       "--index", "3"], id="apply-csv"),
+    pytest.param("m.json", ["apply", "--model", "{bad}", "--obs", "{obs}", "--index", "3"],
+                 id="apply-model"),
+])
+def test_non_utf8_input_file_exits_1_naming_it(tmp_path, cfg_path, capsys, bad, argv):
+    data, model = tmp_path / "data", tmp_path / "m.json"
+    paths = {"bad": tmp_path / bad, "cfg": cfg_path, "model": model,
+             "refs": data / "refs_manifest.json", "obs": data / "obs_manifest.json"}
+    assert cli_main(["gen", "--config", str(cfg_path), "--format", "csv",
+                     "--out", str(data)]) == 0
+    assert cli_main(["fit", *[a.format(**paths) for a in _FIT_ARGS], "--p", "2",
+                     "--out", str(model)]) == 0
+    paths["bad"].write_bytes(b"\xff\xfe not UTF-8\n")
+    err = _cli_error(capsys, [a.format(**paths) for a in argv]
+                     + ["--out", str(tmp_path / "out")])
+    assert str(paths["bad"]) in err
+
+
 def test_fit_nodes_past_the_data_exit_1(tmp_path, cfg_path, capsys):
     data = tmp_path / "data"
     assert cli_main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 0

@@ -6,13 +6,12 @@ from iflt import (Ensemble, FilterContext, FilterModel, InvalidInput, SignalSequ
                   cross_cov_residual, est_cov, fit, orthogonalize, pseudo_inverse)
 from iflt import ortho
 from iflt.bench import ExperimentConfig, gen_observations, gen_reference_sequence, lag_specs
-from iflt.signals import cov
 from conftest import make_ensemble
 from oracle import data_space_cascade
 
 
 def cov_scale(vs):
-    return max(np.linalg.norm(est_cov(v, v).matrix) for v in vs)
+    return max(np.linalg.norm(est_cov(v, v)) for v in vs)
 
 
 def test_single_signal_passthrough(rng):
@@ -185,7 +184,7 @@ def test_stage_with_a_direction_below_the_floor_is_rechecked(rng, svd_calls):
     cmap = cascade_map([v0, v1], xs=(make_ensemble(rng, 2, 60),))
     assert len(svd_calls) == 1 and not cmap.zero_indices
     w1 = data_space_cascade([v0, v1]).ws[1]
-    want = pseudo_inverse(cov(w1, w1))
+    want = pseudo_inverse(est_cov(w1, w1))
     assert np.linalg.norm(cmap.d_pinvs[1] - want) <= 1e-6 * np.linalg.norm(want)
 
 
@@ -195,12 +194,12 @@ def test_indefinite_or_singular_gram_block_is_rechecked(rng, svd_calls):
     g[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]  # eigenvalues -1 and 3
     cmap = cascade_map([v0, v1], g)
     assert len(svd_calls) == 1
-    assert np.array_equal(cmap.d_mats[0], cov(v0, v0))
+    assert np.array_equal(cmap.d_mats[0], est_cov(v0, v0))
     # two equal rows: D_0 is singular and D_0^+ keeps one direction
     twin = Ensemble(np.vstack([v0.data[:1], v0.data[:1]]), centered=True)
     cmap = cascade_map([twin, v1])
     assert len(svd_calls) == 2
-    want = pseudo_inverse(cov(twin, twin))
+    want = pseudo_inverse(est_cov(twin, twin))
     assert np.linalg.norm(cmap.d_pinvs[0] - want) <= 1e-12 * np.linalg.norm(want)
 
 
