@@ -18,7 +18,7 @@ from .exceptions import InvalidInput, ParseError
 from .interp import FilterModel, _coefficient, _estimate, _node_cascade
 from .linalg import frob_norm, frob_norm_sq, pseudo_inverse, root_pinv_norm_sq
 from .ortho import CascadeMap, cross_cov_residual
-from .signals import Ensemble, TrainingSet, apply_q, energy, est_cov
+from .signals import Ensemble, TrainingSet, energy, est_cov
 
 # optimal_error rejects outputs whose largest cross-covariance exceeds this
 # share of their largest covariance
@@ -203,10 +203,7 @@ def greedy_eps_net(pool, eps: float) -> EpsNet:
         )
         if not covered:
             centers.append(idx)
-    achieved = max(
-        min(ensemble_sq_distance(cand, pool[c]) for c in centers) for cand in pool
-    )
-    return EpsNet(tuple(centers), achieved)
+    return EpsNet(tuple(centers), net_radius(pool, centers))
 
 
 def net_radius(pool, center_indices) -> float:
@@ -250,58 +247,3 @@ def load_bound_constants(path) -> dict:
         raise ParseError(f"{path}: r_hat must be a list of finite nonnegative numbers")
     out["r_hat"] = [float(v) for v in out["r_hat"]]
     return out
-
-
-def probe_transform_gain(q_specs, seq, index_pairs) -> float:
-    """Largest observed squared-distance ratio of the transforms over index pairs.
-
-    A crude empirical stand-in for the transform Lipschitz constant; it is a
-    lower bound on the true constant.
-    """
-    worst = 0.0
-    for i1, i2 in index_pairs:
-        base = ensemble_sq_distance(seq[i1], seq[i2])
-        if base <= 0.0:
-            continue
-        for q in q_specs:
-            moved = ensemble_sq_distance(
-                apply_q(q, seq, i1), apply_q(q, seq, i2)
-            )
-            worst = max(worst, moved / base)
-    return worst
-
-
-def probe_inverse_cov_sensitivity(cascade_pairs) -> float:
-    """Largest observed ratio of pseudo-inverse covariance change to output change.
-
-    ``cascade_pairs`` iterates over pairs of cascade-output lists taken at two
-    inputs; for matching terms a and b the probe measures
-    ``||C(a,a)^+ - C(b,b)^+||_F^2 / dist(a, b)`` and keeps the maximum. A
-    lower bound on the true sensitivity constant.
-    """
-    worst = 0.0
-    for ws_a, ws_b in cascade_pairs:
-        for a, b in zip(ws_a, ws_b):
-            base = ensemble_sq_distance(a, b)
-            if base <= 0.0:
-                continue
-            moved = frob_norm_sq(pseudo_inverse(est_cov(a, a)) - pseudo_inverse(est_cov(b, b)))
-            worst = max(worst, moved / base)
-    return worst
-
-
-def probe_stage_gains(v_lists, w_lists) -> list[float]:
-    """Per-term max observed output/input energy ratio of the deflation stages.
-
-    A lower bound on each stage's squared operator gain.
-    """
-    if not v_lists or not w_lists:
-        raise InvalidInput("need at least one cascade sample")
-    p = len(v_lists[0])
-    gains = [0.0] * p
-    for vs, ws in zip(v_lists, w_lists):
-        for k in range(p):
-            base = energy(vs[k])
-            if base > 0.0:
-                gains[k] = max(gains[k], energy(ws[k]) / base)
-    return gains

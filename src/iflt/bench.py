@@ -22,16 +22,15 @@ from .analysis import (
     ErrorBoundInputs,
     captured_energy,
     empirical_error,
+    ensemble_sq_distance,
     error_upper_bound,
     net_radius,
     node_error_decomposition,
-    probe_inverse_cov_sensitivity,
-    probe_stage_gains,
-    probe_transform_gain,
 )
 from .baselines import rls_apply, rls_init, rls_run, wiener_apply, wiener_fit
 from .exceptions import ConfigError, InvalidInput
 from .interp import FilterContext, FilterModel, _node_cascade, apply_filter, fit, input_cascade
+from .linalg import frob_norm_sq, pseudo_inverse
 from .signals import (
     Ensemble,
     QOperatorSpec,
@@ -351,23 +350,48 @@ def probe_bound_constants(
 ) -> dict:
     """Crude empirical probes of the bound constants (lower bounds, not certificates).
 
-    Covering radii are exact over the generated pool; the Lipschitz/gain
-    constants are max observed ratios over ten evenly spread positions.
+    ``eps_x`` (``eps_y``) is the exact covering radius of the nodes' references
+    (observations) over the generated pool; ``x_energy`` is the largest
+    reference energy. The rest are max observed ratios over ten evenly spread
+    positions, each compared with the one sampled before it, with d the squared
+    distance ``ensemble_sq_distance``; a zero denominator skips the ratio.
+
+    * ``lambda_q`` (transform Lipschitz constant): d(v_j, v_j') / d(y, y').
+    * ``lambda_e`` (inverse-covariance sensitivity): ||D_j^+ - D_j'^+||_F^2 /
+      d(w_j, w_j'), with D_j = C(w_j, w_j) for cascade output w_j.
+    * ``r_hat[k]`` (squared gain of deflation stage k): energy(w_k) / energy(v_k).
     """
     nodes = model.meta["node_positions"]
     sample = sorted(set(np.linspace(0, len(xs) - 1, 10, dtype=int).tolist()))
     ctx = FilterContext(ys)
-    cascades = [input_cascade(model, ctx, i) for i in sample]
-    v_lists = [
-        [apply_q(q, ys, i) for q in model.q_specs] for i in sample
-    ]
-    pairs = [(a, b) for a, b in zip(sample, sample[1:])]
+    lambda_e = lambda_q = 0.0
+    r_hat = [0.0] * model.p
+    prev = None
+    for i in sample:
+        vs = [apply_q(q, ys, i) for q in model.q_specs]
+        ws = input_cascade(model, ctx, i)
+        d_pinvs = [pseudo_inverse(est_cov(w, w)) for w in ws]
+        if prev is not None:
+            prev_i, prev_vs, prev_ws, prev_pinvs = prev
+            for a, b, a_pinv, b_pinv in zip(prev_ws, ws, prev_pinvs, d_pinvs):
+                base = ensemble_sq_distance(a, b)
+                if base > 0.0:
+                    lambda_e = max(lambda_e, frob_norm_sq(a_pinv - b_pinv) / base)
+            base = ensemble_sq_distance(ys[prev_i], ys[i])
+            if base > 0.0:
+                for a, b in zip(prev_vs, vs):
+                    lambda_q = max(lambda_q, ensemble_sq_distance(a, b) / base)
+        for k, (v, w) in enumerate(zip(vs, ws)):
+            base = energy(v)
+            if base > 0.0:
+                r_hat[k] = max(r_hat[k], energy(w) / base)
+        prev = i, vs, ws, d_pinvs
     return {
         "eps_x": net_radius(xs.items, nodes),
         "eps_y": net_radius(ys.items, nodes),
-        "lambda_e": probe_inverse_cov_sensitivity(zip(cascades, cascades[1:])),
-        "lambda_q": probe_transform_gain(model.q_specs, ys, pairs),
-        "r_hat": probe_stage_gains(v_lists, cascades),
+        "lambda_e": lambda_e,
+        "lambda_q": lambda_q,
+        "r_hat": r_hat,
         "x_energy": max(energy(x) for x in xs.items),
         "sample_positions": [i + 1 for i in sample],
     }

@@ -330,10 +330,16 @@ def load_model(blob: bytes | str) -> FilterModel:
         raise ParseError(f"unsupported model version {doc.get('version')!r}")
     try:
         p = int(doc["p"])
-        q_specs = [QOperatorSpec.from_dict(d) for d in doc["q_specs"]]
+        specs = list(doc["q_specs"])
         t_mats = [np.asarray(t, dtype=float) for t in doc["t_mats"]]
-    except (KeyError, TypeError, ValueError, InvalidInput) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed model document: {exc}") from exc
+    q_specs = []
+    for j, d in enumerate(specs):
+        try:
+            q_specs.append(QOperatorSpec.from_dict(d))
+        except (TypeError, ValueError, OverflowError) as exc:  # InvalidInput is a ValueError
+            raise ParseError(f"q_specs[{j}]: {exc}") from exc
     if len(q_specs) != p or len(t_mats) != p:
         raise ParseError("q_specs/t_mats length does not match p")
     shapes = {t.shape for t in t_mats}

@@ -17,13 +17,13 @@ NEGATIVE_EIG_RTOL = 1e-8
 SMALLEST_NORMAL = np.finfo(float).tiny
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
+def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-D float array or raise InvalidInput."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
-        raise InvalidInput(f"{name} must be 2-D, got shape {arr.shape}")
+        raise InvalidInput(f"matrix must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{name} contains non-finite entries")
+        raise InvalidInput("matrix contains non-finite entries")
     return arr
 
 

@@ -33,13 +33,18 @@ MAGIC = b"IFLT"
 BIN_VERSION = 1
 
 
-def _ingest(arr: np.ndarray, center_data: bool) -> Ensemble:
-    if not center_data:
-        return Ensemble(arr)
-    try:  # centered data is kept bit-for-bit; the claim is checked once
-        return Ensemble(arr, centered=True)
-    except InvalidInput:  # not centered, or invalid: then Ensemble(arr) raises alike
-        return center(Ensemble(arr))
+def _ingest(path, arr: np.ndarray, center_data: bool) -> Ensemble:
+    """``arr`` read from ``path`` as an Ensemble; data it rejects raise ParseError
+    naming the file."""
+    try:
+        if not center_data:
+            return Ensemble(arr)
+        try:  # centered data is kept bit-for-bit; the claim is checked once
+            return Ensemble(arr, centered=True)
+        except InvalidInput:  # not centered, or invalid: then Ensemble(arr) raises alike
+            return center(Ensemble(arr))
+    except InvalidInput as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def write_ensemble_csv(path, e: Ensemble) -> None:
@@ -81,7 +86,7 @@ def read_ensemble_csv(path, center_data: bool = True) -> Ensemble:
         arr = np.asarray(values, dtype=float)
     if declared is not None and declared != arr.shape:
         raise ParseError(f"{path}: header says {declared}, data is {arr.shape}")
-    return _ingest(arr, center_data)
+    return _ingest(path, arr, center_data)
 
 
 def write_ensemble_bin(path, e: Ensemble) -> None:
@@ -100,7 +105,7 @@ def read_ensemble_bin(path, center_data: bool = True) -> Ensemble:
     if len(blob) != expected:
         raise ParseError(f"{path}: expected {expected} bytes, got {len(blob)}")
     arr = np.frombuffer(blob[16:], dtype="<f8").reshape(m, s).copy()
-    return _ingest(arr, center_data)
+    return _ingest(path, arr, center_data)
 
 
 def read_ensemble(path) -> Ensemble:

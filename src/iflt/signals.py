@@ -179,6 +179,8 @@ class QOperatorSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "QOperatorSpec":
+        if not isinstance(d, dict):
+            raise InvalidInput(f"a transform spec must be an object, got {type(d).__name__}")
         return QOperatorSpec(
             d.get("kind", ""), lag=d.get("lag", 0), weights=tuple(d.get("weights", ()))
         )
@@ -221,9 +223,24 @@ class TrainingSet:
         return len(self.s_x)
 
 
+def _centered(data: np.ndarray) -> Ensemble:
+    """``Ensemble(data, centered=True)`` for data formed from centered rows.
+
+    Rounding can leave a row mean above the centering tolerance, as for a
+    constant row or a large offset against a small spread; the row means of
+    ``data`` are then subtracted once more.
+    """
+    try:
+        return Ensemble(data, centered=True)
+    except InvalidInput:
+        if not np.all(np.isfinite(data)):
+            raise
+        return Ensemble(data - data.mean(axis=1, keepdims=True), centered=True)
+
+
 def center(e: Ensemble) -> Ensemble:
     """Subtract each row's empirical mean."""
-    return Ensemble(e.data - e.data.mean(axis=1, keepdims=True), centered=True)
+    return _centered(e.data - e.data.mean(axis=1, keepdims=True))
 
 
 def est_cov(a: Ensemble, b: Ensemble) -> np.ndarray:
@@ -268,5 +285,5 @@ def apply_q(q: QOperatorSpec, seq: SignalSequence, i: int) -> Ensemble:
     for t in range(min(i + 1, len(q.weights))):
         acc += q.weights[t] * seq[t].data
         centered = centered and seq[t].centered
-    return Ensemble(acc, centered=centered)
+    return _centered(acc) if centered else Ensemble(acc)
 

@@ -203,6 +203,26 @@ def test_probe_constants_and_bound(tmp_path):
         assert check["bound"] >= check["optimal"]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_probed_constants_hold_their_exact_values_at_the_default_config(seed):
+    """At the default config (p = 3 and 5): w_0 is v_0, so r_hat[0] is exactly 1;
+    deflation only removes energy, so every stage gain is at most 1; the lag-0
+    input is the observation itself, so lambda_q is at least 1; and the sample
+    positions are the ten evenly spread ones, 1, 12, ..., 100."""
+    cfg = replace(ExperimentConfig(), seed=seed)
+    xs = gen_reference_sequence(cfg)
+    ys = gen_observations(xs, cfg)
+    models = fit_benchmark_models(cfg, xs, ys)
+    assert sorted(models) == ["interp_p3", "interp_p5"]
+    for model in models.values():
+        consts = probe_bound_constants(cfg, xs, ys, model)
+        assert len(consts["r_hat"]) == model.p
+        assert consts["r_hat"][0] == 1.0
+        assert all(0.0 <= g <= 1.0 + 1e-12 for g in consts["r_hat"])
+        assert consts["lambda_q"] >= 1.0
+        assert consts["sample_positions"] == list(range(1, 101, 11))
+
+
 def trend_errors(cfg_base, seed, node_sets):
     """Mean interp error per node set (order = set size), sharing one dataset."""
     cfg = replace(cfg_base, seed=seed)

@@ -1,6 +1,8 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from iflt import cli, sigio
 from iflt.bench import lag_specs
@@ -514,3 +516,99 @@ def test_eval_rejects_sequences_of_unequal_length(tmp_path, cfg_path, capsys, sh
     assert (f"--refs {refs} has {n_refs} positions but --obs {obs} has {n_obs}; "
             "they must have the same length") in err
     assert not (tmp_path / "eval").exists()
+
+
+def test_epsnet_reads_csv_files_holding_a_constant_row(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    names = []
+    for k in range(3):
+        name = f"e{k}.csv"
+        rows = [[0.1] * 6, rng.normal(size=6).tolist()]
+        (tmp_path / name).write_text("\n".join(",".join(map(repr, r)) for r in rows) + "\n")
+        names.append(name)
+    manifest = tmp_path / "manifest.json"
+    sigio.write_manifest(manifest, names, 2, 6)
+    out = tmp_path / "net.json"
+    assert cli_main(["epsnet", "--data", str(manifest), "--eps", "0.5",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["center_positions"][0] == 1
+
+
+@pytest.mark.parametrize("fmt, data, message", [
+    ("csv", [[0.0, float("nan")], [1.0, -1.0]], "non-finite entries"),
+    ("csv", [[1.0], [2.0]], "at least two realizations"),
+    ("bin", [[0.0, float("inf")], [1.0, -1.0]], "non-finite entries"),
+    ("bin", [[1.0], [2.0]], "at least two realizations"),
+])
+def test_ensemble_file_errors_name_the_file(tmp_path, capsys, fmt, data, message):
+    bad = tmp_path / f"bad.{fmt}"
+    arr = np.asarray(data)
+    if fmt == "csv":
+        bad.write_text("\n".join(",".join(map(repr, row)) for row in arr.tolist()) + "\n")
+    else:
+        bad.write_bytes(sigio.MAGIC + sigio.struct.pack("<III", sigio.BIN_VERSION, *arr.shape)
+                        + arr.astype("<f8").tobytes())
+    manifest = tmp_path / "manifest.json"
+    sigio.write_manifest(manifest, [bad.name], *arr.shape)
+    err = _cli_error(capsys, ["epsnet", "--data", str(manifest), "--eps", "0.1",
+                              "--out", str(tmp_path / "net.json")])
+    assert f"error: {bad}: " in err and message in err
+
+
+@pytest.mark.parametrize("spec", [5, "identity", None, [{"kind": "identity"}]])
+def test_model_with_a_non_object_transform_spec_exits_1(tmp_path, cfg_path, capsys, spec):
+    obs, model_path = _gen_and_fit(tmp_path, cfg_path)
+    doc = json.loads(model_path.read_text())
+    doc["q_specs"][1] = spec
+    model_path.write_text(json.dumps(doc))
+    err = _apply_error(tmp_path, capsys, model_path, obs, 5)
+    assert f"{model_path}: q_specs[1]: a transform spec must be an object" in err
+    err = _cli_error(capsys, ["eval", "--refs", str(obs.with_name("refs_manifest.json")),
+                              "--obs", str(obs), "--model", str(model_path),
+                              "--out", str(tmp_path / "eval")])
+    assert "q_specs[1]" in err
+
+
+@pytest.fixture(scope="module")
+def fitted_model(tmp_path_factory):
+    """Generated data and the document of a model fitted on it, shared by the
+    fuzz examples below."""
+    root = tmp_path_factory.mktemp("fitted")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_CFG))
+    obs, model_path = _gen_and_fit(root, cfg)
+    return root, obs, json.loads(model_path.read_text())
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+_MODEL_FIELDS = [("version",), ("p",), ("q_specs",), ("t_mats",), ("a_mats",), ("r_mats",),
+                 ("meta",), ("q_specs", 0), ("q_specs", 1)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_MODEL_FIELDS), _JSON_VALUES)
+@example(("q_specs", 0), 5)
+@example(("p", ), float("inf"))
+def test_model_document_fuzz_exits_without_raising(fitted_model, field, value):
+    """A model document with one top-level field or one q_specs entry replaced by
+    any JSON value: ``apply`` (both deflation modes) and ``eval`` return an exit
+    code and never raise."""
+    root, obs, doc = fitted_model
+    doc = json.loads(json.dumps(doc))
+    if len(field) == 1:
+        doc[field[0]] = value
+    else:
+        doc[field[0]][field[1]] = value
+    model_path = root / "fuzzed.json"
+    model_path.write_text(json.dumps(doc))
+    apply = ["apply", "--model", str(model_path), "--obs", str(obs), "--index", "5",
+             "--out", str(root / "est.iflt")]
+    for argv in (apply, [*apply, "--fixed-r"],
+                 ["eval", "--refs", str(obs.with_name("refs_manifest.json")), "--obs",
+                  str(obs), "--model", str(model_path), "--out", str(root / "eval")]):
+        assert cli_main(argv) in (0, 1, 2)

@@ -25,6 +25,12 @@ def seq_of(*arrays, centered=True):
     return SignalSequence(tuple(items))
 
 
+@pytest.mark.parametrize("spec", [5, "identity", None, ["identity"], True])
+def test_q_spec_from_a_non_object_raises_invalid_input(spec):
+    with pytest.raises(InvalidInput, match="must be an object"):
+        QOperatorSpec.from_dict(spec)
+
+
 def test_ensemble_validation():
     with pytest.raises(InvalidInput):
         Ensemble(np.zeros((3, 1)))  # single realization
@@ -266,15 +272,25 @@ def test_positions_are_exactly_what_apply_q_reads(case):
     assert len(positions) <= q.window()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 64),
-       st.floats(-170.0, 300.0))
-def test_center_passes_the_centering_check_at_any_scale(seed, m, s, exponent):
+       st.floats(-170.0, 300.0), st.sampled_from((0, 3, 8, None)))
+def test_center_passes_the_centering_check_at_any_scale(seed, m, s, exponent, spread_exp):
+    """Rows of spread 10**-spread_exp around offsets of order one, all scaled by
+    10**exponent; spread_exp None makes every row constant."""
     rng = np.random.default_rng(seed)
-    data = 10.0**exponent * rng.normal(loc=rng.normal(size=(m, 1)), size=(m, s))
+    spread = 0.0 if spread_exp is None else 10.0**-spread_exp
+    data = 10.0**exponent * (rng.normal(size=(m, 1)) + spread * rng.normal(size=(m, s)))
     with pytest.raises(InvalidInput, match="row means"):
         Ensemble(data, centered=True)
     assert center(Ensemble(data)).centered  # center() runs the check on its result
+
+
+@pytest.mark.parametrize("value", [0.1, 0.3, 7.7])
+def test_center_of_a_constant_row_is_zero(value):
+    out = center(Ensemble(np.full((1, 50), value)))
+    assert out.centered
+    assert np.all(out.data == 0.0)
 
 
 def test_tiny_prefix_sum_of_centered_data_stays_centered(rng):
@@ -282,3 +298,25 @@ def test_tiny_prefix_sum_of_centered_data_stays_centered(rng):
     out = apply_q(QOperatorSpec.weighted_prefix_sum((1.9e-167,)), seq, 0)
     assert out.centered
     assert np.array_equal(out.data, 1.9e-167 * seq[0].data)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_prefix_sum_difference_of_nearly_equal_centered_rows_stays_centered(seed):
+    """y0 - y1 with y1 = center(1.0000001 y0) cancels to a small difference whose
+    row means, left by rounding, are too large for the centering check; the
+    sum's row means are subtracted once more."""
+    y0 = make_ensemble(np.random.default_rng(seed), 1, 8)
+    y1 = center(Ensemble(1.0000001 * y0.data))
+    diff = y0.data - y1.data
+    with pytest.raises(InvalidInput, match="row means"):
+        Ensemble(diff, centered=True)
+    out = apply_q(QOperatorSpec.weighted_prefix_sum((1.0, -1.0)), SignalSequence((y0, y1)), 1)
+    assert out.centered
+    assert np.array_equal(out.data, diff - diff.mean(axis=1, keepdims=True))
+
+
+def test_prefix_sum_of_uncentered_data_is_not_recentered():
+    seq = seq_of([[1.0, 2.0, 3.0]], centered=False)
+    out = apply_q(QOperatorSpec.weighted_prefix_sum((2.0,)), seq, 0)
+    assert not out.centered
+    assert np.array_equal(out.data, [[2.0, 4.0, 6.0]])
