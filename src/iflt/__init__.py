@@ -45,7 +45,6 @@ from .interp import (
     FilterModel,
     apply_filter,
     fit,
-    interp_residual,
     load_model,
     save_model,
 )

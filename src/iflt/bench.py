@@ -343,7 +343,6 @@ def _method_summary(rows: list[RunRow]) -> dict:
 
 
 def probe_bound_constants(
-    cfg: ExperimentConfig,
     xs: SignalSequence,
     ys: SignalSequence,
     model: FilterModel,
@@ -400,8 +399,6 @@ def probe_bound_constants(
 def node_bound_checks(
     model: FilterModel,
     train: TrainingSet,
-    xs: SignalSequence,
-    ys: SignalSequence,
     constants: dict,
     scale: float = 1.0,
 ) -> list[dict]:
@@ -416,11 +413,11 @@ def node_bound_checks(
     ``scale`` inflates the probed Lipschitz/gain constants (they are lower
     bounds on the true ones).
     """
-    ctx = FilterContext(ys)
+    ctx = FilterContext(train.s_y_context)
     out = []
     for k, pos in enumerate(train.s_y_indices):
         _, cmap = _node_cascade(train, model.q_specs, k, train.s_x)
-        measured = empirical_error(xs[pos], apply_filter(model, ctx, pos))
+        measured = empirical_error(train.s_x[k], apply_filter(model, ctx, pos))
         x_energy = energy(train.s_x[k])
         base = x_energy - captured_energy(cmap, k)
         if -ORTHO_RTOL * x_energy <= base < 0.0:
@@ -485,21 +482,19 @@ def evaluate(
             rel = rec["gap"] / rec["lhs"] if rec["lhs"] > 0 else rec["gap"]
             diag["node_gaps"].append({"node": pos + 1, **rec, "rel_gap": rel})
         if cfg.probe_constants:
-            constants = probe_bound_constants(cfg, xs, ys, model)
+            constants = probe_bound_constants(xs, ys, model)
             diag["probed_constants_lower_bounds"] = {
                 key: constants[key]
                 for key in ("eps_x", "eps_y", "lambda_e", "lambda_q", "r_hat", "x_energy")
             }
-            diag["node_bound_checks"] = node_bound_checks(model, train, xs, ys, constants)
+            diag["node_bound_checks"] = node_bound_checks(model, train, constants)
         if bound_constants is not None:
             r_hat = list(bound_constants["r_hat"])
             if len(r_hat) not in (1, model.p):
                 raise ConfigError(f"r_hat: need 1 or {model.p} stage gains, got {len(r_hat)}")
             supplied = {**bound_constants, "r_hat": r_hat * (model.p // len(r_hat))}
             diag["supplied_constants"] = supplied
-            diag["node_bound_checks_supplied"] = node_bound_checks(
-                model, train, xs, ys, supplied
-            )
+            diag["node_bound_checks_supplied"] = node_bound_checks(model, train, supplied)
 
     methods = list(dict.fromkeys(r.method for r in rows))
     summary = {

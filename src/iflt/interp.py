@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvalidInput, ParseError
+from .linalg import frob_norm
 from .ortho import CascadeMap, cascade_map, cascade_outputs
 from .signals import Ensemble, QOperatorSpec, SignalSequence, TrainingSet, apply_q
 
@@ -73,38 +74,32 @@ class FilterContext:
     def _gram_matrix(self, q_specs, i: int, vs) -> np.ndarray:
         """Gram matrix of the stacked inputs ``vs`` that ``q_specs`` give at ``i``.
 
-        An input that reads one observation, rolled by some rows, has the
-        blocks of that observation rolled alike; the cache then holds the
-        blocks among those observations and no others. Blocks of a weighted
-        prefix sum are formed from its data.
+        Two inputs that are observations as they stand (``identity``,
+        ``sequence_lag``) share the block of their positions, taken from this
+        call's blocks, else from the cache, else formed; the cache then holds
+        this call's blocks and no others. Any other pair is formed from the
+        inputs' data. ``cascade_map`` rejects a block that overflowed.
         """
-        # (position, row shift) of each input that reads one observation
-        sources = [None if q.kind == "weighted_prefix_sum"
-                   else (q.positions(i)[0], q.lag if q.kind == "component_shift" else 0)
-                   for q in q_specs]
-        positions = sorted({src[0] for src in sources if src is not None})
-        seq, blocks = self.history, {}
-        for k, a in enumerate(positions):
-            for b in positions[: k + 1]:
-                block = self._gram.get((a, b))
-                if block is None:
-                    block = (seq[a].data @ seq[b].data.T) / seq.s
-                blocks[(a, b)] = block
+        seq, p, n = self.history, len(vs), self.history.m
+        pos = [q.positions(i)[0] if q.kind in ("identity", "sequence_lag") else None
+               for q in q_specs]
+        blocks, g = {}, np.empty((p * n, p * n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(p):
+                for l in range(j + 1):
+                    a, b = pos[j], pos[l]
+                    if a is None or b is None:
+                        block = (vs[j].data @ vs[l].data.T) / seq.s
+                    else:
+                        key = (max(a, b), min(a, b))
+                        if key not in blocks:
+                            blocks[key] = self._gram[key] if key in self._gram else (
+                                seq[key[0]].data @ seq[key[1]].data.T) / seq.s
+                        block = blocks[key] if a >= b else blocks[key].T
+                    g[j * n : (j + 1) * n, l * n : (l + 1) * n] = block
+                    g[l * n : (l + 1) * n, j * n : (j + 1) * n] = block.T
         self._gram.clear()
         self._gram.update(blocks)
-        p, n = len(vs), seq.m
-        g = np.empty((p * n, p * n))
-        for j in range(p):
-            for l in range(j + 1):
-                if sources[j] is None or sources[l] is None:
-                    block = (vs[j].data @ vs[l].data.T) / seq.s
-                else:
-                    (a, shift_a), (b, shift_b) = sources[j], sources[l]
-                    block = blocks[(a, b)] if a >= b else blocks[(b, a)].T
-                    if shift_a or shift_b:
-                        block = np.roll(block, (shift_a, shift_b), axis=(0, 1))
-                g[j * n : (j + 1) * n, l * n : (l + 1) * n] = block
-                g[l * n : (l + 1) * n, j * n : (j + 1) * n] = block.T
         return g
 
 
@@ -157,8 +152,8 @@ def _matching_terms(cmap: CascadeMap, k: int) -> tuple[list[np.ndarray], np.ndar
 
 def _matching_residuals(t_mats, terms) -> tuple[list, list]:
     """||sum_j T_j C(w_j, w_k) - C(x_k, w_k)||_F and ||C(x_k, w_k)||_F per node k."""
-    return ([float(np.linalg.norm(sum(t @ c for t, c in zip(t_mats, covs)) - target))
-             for covs, target in terms], [float(np.linalg.norm(x)) for _, x in terms])
+    return ([frob_norm(sum(t @ c for t, c in zip(t_mats, covs)) - target)
+             for covs, target in terms], [frob_norm(x) for _, x in terms])
 
 
 def fit(
@@ -208,16 +203,6 @@ def fit(
     }
     return FilterModel(p=p, q_specs=q_specs, t_mats=t_mats, a_mats=a_mats,
                        r_mats=r_mats, meta=meta)
-
-
-def interp_residual(model: FilterModel, train: TrainingSet) -> list[float]:
-    """Recompute the per-node matching residuals from scratch.
-
-    Returns ``||sum_j T_j C(w_jk, w_kk) - C(x_k, w_kk)||_F`` for each node k.
-    """
-    terms = [_matching_terms(_node_cascade(train, model.q_specs, k)[1], k)
-             for k in range(train.p)]
-    return _matching_residuals(model.t_mats, terms)[0]
 
 
 def _transformed_inputs(model: FilterModel, ctx: FilterContext, i: int) -> list[Ensemble]:

@@ -103,8 +103,9 @@ def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
 
     ``g`` holds the blocks G_ik = C(u_i, v_k) of the inputs ``vs`` and then
     the extra rows ``xs``, U = [V; X], against the inputs; it is formed when
-    not given. As w_k is orthogonal to the earlier outputs, D_k = C(w_k, w_k)
-    = C(v_k, w_k), and stage by stage
+    not given, and an entry that is not finite (an overflowed product) raises
+    ``InvalidInput``. As w_k is orthogonal to the earlier outputs, D_k =
+    C(w_k, w_k) = C(v_k, w_k), and stage by stage
 
         C(u_i, w_k) = G_ik - sum_{l < k} C(u_i, w_l) K_kl^T,   rows i >= k,
         K_ik = C(v_i, w_k) D_k^+,                               inputs i > k.
@@ -131,10 +132,13 @@ def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
         _check_aligned(xs, s)
     if g is None:
         v = np.vstack([x.data for x in vs])
-        g = v @ v.T
-        if xs:
-            g = np.vstack([g, np.vstack([x.data for x in xs]) @ v.T])
-        g /= s
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = v @ v.T
+            if xs:
+                g = np.vstack([g, np.vstack([x.data for x in xs]) @ v.T])
+            g /= s
+    if not np.all(np.isfinite(g)):
+        raise InvalidInput("covariance overflows: entries are not finite")
     max_energy = float(np.diag(g).reshape(p, n).sum(axis=1).max())
     scale = float(np.sqrt(s * max_energy))  # largest input norm
     floor = GRAM_RECHECK_RTOL * max_energy
@@ -154,7 +158,7 @@ def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
         d_pinv = _certified_inverse(d, floor) if below and np.trace(d) > floor else None
         if np.trace(d) <= floor or (below and d_pinv is None):
             forward_substitute(vs, k_mats, zero_indices, ws, k + 1)
-            if float(np.linalg.norm(ws[k])) <= ZERO_W_RTOL * scale:
+            if frob_norm(ws[k]) <= ZERO_W_RTOL * scale:
                 zero_indices.append(k)
                 d_mats.append(np.zeros((n, n)))
                 d_pinvs.append(d_mats[k])

@@ -122,8 +122,10 @@ class QOperatorSpec:
     def __post_init__(self):
         if self.kind not in Q_KINDS:
             raise InvalidInput(f"unknown transform kind {self.kind!r}")
-        if self.lag < 0 or int(self.lag) != self.lag:
-            raise InvalidInput("lag must be a nonnegative integer")
+        if (isinstance(self.lag, bool) or not isinstance(self.lag, (int, np.integer))
+                or self.lag < 0):
+            raise InvalidInput(f"lag must be a nonnegative integer, got {self.lag!r}")
+        object.__setattr__(self, "lag", int(self.lag))
         weights = tuple(float(w) for w in self.weights)
         if not all(np.isfinite(weights)):
             raise InvalidInput("weights must be finite")
@@ -172,7 +174,7 @@ class QOperatorSpec:
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
         if self.kind in ("sequence_lag", "component_shift"):
-            out["lag"] = int(self.lag)
+            out["lag"] = self.lag
         if self.kind == "weighted_prefix_sum":
             out["weights"] = list(self.weights)
         return out
@@ -282,8 +284,9 @@ def apply_q(q: QOperatorSpec, seq: SignalSequence, i: int) -> Ensemble:
         raise InvalidInput("more weights than sequence positions")
     acc = np.zeros_like(seq[0].data)
     centered = True
-    for t in range(min(i + 1, len(q.weights))):
-        acc += q.weights[t] * seq[t].data
-        centered = centered and seq[t].centered
+    with np.errstate(over="ignore", invalid="ignore"):  # Ensemble rejects an overflow
+        for t in range(min(i + 1, len(q.weights))):
+            acc += q.weights[t] * seq[t].data
+            centered = centered and seq[t].centered
     return _centered(acc) if centered else Ensemble(acc)
 

@@ -23,7 +23,6 @@ from iflt import (
     est_cov,
     fit,
     greedy_eps_net,
-    interp_residual,
     node_error_decomposition,
     optimal_error,
     orthogonalize,
@@ -47,7 +46,7 @@ from iflt.bench import (
     report_csv_text,
 )
 from conftest import make_ensemble
-from oracle import data_space_cascade, penrose_residuals
+from oracle import data_space_cascade, matching_residuals, node_cascades, penrose_residuals
 
 
 def _report(num, name, ok, detail=""):
@@ -111,8 +110,8 @@ def test_criterion_03_node_matching_residuals():
     for p in (3, 5):
         cfg, xs, ys, train = default_benchmark_training(p=p)
         model = fit(train, lag_specs(p))
-        for rho, scale in zip(interp_residual(model, train),
-                              model.meta["residual_scales"]):
+        rhos, _ = matching_residuals(model.t_mats, train, node_cascades(train, model.q_specs))
+        for rho, scale in zip(rhos, model.meta["residual_scales"]):
             worst = max(worst, rho / scale if scale > 0 else rho)
     elapsed = time.perf_counter() - t0
     _report(3, "node matching residuals on the default benchmark",
@@ -171,8 +170,8 @@ def test_criterion_06_optimal_error_oracle():
 def test_criterion_07_error_bound_sanity():
     cfg, xs, ys, train = default_benchmark_training(p=3)
     model = fit(train, lag_specs(3))
-    constants = probe_bound_constants(cfg, xs, ys, model)
-    checks = node_bound_checks(model, train, xs, ys, constants, scale=10.0)
+    constants = probe_bound_constants(xs, ys, model)
+    checks = node_bound_checks(model, train, constants, scale=10.0)
     dominates = all(c["bound"] >= c["measured"] for c in checks)
 
     # limit behaviour: shrink both covering radii along a 5-point grid

@@ -215,7 +215,7 @@ def test_probed_constants_hold_their_exact_values_at_the_default_config(seed):
     models = fit_benchmark_models(cfg, xs, ys)
     assert sorted(models) == ["interp_p3", "interp_p5"]
     for model in models.values():
-        consts = probe_bound_constants(cfg, xs, ys, model)
+        consts = probe_bound_constants(xs, ys, model)
         assert len(consts["r_hat"]) == model.p
         assert consts["r_hat"][0] == 1.0
         assert all(0.0 <= g <= 1.0 + 1e-12 for g in consts["r_hat"])

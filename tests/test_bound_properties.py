@@ -110,7 +110,7 @@ def test_node_bound_checks_match_the_data_space_cascade(s_indices, seed, p, scal
     model = fit_benchmark_models(cfg, xs, ys)[f"interp_p{p}"]
     train = node_training_set(xs, ys, nodes_for(cfg, p), "s_indices")
     constants = {**constants, "r_hat": constants["r_hat"][:p]}
-    checks = node_bound_checks(model, train, xs, ys, constants, scale)
+    checks = node_bound_checks(model, train, constants, scale)
     want = _data_space_checks(model, train, xs, ys, constants, scale)
     for check, (optimal, bound) in zip(checks, want, strict=True):
         assert check["optimal"] == pytest.approx(optimal, rel=REL_TOL, abs=0.0)

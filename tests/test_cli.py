@@ -8,7 +8,7 @@ from iflt import cli, sigio
 from iflt.bench import lag_specs
 from iflt.cli import cli_main
 from iflt.interp import FilterContext, apply_filter, fit, save_model
-from iflt.signals import TrainingSet
+from iflt.signals import Ensemble, SignalSequence, TrainingSet
 from iflt.sigio import load_sequence, read_ensemble, write_ensemble_bin
 from iflt.analysis import ensemble_sq_distance
 
@@ -569,6 +569,52 @@ def test_model_with_a_non_object_transform_spec_exits_1(tmp_path, cfg_path, caps
     assert "q_specs[1]" in err
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "sequence_lag", "lag": 1.0},
+    {"kind": "sequence_lag", "lag": True},
+    {"kind": "component_shift", "lag": 1e300},
+], ids=["float", "bool", "huge-float"])
+def test_model_with_a_non_integer_lag_exits_1(tmp_path, cfg_path, capsys, spec):
+    obs, model_path = _gen_and_fit(tmp_path, cfg_path)
+    doc = json.loads(model_path.read_text())
+    doc["q_specs"][1] = spec
+    model_path.write_text(json.dumps(doc))
+    for extra in ([], ["--fixed-r"]):
+        err = _apply_error(tmp_path, capsys, model_path, obs, 5, *extra)
+        assert f"{model_path}: q_specs[1]: lag must be a nonnegative integer" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_and_apply_on_overflowing_data_exit_1(tmp_path, capsys):
+    # covariances of data scaled by 1e160 overflow; the cascade used to read
+    # the infinite Gram matrix as zero outputs and give an all-zero filter
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CFG, "m": 3, "n": 3, "s": 30, "p_values": [2]}))
+    obs, model_path = _gen_and_fit(tmp_path, cfg)
+    for name in ("refs", "obs"):
+        seq = load_sequence(obs.with_name(f"{name}_manifest.json"))
+        sigio.save_sequence(tmp_path / "big", name, SignalSequence(
+            tuple(Ensemble(1e160 * e.data, centered=True) for e in seq.items)))
+    big = tmp_path / "big"
+    err = _cli_error(capsys, ["fit", "--config", str(cfg), "--refs",
+                              str(big / "refs_manifest.json"), "--obs",
+                              str(big / "obs_manifest.json"), "--p", "2",
+                              "--out", str(tmp_path / "big.json")])
+    assert "covariance overflows" in err
+    assert not (tmp_path / "big.json").exists()
+    err = _apply_error(tmp_path, capsys, model_path, big / "obs_manifest.json", 5)
+    assert "covariance overflows" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_apply_with_overflowing_prefix_sum_weights_exits_1(tmp_path, cfg_path, capsys):
+    obs, model_path = _gen_and_fit(tmp_path, cfg_path)
+    doc = json.loads(model_path.read_text())
+    doc["q_specs"][1] = {"kind": "weighted_prefix_sum", "weights": [1e300, 1e300]}
+    model_path.write_text(json.dumps(doc))
+    assert "covariance overflows" in _apply_error(tmp_path, capsys, model_path, obs, 5)
+
+
 @pytest.fixture(scope="module")
 def fitted_model(tmp_path_factory):
     """Generated data and the document of a model fitted on it, shared by the
@@ -587,23 +633,26 @@ _JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 _MODEL_FIELDS = [("version",), ("p",), ("q_specs",), ("t_mats",), ("a_mats",), ("r_mats",),
-                 ("meta",), ("q_specs", 0), ("q_specs", 1)]
+                 ("meta",), ("q_specs", 0), ("q_specs", 1), ("q_specs", 0, "kind"),
+                 ("q_specs", 1, "lag"), ("q_specs", 1, "weights")]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(_MODEL_FIELDS), _JSON_VALUES)
 @example(("q_specs", 0), 5)
 @example(("p", ), float("inf"))
+@example(("q_specs", 1, "lag"), 1.0)
+@example(("q_specs", 1), {"kind": "weighted_prefix_sum", "weights": [1e300, 1e300]})
 def test_model_document_fuzz_exits_without_raising(fitted_model, field, value):
-    """A model document with one top-level field or one q_specs entry replaced by
-    any JSON value: ``apply`` (both deflation modes) and ``eval`` return an exit
-    code and never raise."""
+    """A model document with one top-level field, one q_specs entry or one field
+    of an entry replaced by any JSON value: ``apply`` (both deflation modes) and
+    ``eval`` return an exit code and never raise."""
     root, obs, doc = fitted_model
     doc = json.loads(json.dumps(doc))
-    if len(field) == 1:
-        doc[field[0]] = value
-    else:
-        doc[field[0]][field[1]] = value
+    target = doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
     model_path = root / "fuzzed.json"
     model_path.write_text(json.dumps(doc))
     apply = ["apply", "--model", str(model_path), "--obs", str(obs), "--index", "5",

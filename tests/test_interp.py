@@ -16,7 +16,6 @@ from iflt import (
     apply_q,
     empirical_error,
     fit,
-    interp_residual,
     load_model,
     save_model,
     wiener_apply,
@@ -25,6 +24,12 @@ from iflt import (
 from iflt.bench import ExperimentConfig, gen_observations, gen_reference_sequence, lag_specs
 from iflt.interp import input_cascade
 from conftest import make_ensemble
+from oracle import matching_residuals, node_cascades
+
+
+def recomputed_residuals(model, train):
+    """The per-node matching residuals of ``model``, from the data-space cascade."""
+    return matching_residuals(model.t_mats, train, node_cascades(train, model.q_specs))[0]
 
 
 def single_pair_train(rng, m=3, n=3, s=24):
@@ -94,11 +99,20 @@ def test_fit_residuals_small(rng):
     ys = SignalSequence(tuple(make_ensemble(rng, 3, 60) for _ in range(6)))
     train = TrainingSet(tuple(xs[i] for i in (1, 3, 5)), ys, (1, 3, 5))
     model = fit(train, lag_specs(3))
-    rhos = interp_residual(model, train)
-    for rho, scale in zip(rhos, model.meta["residual_scales"]):
+    for rho, scale in zip(recomputed_residuals(model, train), model.meta["residual_scales"]):
         assert rho <= 1e-6 * scale
     assert model.meta["residual_ok"]
-    assert model.meta["residuals"] == pytest.approx(rhos, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_residuals_are_finite_where_their_squares_overflow(rng):
+    # covariances near 1e300: their squared entries overflow, their norms do not
+    xs = [make_ensemble(rng, 3, 60, scale=1e150) for _ in range(4)]
+    ys = SignalSequence(tuple(make_ensemble(rng, 3, 60, scale=1e150) for _ in range(4)))
+    model = fit(TrainingSet((xs[1], xs[3]), ys, (1, 3)), lag_specs(2))
+    assert all(np.isfinite(model.meta["residuals"] + model.meta["residual_scales"]))
+    assert all(scale > 1e299 for scale in model.meta["residual_scales"])
+    assert model.meta["residual_ok"]
 
 
 def test_residual_with_zero_coefficients(rng):
@@ -109,14 +123,14 @@ def test_residual_with_zero_coefficients(rng):
     zeroed = FilterModel(p=2, q_specs=model.q_specs,
                          t_mats=[np.zeros_like(t) for t in model.t_mats],
                          r_mats=model.r_mats)
-    rhos = interp_residual(zeroed, train)
+    rhos = recomputed_residuals(zeroed, train)
     assert rhos == pytest.approx(model.meta["residual_scales"], rel=1e-12)
 
 
 def test_order_one_residual_full_rank(rng):
     x, y, train = single_pair_train(rng, s=60)
     model = fit(train, [QOperatorSpec.identity()])
-    (rho,) = interp_residual(model, train)
+    (rho,) = recomputed_residuals(model, train)
     assert rho <= 1e-10 * model.meta["residual_scales"][0]
 
 
@@ -276,7 +290,7 @@ def test_benchmark_style_fit_residuals(rng):
     nodes = (3, 9, 15)
     train = TrainingSet(tuple(xs[k] for k in nodes), ys, nodes)
     model = fit(train, lag_specs(3))
-    for rho, scale in zip(interp_residual(model, train),
+    for rho, scale in zip(recomputed_residuals(model, train),
                           model.meta["residual_scales"]):
         assert rho <= 1e-6 * scale
 

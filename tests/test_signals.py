@@ -177,6 +177,14 @@ def test_apply_q_weighted_prefix_sum_too_many_weights():
         apply_q(q, seq, 0)
 
 
+def test_apply_q_weighted_prefix_sum_that_overflows_raises_without_a_warning(rng):
+    seq = SignalSequence(tuple(make_ensemble(rng, 3, 10, scale=1e10) for _ in range(2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="non-finite"):
+            apply_q(QOperatorSpec.weighted_prefix_sum([1e300, 1e300]), seq, 1)
+
+
 def test_apply_q_index_out_of_range(rng):
     seq = SignalSequence((make_ensemble(rng, 2, 4),))
     with pytest.raises(InvalidInput):
@@ -194,6 +202,17 @@ def test_q_spec_validation():
         QOperatorSpec.weighted_prefix_sum([np.nan])
     with pytest.raises(InvalidInput):
         QOperatorSpec.weighted_prefix_sum([])
+
+
+@pytest.mark.parametrize("lag", [1.0, True, 1e300, "1", -1])
+def test_q_spec_lag_must_be_a_nonnegative_int(lag):
+    with pytest.raises(InvalidInput, match="lag must be a nonnegative integer"):
+        QOperatorSpec("component_shift", lag=lag)
+
+
+def test_q_spec_stores_a_numpy_lag_as_an_int():
+    q = QOperatorSpec.sequence_lag(np.int64(2))
+    assert type(q.lag) is int and q.to_dict() == {"kind": "sequence_lag", "lag": 2}
 
 
 def test_q_spec_dict_round_trip():
