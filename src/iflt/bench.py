@@ -411,18 +411,19 @@ def node_bound_checks(
     node reference's energy is rounding (the reference lies in the span of the
     outputs) and counts as zero; a larger negative one still raises.
     ``scale`` inflates the probed Lipschitz/gain constants (they are lower
-    bounds on the true ones).
+    bounds on the true ones). One node's cascade map is held at a time, and
+    not across the apply.
     """
     ctx = FilterContext(train.s_y_context)
     out = []
     for k, pos in enumerate(train.s_y_indices):
-        _, cmap = _node_cascade(train, model.q_specs, k, train.s_x)
         measured = empirical_error(train.s_x[k], apply_filter(model, ctx, pos))
+        cmap = _node_cascade(train, model.q_specs, k, train.s_x)[1]
         x_energy = energy(train.s_x[k])
         base = x_energy - captured_energy(cmap, k)
         if -ORTHO_RTOL * x_energy <= base < 0.0:
             base = 0.0  # x_k in the span of the outputs, up to rounding
-        inputs = ErrorBoundInputs(
+        bound = error_upper_bound(base, ErrorBoundInputs(
             eps_x=constants["eps_x"],
             eps_y=constants["eps_y"],
             lambda_e=scale * constants["lambda_e"],
@@ -431,8 +432,8 @@ def node_bound_checks(
             w_covs=cmap.d_mats,
             xw_covs=tuple(cmap.x_cross[j][j] for j in range(model.p)),
             x_energy=constants["x_energy"],
-        )
-        bound = error_upper_bound(base, inputs)
+        ))
+        del cmap  # free its work buffers before the next node's are formed
         out.append(
             {"node": pos + 1, "measured": measured, "optimal": base, "bound": bound}
         )

@@ -147,7 +147,7 @@ def _matching_terms(cmap: CascadeMap, k: int) -> tuple[list[np.ndarray], np.ndar
             for j in range(len(cmap.d_mats))]
     if k in cmap.zero_indices:  # w_k is zero
         covs = [np.zeros_like(c) for c in covs]
-    return covs, cmap.x_cross[0][k]
+    return covs, cmap.x_cross[0][k].copy()  # a view would keep the map's buffer
 
 
 def _matching_residuals(t_mats, terms) -> tuple[list, list]:
@@ -164,32 +164,32 @@ def fit(
 ) -> FilterModel:
     """Fit the order-p filter on a training set.
 
-    ``a_mats``, when given, supplies one free matrix per term (the free term
-    only acts outside the range of the node covariance, so the matching
-    conditions hold for any choice). Fitting records the per-node matching
-    residuals in ``meta`` and flags terms whose cascade output collapsed to
-    zero; it never fails on rank-deficient covariances.
+    ``a_mats``, when given, supplies one finite m x n free matrix per term
+    (the free term only acts outside the range of the node covariance, so the
+    matching conditions hold for any choice). Fitting records the per-node
+    matching residuals in ``meta`` and flags terms whose cascade output
+    collapsed to zero; it never fails on rank-deficient covariances. It holds
+    one node's cascade at a time.
     """
     q_specs = list(q_specs)
-    p = train.p
+    p, m, n = train.p, train.s_x[0].m, train.s_y_context.m
     if len(q_specs) != p:
         raise InvalidInput(f"{len(q_specs)} transforms for {p} training nodes")
     if a_mats is not None:
-        a_mats = [np.asarray(a, dtype=float) for a in a_mats]
-        if len(a_mats) != p:
-            raise InvalidInput("need one free matrix per term")
+        a_mats = _matrix_list(list(a_mats), "a_mats", p, (m, n), InvalidInput)
     t_mats, r_mats, terms, degenerate = [], [], [], []
     for j in range(p):
-        _, cmap = _node_cascade(train, q_specs, j)
+        cmap = _node_cascade(train, q_specs, j)[1]
         degenerate += [j] if j in cmap.zero_indices else []
         t_mats.append(_coefficient(cmap, 0, j, a_mats[j] if a_mats else None))
         r_mats.append([k.copy() for k in cmap.k_mats[j]])
         terms.append(_matching_terms(cmap, j))
+        del cmap  # free its work buffers before the next node's are formed
     residuals, scales = _matching_residuals(t_mats, terms)
     meta = {
         "p": p,
-        "m": train.s_x[0].m,
-        "n": train.s_y_context.m,
+        "m": m,
+        "n": n,
         "s": train.s_y_context.s,
         "node_positions": list(train.s_y_indices),
         "residuals": residuals,
@@ -285,20 +285,23 @@ def save_model(model: FilterModel) -> bytes:
     return json.dumps(doc, sort_keys=True).encode()
 
 
-def _matrix_list(entries, name: str, count: int, shape) -> list[np.ndarray]:
-    """``count`` finite matrices of ``shape`` from a model field, else ParseError."""
+def _matrix_list(entries, name: str, count: int, shape,
+                 error: type[Exception] = ParseError) -> list[np.ndarray]:
+    """``count`` finite matrices of ``shape`` from ``entries``, else ``error``
+    naming the entry: ParseError for a model field, InvalidInput for fit's
+    ``a_mats``."""
     if not isinstance(entries, list) or len(entries) != count:
-        raise ParseError(f"{name} must hold {count} matrices of shape {shape}")
+        raise error(f"{name} must hold {count} matrices of shape {shape}")
     out = []
     for j, entry in enumerate(entries):
         try:
             arr = np.asarray(entry, dtype=float)
         except (TypeError, ValueError) as exc:
-            raise ParseError(f"{name}[{j}] is not a numeric matrix") from exc
+            raise error(f"{name}[{j}] is not a numeric matrix") from exc
         if arr.shape != shape:
-            raise ParseError(f"{name}[{j}] has shape {arr.shape}, expected {shape}")
+            raise error(f"{name}[{j}] has shape {arr.shape}, expected {shape}")
         if not np.all(np.isfinite(arr)):
-            raise ParseError(f"{name}[{j}] contains non-finite entries")
+            raise error(f"{name}[{j}] contains non-finite entries")
         out.append(arr)
     return out
 

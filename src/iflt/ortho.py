@@ -66,6 +66,10 @@ class CascadeMap:
     C(x_r, w_k), ``d_mats[k]`` is D_k = C(w_k, w_k) and ``d_pinvs[k]`` D_k^+
     (``None`` for a stage no row below reads). The blocks of the outputs in
     ``zero_indices``, which collapsed to the zero ensemble, are zero.
+
+    The blocks of ``k_mats``, ``cross`` and ``x_cross`` are views into two work
+    buffers, which each of them keeps alive whole: a caller that keeps a
+    block past the map must copy it.
     """
 
     k_mats: tuple[tuple[np.ndarray, ...], ...]
@@ -103,9 +107,10 @@ def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
 
     ``g`` holds the blocks G_ik = C(u_i, v_k) of the inputs ``vs`` and then
     the extra rows ``xs``, U = [V; X], against the inputs; it is formed when
-    not given, and an entry that is not finite (an overflowed product) raises
-    ``InvalidInput``. As w_k is orthogonal to the earlier outputs, D_k =
-    C(w_k, w_k) = C(v_k, w_k), and stage by stage
+    not given. A ``g`` of another shape than U's rows by V's rows, or with an
+    entry that is not finite (an overflowed product), raises ``InvalidInput``.
+    As w_k is orthogonal to the earlier outputs, D_k = C(w_k, w_k) =
+    C(v_k, w_k), and stage by stage
 
         C(u_i, w_k) = G_ik - sum_{l < k} C(u_i, w_l) K_kl^T,   rows i >= k,
         K_ik = C(v_i, w_k) D_k^+,                               inputs i > k.
@@ -130,13 +135,20 @@ def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
     p, n, s = len(vs), vs[0].m, vs[0].s
     if xs:
         _check_aligned(xs, s)
+    shape = (p * n + sum(x.m for x in xs), p * n)
     if g is None:
+        # one buffer for G and the reference rows, and no stacked copy of the
+        # inputs past this point
         v = np.vstack([x.data for x in vs])
+        g = np.empty(shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            g = v @ v.T
+            np.matmul(v, v.T, out=g[: p * n])
             if xs:
-                g = np.vstack([g, np.vstack([x.data for x in xs]) @ v.T])
+                np.matmul(np.vstack([x.data for x in xs]), v.T, out=g[p * n :])
             g /= s
+        del v
+    elif np.shape(g) != shape:
+        raise InvalidInput(f"Gram matrix has shape {np.shape(g)}, expected {shape}")
     if not np.all(np.isfinite(g)):
         raise InvalidInput("covariance overflows: entries are not finite")
     max_energy = float(np.diag(g).reshape(p, n).sum(axis=1).max())

@@ -156,6 +156,17 @@ def test_fit_validates_arity(rng):
         fit(train, [QOperatorSpec.identity()], a_mats=[np.zeros((3, 3))] * 2)
 
 
+@pytest.mark.parametrize("a_mat, problem", [
+    (np.zeros((2, 2)), r"a_mats\[0\] has shape \(2, 2\), expected \(3, 3\)"),
+    (np.full((3, 3), np.nan), r"a_mats\[0\] contains non-finite entries"),
+    (np.ones(3), r"a_mats\[0\] has shape \(3,\), expected \(3, 3\)"),
+], ids=["wrong_shape", "nan", "vector"])
+def test_fit_rejects_malformed_free_matrices(rng, a_mat, problem):
+    x, y, train = single_pair_train(rng)
+    with pytest.raises(InvalidInput, match=problem):
+        fit(train, [QOperatorSpec.identity()], a_mats=[a_mat])
+
+
 def test_free_term_changes_nothing_at_full_rank(rng):
     x, y, train = single_pair_train(rng, s=60)
     plain = fit(train, [QOperatorSpec.identity()])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,16 @@ def test_cascade_map_rejects_misaligned(rng):
         cascade_map([make_ensemble(rng, 3, 10), make_ensemble(rng, 2, 10)])
     with pytest.raises(InvalidInput):
         cascade_map([])
+
+
+@pytest.mark.parametrize("rows, cols", [(6, 6), (5, 6), (12, None)],
+                         ids=["no_reference_rows", "too_small", "one_dimensional"])
+def test_cascade_map_rejects_a_gram_matrix_of_the_wrong_shape(rng, rows, cols):
+    vs = [make_ensemble(rng, 3, 20) for _ in range(2)]
+    x = make_ensemble(rng, 2, 20)
+    g = np.zeros((rows,) if cols is None else (rows, cols))
+    with pytest.raises(InvalidInput, match=re.escape(f"shape {g.shape}, expected (8, 6)")):
+        cascade_map(vs, g, xs=(x,))
 
 
 @pytest.fixture
