@@ -129,19 +129,28 @@ def node_error_decomposition(model: FilterModel, train: TrainingSet, k: int) -> 
     with ws the cascade outputs of node k's observation (the k-th coefficient
     block coincides with the trained one) and D_j = C(w_j, w_j). Returns
     ``{"lhs", "rhs", "gap"}``; the identity assumes the fit used zero free terms.
+    ``bench.node_bound_checks`` reads the same record from the map it forms.
     """
     if not 0 <= k < model.p:
         raise InvalidInput(f"node index {k} out of range [0, {model.p - 1}]")
     vs, cmap = _node_cascade(train, model.q_specs, k, train.s_x)
+    return _decompose_node(model, train.s_x[k], k, vs, cmap)[0]
+
+
+def _decompose_node(model: FilterModel, x_k: Ensemble, k: int, vs,
+                    cmap: CascadeMap) -> tuple[dict, float]:
+    """``node_error_decomposition``'s record at node k and the optimal error
+    ``energy(x_k) - captured_energy(cmap, k)``, from node k's inputs ``vs`` and
+    their cascade map ``cmap`` with every node's reference as extra rows."""
     a_mats = model.a_mats or [None] * model.p
-    x_k = train.s_x[k]
     mismatch = sum(root_pinv_norm_sq(cmap.x_cross[j][j] - cmap.x_cross[k][j], d_pinv)
                    for j, d_pinv in enumerate(cmap.d_pinvs))
     t_mats = [_coefficient(cmap, j, j, a_mats[j]) for j in range(model.p)]
     estimate = _estimate(t_mats, cmap.k_mats, vs, cmap.zero_indices)  # in data space
     lhs = float(np.sum((x_k.data - estimate) ** 2)) / x_k.s
-    rhs = energy(x_k) - captured_energy(cmap, k) + mismatch
-    return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
+    optimal = energy(x_k) - captured_energy(cmap, k)
+    rhs = optimal + mismatch
+    return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}, optimal
 
 
 def error_upper_bound(optimal_err: float, inputs: ErrorBoundInputs) -> float:

@@ -20,12 +20,10 @@ import numpy as np
 from .analysis import (
     ORTHO_RTOL,
     ErrorBoundInputs,
-    captured_energy,
-    empirical_error,
+    _decompose_node,
     ensemble_sq_distance,
     error_upper_bound,
     net_radius,
-    node_error_decomposition,
 )
 from .baselines import rls_apply, rls_init, rls_run, wiener_apply, wiener_fit
 from .exceptions import ConfigError, InvalidInput
@@ -144,8 +142,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("p_values: need at least one positive order")
     if cfg.noise.kind not in NOISE_KINDS:
         raise ConfigError(f"noise.kind: unknown kind {cfg.noise.kind!r}")
-    if not (np.isfinite(cfg.noise.low) and np.isfinite(cfg.noise.high)):
-        raise ConfigError("noise.low/high: must be finite")
+    if not np.isfinite(cfg.noise.high - cfg.noise.low):  # NaN or inf if either bound is
+        raise ConfigError("noise.low/high: must be finite, and so must high - low")
     if cfg.noise.low > cfg.noise.high:
         raise ConfigError("noise.low: must not exceed noise.high")
     if cfg.noise.kind == "hadamard_uniform" and cfg.m != cfg.n:
@@ -158,14 +156,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("p_values: largest order exceeds len(s_indices)")
     if not 0.0 < cfg.rls_forgetting <= 1.0:
         raise ConfigError("rls_forgetting: must be in (0, 1]")
-    if cfg.rls_delta is not None and cfg.rls_delta <= 0.0:
-        raise ConfigError("rls_delta: must be positive")
+    if cfg.rls_delta is not None and not 0.0 < cfg.rls_delta < np.inf:
+        raise ConfigError("rls_delta: must be positive and finite")
     if cfg.base_rank < 1:
         raise ConfigError("base_rank: must be at least 1")
-    if cfg.drift_scale < 0.0:
-        raise ConfigError("drift_scale: must be nonnegative")
-    if cfg.residual_tol <= 0.0:
-        raise ConfigError("residual_tol: must be positive")
+    if not 0.0 <= cfg.drift_scale < np.inf:
+        raise ConfigError("drift_scale: must be nonnegative and finite")
+    if not 0.0 < cfg.residual_tol < np.inf:
+        raise ConfigError("residual_tol: must be positive and finite")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -396,48 +394,42 @@ def probe_bound_constants(
     }
 
 
-def node_bound_checks(
-    model: FilterModel,
-    train: TrainingSet,
-    constants: dict,
-    scale: float = 1.0,
-) -> list[dict]:
-    """Evaluate bound vs realized error at every training node.
+def node_bound_checks(model: FilterModel, train: TrainingSet, measured, constant_sets=(),
+                      scale: float = 1.0) -> tuple[list[dict], list[list[dict]]]:
+    """One pass over the training nodes: each node's error decomposition and
+    its bound check under each of ``constant_sets``.
 
-    The optimal error and the bound's covariances D_j = C(w_j, w_j) and
-    C(x_j, w_j) are read from node k's cascade map, the one
-    ``node_error_decomposition`` builds; only the realized error is formed in
-    data space. An optimum below zero by at most ``ORTHO_RTOL`` times the
-    node reference's energy is rounding (the reference lies in the span of the
-    outputs) and counts as zero; a larger negative one still raises.
-    ``scale`` inflates the probed Lipschitz/gain constants (they are lower
-    bounds on the true ones). One node's cascade map is held at a time, and
-    not across the apply.
+    Node k's cascade map, with every node's reference as extra rows, gives the
+    ``node_error_decomposition`` record (plus the node and ``rel_gap``), the
+    optimal error and the bound's covariances D_j = C(w_j, w_j) and
+    C(x_j, w_j); it is freed before the next node's is formed. ``measured[k]``,
+    the realized error at node k, is read from the model's report row there:
+    the filter is not applied again. An optimum below zero by at most
+    ``ORTHO_RTOL`` times the node reference's energy is rounding (the reference
+    lies in the span of the outputs) and counts as zero; a larger negative one
+    still raises. ``scale`` inflates the probed Lipschitz/gain constants (they
+    are lower bounds on the true ones). Returns the node gaps and each set's
+    checks.
     """
-    ctx = FilterContext(train.s_y_context)
-    out = []
+    gaps, checks = [], [[] for _ in constant_sets]
     for k, pos in enumerate(train.s_y_indices):
-        measured = empirical_error(train.s_x[k], apply_filter(model, ctx, pos))
-        cmap = _node_cascade(train, model.q_specs, k, train.s_x)[1]
-        x_energy = energy(train.s_x[k])
-        base = x_energy - captured_energy(cmap, k)
-        if -ORTHO_RTOL * x_energy <= base < 0.0:
-            base = 0.0  # x_k in the span of the outputs, up to rounding
-        bound = error_upper_bound(base, ErrorBoundInputs(
-            eps_x=constants["eps_x"],
-            eps_y=constants["eps_y"],
-            lambda_e=scale * constants["lambda_e"],
-            lambda_q=scale * constants["lambda_q"],
-            r_hat=tuple(scale * g for g in constants["r_hat"]),
-            w_covs=cmap.d_mats,
-            xw_covs=tuple(cmap.x_cross[j][j] for j in range(model.p)),
-            x_energy=constants["x_energy"],
-        ))
-        del cmap  # free its work buffers before the next node's are formed
-        out.append(
-            {"node": pos + 1, "measured": measured, "optimal": base, "bound": bound}
-        )
-    return out
+        vs, cmap = _node_cascade(train, model.q_specs, k, train.s_x)
+        rec, optimal = _decompose_node(model, train.s_x[k], k, vs, cmap)
+        rel = rec["gap"] / rec["lhs"] if rec["lhs"] > 0 else rec["gap"]
+        gaps.append({"node": pos + 1, **rec, "rel_gap": rel})
+        if optimal < 0.0 and -ORTHO_RTOL * energy(train.s_x[k]) <= optimal:
+            optimal = 0.0  # x_k in the span of the outputs, up to rounding
+        for out, constants in zip(checks, constant_sets):
+            bound = error_upper_bound(optimal, ErrorBoundInputs(
+                eps_x=constants["eps_x"], eps_y=constants["eps_y"],
+                lambda_e=scale * constants["lambda_e"], lambda_q=scale * constants["lambda_q"],
+                r_hat=tuple(scale * g for g in constants["r_hat"]),
+                w_covs=cmap.d_mats, xw_covs=tuple(cmap.x_cross[j][j] for j in range(model.p)),
+                x_energy=constants["x_energy"]))
+            out.append({"node": pos + 1, "measured": measured[k], "optimal": optimal,
+                        "bound": bound})
+        del vs, cmap  # free its work buffers before the next node's are formed
+    return gaps, checks
 
 
 def evaluate(
@@ -452,17 +444,18 @@ def evaluate(
 
     Adds the Wiener and RLS rows when ``cfg.include_baselines``. A filter that
     records its training positions (``meta["node_positions"]``) is diagnosed
-    there: fit residuals, node error decompositions, and the per-node error bound
-    from probed (``cfg.probe_constants``) or supplied ``bound_constants``.
-    References and observations of unequal length raise ``InvalidInput``
-    naming both by ``names``.
+    there: fit residuals, and one ``node_bound_checks`` pass for the node
+    error decompositions and the per-node error bound from probed
+    (``cfg.probe_constants``) and supplied ``bound_constants``, whose realized
+    errors are the filter's report rows at the nodes. References and
+    observations of unequal length raise ``InvalidInput`` naming both by ``names``.
     """
     if len(xs) != len(ys):
         raise InvalidInput(f"{names[0]} has {len(xs)} positions but {names[1]} has "
                            f"{len(ys)}; they must have the same length")
-    rows: list[RunRow] = []
-    for method, model in models.items():
-        rows.extend(evaluate_interp(model, xs, ys, method))
+    model_rows = {method: evaluate_interp(model, xs, ys, method)
+                  for method, model in models.items()}
+    rows: list[RunRow] = [r for method_rows in model_rows.values() for r in method_rows]
     if cfg.include_baselines:
         rows.extend(evaluate_wiener(xs, ys))
         rows.extend(evaluate_rls(cfg, xs, ys))
@@ -477,25 +470,21 @@ def evaluate(
             key: model.meta.get(key)
             for key in ("residuals", "residual_scales", "residual_ok", "degenerate_terms")
         }
-        diag["node_gaps"] = []
-        for k, pos in enumerate(train.s_y_indices):
-            rec = node_error_decomposition(model, train, k)  # lhs, rhs, gap
-            rel = rec["gap"] / rec["lhs"] if rec["lhs"] > 0 else rec["gap"]
-            diag["node_gaps"].append({"node": pos + 1, **rec, "rel_gap": rel})
+        constant_sets = {}  # diagnostics key of the checks -> constants
         if cfg.probe_constants:
-            constants = probe_bound_constants(xs, ys, model)
+            constant_sets["node_bound_checks"] = probed = probe_bound_constants(xs, ys, model)
             diag["probed_constants_lower_bounds"] = {
-                key: constants[key]
-                for key in ("eps_x", "eps_y", "lambda_e", "lambda_q", "r_hat", "x_energy")
-            }
-            diag["node_bound_checks"] = node_bound_checks(model, train, constants)
+                key: value for key, value in probed.items() if key != "sample_positions"}
         if bound_constants is not None:
             r_hat = list(bound_constants["r_hat"])
             if len(r_hat) not in (1, model.p):
                 raise ConfigError(f"r_hat: need 1 or {model.p} stage gains, got {len(r_hat)}")
-            supplied = {**bound_constants, "r_hat": r_hat * (model.p // len(r_hat))}
-            diag["supplied_constants"] = supplied
-            diag["node_bound_checks_supplied"] = node_bound_checks(model, train, supplied)
+            constant_sets["node_bound_checks_supplied"] = diag["supplied_constants"] = {
+                **bound_constants, "r_hat": r_hat * (model.p // len(r_hat))}
+        measured = [model_rows[method][pos].err_e for pos in train.s_y_indices]
+        diag["node_gaps"], checks = node_bound_checks(
+            model, train, measured, constant_sets.values())
+        diag.update(zip(constant_sets, checks))
 
     methods = list(dict.fromkeys(r.method for r in rows))
     summary = {

@@ -171,11 +171,13 @@ def test_criterion_07_error_bound_sanity():
     cfg, xs, ys, train = default_benchmark_training(p=3)
     model = fit(train, lag_specs(3))
     constants = probe_bound_constants(xs, ys, model)
-    checks = node_bound_checks(model, train, constants, scale=10.0)
+    ctx = FilterContext(ys)
+    measured = [empirical_error(xs[pos], apply_filter(model, ctx, pos))
+                for pos in train.s_y_indices]
+    checks = node_bound_checks(model, train, measured, [constants], scale=10.0)[1][0]
     dominates = all(c["bound"] >= c["measured"] for c in checks)
 
     # limit behaviour: shrink both covering radii along a 5-point grid
-    ctx = FilterContext(ys)
     from iflt.interp import input_cascade
 
     pos = train.s_y_indices[0]

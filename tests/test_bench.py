@@ -4,18 +4,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from iflt import ConfigError, fit, greedy_eps_net, run_benchmark, write_report
-from iflt.analysis import ensemble_sq_distance
+from iflt import ConfigError, fit, greedy_eps_net, interp, run_benchmark, write_report
+from iflt.analysis import ensemble_sq_distance, node_error_decomposition
 from iflt.bench import (
     ExperimentConfig,
     NoiseSpec,
     config_from_dict,
     config_to_dict,
+    evaluate,
     fit_benchmark_models,
     gen_observations,
     gen_reference_sequence,
     lag_specs,
     node_bound_checks,
+    node_training_set,
     nodes_for,
     noise_matrix,
     probe_bound_constants,
@@ -23,6 +25,7 @@ from iflt.bench import (
     validate_config,
 )
 from iflt.interp import FilterContext, apply_filter
+from iflt.ortho import cascade_map
 from iflt.signals import TrainingSet
 
 SMALL = ExperimentConfig(n_signals=14, m=4, n=4, s=48, p_values=(2, 3),
@@ -201,6 +204,37 @@ def test_probe_constants_and_bound(tmp_path):
     assert len(consts["r_hat"]) == 2
     for check in diag["node_bound_checks"]:
         assert check["bound"] >= check["optimal"]
+
+
+def test_evaluate_forms_one_reference_cascade_per_node(monkeypatch):
+    """One node pass per model gives the node gaps and the checks under both
+    constant sets: p cascades with reference rows per model, not p per set."""
+    cfg = replace(SMALL, probe_constants=True)
+    xs = gen_reference_sequence(cfg)
+    ys = gen_observations(xs, cfg)
+    models = fit_benchmark_models(cfg, xs, ys)
+    supplied = {"eps_x": 0.5, "eps_y": 0.25, "lambda_e": 2.0, "lambda_q": 1.5,
+                "r_hat": [0.9], "x_energy": 30.0}
+    calls = []
+
+    def counted(vs, g=None, xs=()):
+        calls.extend([len(xs)] if xs else [])
+        return cascade_map(vs, g, xs)
+
+    monkeypatch.setattr(interp, "cascade_map", counted)
+    report = evaluate(cfg, xs, ys, models, supplied)
+    monkeypatch.undo()
+    assert calls == [model.p for model in models.values() for _ in range(model.p)]
+    for method, model in models.items():
+        diag = report.diagnostics[method]
+        train = node_training_set(xs, ys, nodes_for(cfg, model.p), "s_indices")
+        err_e = {r.signal_index: r.err_e for r in report.rows if r.method == method}
+        for key in ("node_bound_checks", "node_bound_checks_supplied"):
+            assert [c["node"] for c in diag[key]] == [k + 1 for k in train.s_y_indices]
+            assert all(c["measured"] == err_e[c["node"]] for c in diag[key])
+        for k, rec in enumerate(diag["node_gaps"]):
+            want = node_error_decomposition(model, train, k)
+            assert {key: rec[key] for key in want} == want
 
 
 @pytest.mark.parametrize("seed", [0, 1])

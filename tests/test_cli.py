@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +299,28 @@ def test_config_field_type_errors_exit_1(tmp_path, capsys, doc, field):
     cfg.write_text(json.dumps(doc))
     err = _cli_error(capsys, ["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert f"error: {field}: must be" in err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"noise": {"low": -1e308, "high": 1e308}}, "noise.low/high"),
+    ({"drift_scale": float("nan")}, "drift_scale"),
+    ({"drift_scale": float("inf")}, "drift_scale"),
+    ({"rls_delta": float("nan")}, "rls_delta"),
+    ({"rls_delta": float("inf")}, "rls_delta"),
+    ({"residual_tol": float("nan")}, "residual_tol"),
+    ({"residual_tol": float("inf")}, "residual_tol"),
+])
+def test_config_numbers_out_of_range_exit_1(tmp_path, capsys, doc, field):
+    # NaN and Infinity are JSON extensions that Python's json reads and writes;
+    # high - low of the noise overflows to Infinity
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _cli_error(capsys, ["bench", "--config", str(cfg),
+                                  "--out", str(tmp_path / "o")])
+    assert f"error: {field}: must be" in err
+    assert not caught
 
 
 _FIT_ARGS = ["--config", "{cfg}", "--refs", "{refs}", "--obs", "{obs}"]

@@ -1,4 +1,5 @@
-"""Working-set tests: fit and the cascade hold one node's buffers at a time.
+"""Working-set tests: fit, the node diagnostics and the cascade hold one node's
+buffers at a time.
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak of a call
 counts every array it forms. At m = n = 16, p = 6, s = 128 one node's Gram
@@ -11,7 +12,7 @@ import tracemalloc
 import pytest
 
 from iflt import SignalSequence, TrainingSet, cascade_map, fit
-from iflt.bench import lag_specs
+from iflt.bench import lag_specs, node_bound_checks
 from iflt.interp import _node_cascade
 from conftest import make_ensemble
 
@@ -48,6 +49,20 @@ def test_fit_holds_one_node_cascade_at_a_time(train, traced):
     _, node_peak = traced(_node_cascade, train, specs, P - 1)
     _, fit_peak = traced(fit, train, specs)
     assert fit_peak <= 1.5 * node_peak
+
+
+def test_node_pass_holds_one_node_cascade_at_a_time(train, traced):
+    # the node diagnostics of one model under two constant sets: a Gram cache
+    # or an apply's buffers kept across nodes, or a second map of a node,
+    # would add to the one map the pass holds
+    specs = lag_specs(P)
+    model = fit(train, specs)
+    constants = {"eps_x": 1.0, "eps_y": 1.0, "lambda_e": 1.0, "lambda_q": 1.0,
+                 "r_hat": [1.0] * P, "x_energy": 1.0}
+    _, node_peak = traced(_node_cascade, train, specs, P - 1, train.s_x)
+    _, pass_peak = traced(node_bound_checks, model, train, [0.0] * P,
+                          [constants, constants])
+    assert pass_peak <= 1.5 * node_peak
 
 
 def test_cascade_map_frees_the_stacked_inputs_before_the_stage_loop(rng, traced):

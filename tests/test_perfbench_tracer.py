@@ -48,8 +48,12 @@ def test_tracer_installs_on_src_and_sees_the_eval_path(tmp_path, capsys):
         assert calls[f"{name}.calls"] == 1, name
     for name in ("bench.evaluate_interp", "bench.evaluate_wiener", "bench.evaluate_rls"):
         assert calls[f"{name}.calls"] == 2, name
-    assert calls["analysis.node_error_decomposition.calls"] == 4
-    # the bound path: one probe and one check per model, one bound per node
+    # one node pass per model, in eval and in bench, gives the node gaps and
+    # the bound checks: no separate decomposition, and the filter is applied
+    # only for the report rows, once per position
+    assert "analysis.node_error_decomposition.calls" not in calls
+    assert calls["bench.node_bound_checks.calls"] == 2
+    assert calls["interp.apply_filter.calls"] == 16
+    # the bound path: one probe per model, one bound per node
     assert calls["bench.probe_bound_constants.calls"] == 1
-    assert calls["bench.node_bound_checks.calls"] == 1
     assert calls["analysis.error_upper_bound.calls"] == 2
