@@ -41,6 +41,10 @@ from .signals import (
 )
 
 NOISE_KINDS = ("hadamard_uniform",)
+MAX_FLOAT = float(np.finfo(float).max)
+# an ensemble whose Frobenius norm reaches this has an energy, and so
+# covariances, that overflow
+MAX_NORM = float(np.sqrt(MAX_FLOAT))
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,8 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return _is_int(value) or isinstance(value, (float, np.floating))
+    """A float, or an integer a float can hold (JSON integers have no bound)."""
+    return (_is_int(value) and abs(value) <= MAX_FLOAT) or isinstance(value, (float, np.floating))
 
 
 def _check_types(cfg: ExperimentConfig) -> None:
@@ -116,12 +121,12 @@ def _check_types(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{name}: must be a list of integers")
     for name in ("drift_scale", "rls_forgetting", "residual_tol"):
         if not _is_real(getattr(cfg, name)):
-            raise ConfigError(f"{name}: must be a number")
+            raise ConfigError(f"{name}: must be a number within float range")
     if cfg.rls_delta is not None and not _is_real(cfg.rls_delta):
-        raise ConfigError("rls_delta: must be a number or null")
+        raise ConfigError("rls_delta: must be a number within float range, or null")
     for name in ("low", "high"):
         if not _is_real(getattr(cfg.noise, name)):
-            raise ConfigError(f"noise.{name}: must be a number")
+            raise ConfigError(f"noise.{name}: must be a number within float range")
     for name in ("include_baselines", "probe_constants"):
         if not isinstance(getattr(cfg, name), bool):
             raise ConfigError(f"{name}: must be true or false")
@@ -242,7 +247,10 @@ def gen_reference_sequence(cfg: ExperimentConfig) -> SignalSequence:
     denom = max(cfg.n_signals - 1, 1)
     for i in range(cfg.n_signals):
         u = i / denom
-        data = base + cfg.drift_scale * (np.sin(np.pi * u) * drift_a + u * drift_b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = base + cfg.drift_scale * (np.sin(np.pi * u) * drift_a + u * drift_b)
+            if not np.linalg.norm(data) < MAX_NORM:  # also false for inf and NaN
+                raise ConfigError("drift_scale: too large, reference covariances overflow")
         items.append(center(Ensemble(data)))
     return SignalSequence(tuple(items))
 
@@ -257,7 +265,11 @@ def gen_observations(xs: SignalSequence, cfg: ExperimentConfig) -> SignalSequenc
     """Entrywise-corrupted observations of the reference family, re-centered."""
     items = []
     for i, x in enumerate(xs.items):
-        items.append(center(Ensemble(x.data * noise_matrix(cfg, i))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = x.data * noise_matrix(cfg, i)
+            if not np.linalg.norm(data) < MAX_NORM:
+                raise ConfigError("noise.low/high: too large, observation covariances overflow")
+        items.append(center(Ensemble(data)))
     return SignalSequence(tuple(items))
 
 

@@ -72,7 +72,8 @@ class FilterContext:
     _gram: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _gram_matrix(self, q_specs, i: int, vs) -> np.ndarray:
-        """Gram matrix of the stacked inputs ``vs`` that ``q_specs`` give at ``i``.
+        """Gram matrix of the stacked inputs ``vs`` that ``q_specs`` give at ``i``:
+        its blocks j >= l, the ones ``cascade_map`` reads, and zeros above.
 
         Two inputs that are observations as they stand (``identity``,
         ``sequence_lag``) share the block of their positions, taken from this
@@ -83,7 +84,7 @@ class FilterContext:
         seq, p, n = self.history, len(vs), self.history.m
         pos = [q.positions(i)[0] if q.kind in ("identity", "sequence_lag") else None
                for q in q_specs]
-        blocks, g = {}, np.empty((p * n, p * n))
+        blocks, g = {}, np.zeros((p * n, p * n))
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(p):
                 for l in range(j + 1):
@@ -97,7 +98,6 @@ class FilterContext:
                                 seq[key[0]].data @ seq[key[1]].data.T) / seq.s
                         block = blocks[key] if a >= b else blocks[key].T
                     g[j * n : (j + 1) * n, l * n : (l + 1) * n] = block
-                    g[l * n : (l + 1) * n, j * n : (j + 1) * n] = block.T
         self._gram.clear()
         self._gram.update(blocks)
         return g
@@ -275,11 +275,8 @@ def save_model(model: FilterModel) -> bytes:
         "q_specs": [q.to_dict() for q in model.q_specs],
         "t_mats": [t.tolist() for t in model.t_mats],
         "a_mats": [a.tolist() for a in model.a_mats] if model.a_mats else None,
-        "r_mats": (
-            [[k.tolist() for k in row] for row in model.r_mats]
-            if model.r_mats is not None
-            else None
-        ),
+        "r_mats": None if model.r_mats is None else [
+            [k.tolist() for k in row] for row in model.r_mats],
         "meta": model.meta,
     }
     return json.dumps(doc, sort_keys=True).encode()
@@ -357,11 +354,5 @@ def load_model(blob: bytes | str) -> FilterModel:
         raise ParseError(
             f"meta.node_positions must be {p} strictly increasing nonnegative integers"
         )
-    return FilterModel(
-        p=p,
-        q_specs=q_specs,
-        t_mats=t_mats,
-        a_mats=a_mats,
-        r_mats=r_mats,
-        meta=meta,
-    )
+    return FilterModel(p=p, q_specs=q_specs, t_mats=t_mats, a_mats=a_mats,
+                       r_mats=r_mats, meta=meta)

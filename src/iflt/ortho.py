@@ -29,6 +29,7 @@ ensembles from its blocks, and ``orthogonalize`` returns both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,9 +68,11 @@ class CascadeMap:
     (``None`` for a stage no row below reads). The blocks of the outputs in
     ``zero_indices``, which collapsed to the zero ensemble, are zero.
 
-    The blocks of ``k_mats``, ``cross`` and ``x_cross`` are views into two work
-    buffers, which each of them keeps alive whole: a caller that keeps a
-    block past the map must copy it.
+    The blocks of ``k_mats``, ``cross`` and ``x_cross`` are views into one
+    buffer, the Gram matrix of U = [V; X] (the inputs, then the extra rows)
+    against V run in place: block (i, k), i >= k, holds C(u_i, w_k) and
+    block (k, i), k < i, K_ik^T. Each view keeps the whole buffer alive: a
+    caller that keeps a block past the map must copy it.
     """
 
     k_mats: tuple[tuple[np.ndarray, ...], ...]
@@ -103,14 +106,16 @@ def orthogonalize(vs) -> OrthoResult:
 
 
 def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
-    """The blocks of the deflation cascade from a Gram matrix.
+    """The blocks of the deflation cascade, run in place in a Gram matrix.
 
     ``g`` holds the blocks G_ik = C(u_i, v_k) of the inputs ``vs`` and then
-    the extra rows ``xs``, U = [V; X], against the inputs; it is formed when
-    not given. A ``g`` of another shape than U's rows by V's rows, or with an
-    entry that is not finite (an overflowed product), raises ``InvalidInput``.
-    As w_k is orthogonal to the earlier outputs, D_k = C(w_k, w_k) =
-    C(v_k, w_k), and stage by stage
+    the extra rows ``xs``, U = [V; X], against the inputs, and is overwritten
+    with the ``CascadeMap`` layout; only its blocks i >= k are read. When not
+    given it is formed one block (u_i v_k^T) / s at a time, as
+    ``FilterContext`` forms a lag filter's. A ``g`` of another shape than U's
+    rows by V's rows, or with an entry that is not finite (an overflowed
+    product), raises ``InvalidInput``. As w_k is orthogonal to the earlier
+    outputs, D_k = C(w_k, w_k) = C(v_k, w_k), and stage by stage
 
         C(u_i, w_k) = G_ik - sum_{l < k} C(u_i, w_l) K_kl^T,   rows i >= k,
         K_ik = C(v_i, w_k) D_k^+,                               inputs i > k.
@@ -135,18 +140,15 @@ def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
     p, n, s = len(vs), vs[0].m, vs[0].s
     if xs:
         _check_aligned(xs, s)
-    shape = (p * n + sum(x.m for x in xs), p * n)
+    us, pn = vs + xs, p * n
+    rows = [slice(end - u.m, end) for u, end in zip(us, accumulate(u.m for u in us))]
+    cols, shape = rows[:p], (rows[-1].stop, pn)
     if g is None:
-        # one buffer for G and the reference rows, and no stacked copy of the
-        # inputs past this point
-        v = np.vstack([x.data for x in vs])
-        g = np.empty(shape)
+        g = np.zeros(shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(v, v.T, out=g[: p * n])
-            if xs:
-                np.matmul(np.vstack([x.data for x in xs]), v.T, out=g[p * n :])
-            g /= s
-        del v
+            for i, u in enumerate(us):
+                for k in range(min(i + 1, p)):
+                    g[rows[i], cols[k]] = (u.data @ vs[k].data.T) / s
     elif np.shape(g) != shape:
         raise InvalidInput(f"Gram matrix has shape {np.shape(g)}, expected {shape}")
     if not np.all(np.isfinite(g)):
@@ -154,40 +156,47 @@ def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
     max_energy = float(np.diag(g).reshape(p, n).sum(axis=1).max())
     scale = float(np.sqrt(s * max_energy))  # largest input norm
     floor = GRAM_RECHECK_RTOL * max_energy
-    # block (i, l) of h holds C(u_i, w_l); k_full holds the blocks K_il
-    h = np.zeros((g.shape[0], p * n))
-    k_full = np.zeros((p * n, p * n))
-    cols = [slice(k * n, (k + 1) * n) for k in range(p)]
-    k_mats = tuple(tuple(k_full[cols[j], cols[l]] for l in range(j)) for j in range(p))
+    k_mats = tuple(tuple(g[cols[l], cols[j]].T for l in range(j)) for j in range(p))
     d_mats, d_pinvs = [], []
     ws: list[np.ndarray] = []  # data-space outputs, formed up to the last re-check
     zero_indices: list[int] = []
     for k in range(p):
         done = k * n  # columns of the earlier outputs
-        cross = g[done:, cols[k]] - h[done:, :done] @ k_full[cols[k], :done].T
+        cross = g[done:, cols[k]]  # becomes C(u_i, w_k), rows i >= k
+        cross -= g[done:, :done] @ g[:done, cols[k]]
         d = 0.5 * (cross[:n] + cross[:n].T)
         below = len(cross) > n  # rows that read D_k^+
         d_pinv = _certified_inverse(d, floor) if below and np.trace(d) > floor else None
         if np.trace(d) <= floor or (below and d_pinv is None):
-            forward_substitute(vs, k_mats, zero_indices, ws, k + 1)
-            if frob_norm(ws[k]) <= ZERO_W_RTOL * scale:
+            forward_substitute(vs, k_mats, ws, k + 1)
+            if frob_norm(ws[k]) <= ZERO_W_RTOL * scale:  # zero C(u_i, w_k), so zero K_ik
                 zero_indices.append(k)
-                d_mats.append(np.zeros((n, n)))
-                d_pinvs.append(d_mats[k])
-                continue
-            cross = np.vstack([x.data for x in vs[k:] + xs]) @ ws[k].T / s
-            d = (ws[k] @ ws[k].T) / s
-            d_pinv = pseudo_inverse(d) if below else None
-        h[done:, cols[k]] = cross
+                cross[:] = 0.0
+                d = d_pinv = np.zeros((n, n))
+            else:
+                for u, r in zip(us[k:], rows[k:]):
+                    g[r, cols[k]] = (u.data @ ws[k].T) / s
+                d = (ws[k] @ ws[k].T) / s
+                d_pinv = pseudo_inverse(d) if below else None
         d_mats.append(d)
         d_pinvs.append(d_pinv)
         if k < p - 1:
-            k_full[done + n :, cols[k]] = cross[n : p * n - done] @ d_pinv
-    x_rows = np.split(h[p * n :], len(xs)) if xs else []
-    return CascadeMap(k_mats, tuple(tuple(h[cols[j], cols[k]] for k in range(j + 1))
+            g[cols[k], done + n :] = (cross[n : pn - done] @ d_pinv).T
+    return CascadeMap(k_mats, tuple(tuple(g[cols[j], c] for c in cols[: j + 1])
                                     for j in range(p)),
-                      tuple(tuple(x[:, c] for c in cols) for x in x_rows),
+                      tuple(tuple(g[r, c] for c in cols) for r in rows[p:]),
                       tuple(d_mats), tuple(d_pinvs), tuple(zero_indices))
+
+
+def _triangular_inverse(l: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular ``l``: [[A, 0], [B, C]]^-1 is
+    [[A^-1, 0], [-C^-1 B A^-1, C^-1]], down to ``np.linalg.inv`` at 32 rows."""
+    if len(l) <= 32:
+        return np.linalg.inv(l)
+    h, out = len(l) // 2, np.zeros_like(l)
+    out[:h, :h], out[h:, h:] = _triangular_inverse(l[:h, :h]), _triangular_inverse(l[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ (l[h:, :h] @ out[:h, :h]))
+    return out
 
 
 def _certified_inverse(d: np.ndarray, floor: float) -> np.ndarray | None:
@@ -201,7 +210,7 @@ def _certified_inverse(d: np.ndarray, floor: float) -> np.ndarray | None:
     if floor < SMALLEST_NORMAL:
         return None
     try:
-        l_inv = np.linalg.inv(np.linalg.cholesky(d))
+        l_inv = _triangular_inverse(np.linalg.cholesky(d))
     except np.linalg.LinAlgError:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -210,14 +219,13 @@ def _certified_inverse(d: np.ndarray, floor: float) -> np.ndarray | None:
     return d_inv if certified else None
 
 
-def forward_substitute(vs, k_mats, zero_indices, ws=None, upto=None) -> list[np.ndarray]:
-    """Extend ``ws`` by w_j = v_j - sum_l K_jl w_l, skipping zero-snapped w_l."""
+def forward_substitute(vs, k_mats, ws=None, upto=None) -> list[np.ndarray]:
+    """Extend ``ws`` by w_j = v_j - sum_l K_jl w_l (K_jl = 0 for a zero-snapped w_l)."""
     ws = [] if ws is None else ws
     for j in range(len(ws), len(vs) if upto is None else upto):
         w = vs[j].data.copy()
         for l, k_mat in enumerate(k_mats[j]):
-            if l not in zero_indices:
-                w -= k_mat @ ws[l]
+            w -= k_mat @ ws[l]
         ws.append(w)
     return ws
 
@@ -230,7 +238,7 @@ def cascade_outputs(vs, cmap: CascadeMap) -> tuple[Ensemble, ...]:
     arithmetic, and this keeps tiny residuals from failing the centered claim.
     The zero-snapped outputs are exact zeros.
     """
-    ws = forward_substitute(vs, cmap.k_mats, cmap.zero_indices)
+    ws = forward_substitute(vs, cmap.k_mats)
     for k, w in enumerate(ws):
         if k in cmap.zero_indices:
             w[:] = 0.0

@@ -323,6 +323,21 @@ def test_config_numbers_out_of_range_exit_1(tmp_path, capsys, doc, field):
     assert not caught
 
 
+@pytest.mark.parametrize("doc, field", [
+    pytest.param({"noise": {"low": 0, "high": 10 ** 310}}, "noise.high", id="int-noise"),
+    pytest.param({"drift_scale": 10 ** 310}, "drift_scale", id="int-drift"),
+    pytest.param({"noise": {"low": 0, "high": 1e300}}, "noise.low/high", id="noise"),
+    pytest.param({"drift_scale": 1e300}, "drift_scale", id="drift"),
+])
+def test_config_numbers_too_large_for_the_data_exit_1(tmp_path, capsys, doc, field):
+    # a JSON integer no float holds, and finite numbers whose data have
+    # covariances that overflow
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    err = _cli_error(capsys, ["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert f"error: {field}: " in err
+
+
 _FIT_ARGS = ["--config", "{cfg}", "--refs", "{refs}", "--obs", "{obs}"]
 
 

@@ -1,17 +1,18 @@
-"""Working-set tests: fit, the node diagnostics and the cascade hold one node's
-buffers at a time.
+"""Working-set tests: a cascade runs in one buffer, and fit and the node
+diagnostics hold one node's cascade at a time.
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak of a call
 counts every array it forms. At m = n = 16, p = 6, s = 128 one node's Gram
-buffers (about 86 KB each) are the size of the stacked inputs (98 KB), so a
-buffer kept past its node, or a stacked copy kept past its use, shows plainly.
+buffer (86 KB) is the size of the stacked inputs (98 KB) and six times one
+stage's column block, so a second buffer, a buffer kept past its node, or a
+stacked copy of the data shows plainly.
 """
 
 import tracemalloc
 
 import pytest
 
-from iflt import SignalSequence, TrainingSet, cascade_map, fit
+from iflt import FilterContext, SignalSequence, TrainingSet, apply_filter, cascade_map, fit
 from iflt.bench import lag_specs, node_bound_checks
 from iflt.interp import _node_cascade
 from conftest import make_ensemble
@@ -47,8 +48,14 @@ def traced():
 def test_fit_holds_one_node_cascade_at_a_time(train, traced):
     specs = lag_specs(P)
     _, node_peak = traced(_node_cascade, train, specs, P - 1)
-    _, fit_peak = traced(fit, train, specs)
-    assert fit_peak <= 1.5 * node_peak
+    model, fit_peak = traced(fit, train, specs)
+    # what fit keeps across nodes: T_j, the copies of K, and per node p
+    # covariances C(w_j, w_k) and C(x_k, w_k); a tenth of a node's peak covers
+    # the Python objects of these 63 arrays
+    kept = sum(t.nbytes for t in model.t_mats) + sum(
+        k.nbytes for row in model.r_mats for k in row) + P * (P + 1) * N * N * 8
+    # a second node's buffer, (pn + m) x pn, would add 64% of a node's peak
+    assert fit_peak <= 1.1 * node_peak + kept
 
 
 def test_node_pass_holds_one_node_cascade_at_a_time(train, traced):
@@ -65,16 +72,25 @@ def test_node_pass_holds_one_node_cascade_at_a_time(train, traced):
     assert pass_peak <= 1.5 * node_peak
 
 
-def test_cascade_map_frees_the_stacked_inputs_before_the_stage_loop(rng, traced):
-    # twice the realizations of ``train``, so that one copy of V outweighs
-    # the stage loop's temporaries clearly
+def test_cascade_map_runs_in_one_buffer(rng, traced):
+    # twice the realizations of ``train``, so that one copy of the stacked
+    # inputs V weighs 13 column blocks
     s = 2 * S
     vs = [make_ensemble(rng, N, s) for _ in range(P)]
     rows, cols = (P + 1) * N, P * N
-    buffers = (2 * rows * cols + cols * cols) * 8  # G, the blocks C(u_i, w_l), K
-    stacked = cols * s * 8  # one copy of the stacked inputs V
     cmap, peak = traced(cascade_map, vs, xs=(make_ensemble(rng, N, s),))
     assert not cmap.zero_indices
-    # a copy of V kept through the stage loop would add its whole size to the
-    # loop's stage-sized temporaries
-    assert peak - buffers < stacked
+    # the (pn + m) x pn buffer, and stage temporaries and the returned D_k and
+    # D_k^+ within four of one stage's (pn + m) x n column blocks: a second
+    # buffer or a copy of V would add six or more
+    assert peak <= (rows * cols + 4 * rows * N) * 8
+
+
+def test_apply_runs_in_one_buffer(train, traced):
+    model = fit(train, lag_specs(P))
+    ctx = FilterContext(train.s_y_context)
+    apply_filter(model, ctx, 2 * P - 2)
+    est, peak = traced(apply_filter, model, ctx, 2 * P - 1)
+    # less the estimate and one temporary of its size, an apply holds less
+    # than two pn x pn Gram buffers; separate G, C(u_i, w_l) and K would be three
+    assert peak - 2 * est.data.nbytes < 2 * (P * N) ** 2 * 8

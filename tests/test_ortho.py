@@ -147,6 +147,43 @@ def test_cascade_map_blocks_are_fits_frozen_deflation_matrices():
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("n, s, p", [(16, 256, 5), (64, 1024, 8)], ids=["m16", "m64"])
+def test_fit_and_apply_share_one_gram_rule(rng, n, s, p):
+    # a node's cascade forms G itself; an apply takes it from FilterContext:
+    # at one position past the warm-up both must see the same bits
+    ys = SignalSequence(tuple(make_ensemble(rng, n, s) for _ in range(p + 1)))
+    specs, i = lag_specs(p), p
+    vs = [apply_q(q, ys, i) for q in specs]
+    own = cascade_map(vs)
+    shared = cascade_map(vs, FilterContext(ys)._gram_matrix(specs, i, vs))
+    assert not own.zero_indices
+    for got, want in zip(own.k_mats, shared.k_mats, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_zero_stage_mid_cascade_has_exact_zero_blocks(rng):
+    v = make_ensemble(rng, 3, 40)
+    vs = [v, make_ensemble(rng, 3, 40), Ensemble(v.data.copy(), centered=True),
+          make_ensemble(rng, 3, 40)]
+    cmap = cascade_map(vs, xs=(make_ensemble(rng, 2, 40),))
+    assert cmap.zero_indices == (2,)
+    assert not np.any(cmap.d_mats[2]) and not np.any(cmap.d_pinvs[2])
+    assert not np.any(cmap.k_mats[3][2])  # K column of w_2
+    for block in [row[2] for row in cmap.cross[2:]] + [cmap.x_cross[0][2]]:
+        assert not np.any(block)  # C(u, w_2)
+
+
+def test_cascade_map_overwrites_a_given_gram_matrix(rng):
+    vs = [make_ensemble(rng, 3, 30) for _ in range(3)]
+    v = np.vstack([x.data for x in vs])
+    g = v @ v.T / 30
+    cmap = cascade_map(vs, g)
+    # block (l, j), l < j, holds K_jl^T
+    assert np.shares_memory(cmap.k_mats[2][1], g)
+    assert np.array_equal(cmap.k_mats[2][1], g[3:6, 6:9].T)
+    assert np.array_equal(cmap.cross[2][1], g[6:9, 3:6])
+
+
 def test_cascade_map_rejects_misaligned(rng):
     with pytest.raises(InvalidInput):
         cascade_map([make_ensemble(rng, 3, 10), make_ensemble(rng, 2, 10)])
@@ -179,12 +216,14 @@ def svd_calls(monkeypatch):
 
 
 def test_certified_inverse_matches_the_pseudo_inverse(rng, svd_calls):
-    vs = [make_ensemble(rng, 4, 60) for _ in range(4)]
-    cmap = cascade_map(vs, xs=(make_ensemble(rng, 2, 60),))
-    assert not svd_calls
-    for d, d_inv in zip(cmap.d_mats, cmap.d_pinvs, strict=True):
-        want = pseudo_inverse(d)
-        assert np.linalg.norm(d_inv - want) <= 1e-12 * np.linalg.norm(want)
+    # at 64 x 64 the Cholesky factor is inverted by blocks of 32
+    for n, s in [(4, 60), (64, 600)]:
+        vs = [make_ensemble(rng, n, s) for _ in range(4)]
+        cmap = cascade_map(vs, xs=(make_ensemble(rng, 2, s),))
+        assert not svd_calls
+        for d, d_inv in zip(cmap.d_mats, cmap.d_pinvs, strict=True):
+            want = pseudo_inverse(d)
+            assert np.linalg.norm(d_inv - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_stage_with_a_direction_below_the_floor_is_rechecked(rng, svd_calls):
