@@ -8,6 +8,7 @@ mean-square signal norm used everywhere else in the package.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from .exceptions import InvalidInput, ParseError
 from .interp import FilterModel, _coefficient, _estimate, _node_cascade
-from .linalg import frob_norm, frob_norm_sq, pseudo_inverse, root_pinv_norm_sq
+from .linalg import frob_norm, pseudo_inverse, root_pinv_norm_sq
 from .ortho import CascadeMap, cross_cov_residual
 from .signals import Ensemble, TrainingSet, energy, est_cov
 
@@ -170,26 +171,54 @@ def error_upper_bound(optimal_err: float, inputs: ErrorBoundInputs) -> float:
               * (x_energy * E_k + ||C(x_k, w_k)||_F^2) * tr D_k,
         C   = sum_k ||A_k (I - D_k D_k^+)||_F^2 * tr D_k,
 
-    where tr D_k = ||D_k^{1/2}||_F^2 is the energy of w_k.
+    where tr D_k = ||D_k^{1/2}||_F^2 is the energy of w_k. The terms are
+    formed as (mantissa, exponent) pairs, so that no intermediate leaves the
+    float range: in range each step rounds as the float operation does, and a
+    bound beyond the largest float is ``inf``.
     """
     if not (np.isfinite(optimal_err) and optimal_err >= 0.0):
         raise InvalidInput("optimal_err must be finite and nonnegative")
-    total = optimal_err
+    total = math.frexp(optimal_err)
     for k, (eww, exw) in enumerate(zip(inputs.w_covs, inputs.xw_covs)):
         eww_pinv = pseudo_inverse(eww)
         e_k, w_energy = float(np.trace(eww_pinv)), float(np.trace(eww))
-        p_k = (
-            inputs.lambda_e
-            * inputs.lambda_q
-            * inputs.r_hat[k]
-            * (inputs.x_energy * e_k + frob_norm_sq(exw))
-            * w_energy
-        )
-        total += inputs.eps_x * w_energy * e_k + inputs.eps_y * p_k
+        p_k = _product(inputs.lambda_e, inputs.lambda_q, inputs.r_hat[k],
+                       _sum(_product(inputs.x_energy, e_k), _square_sum(exw)), w_energy)
+        total = _sum(total, _sum(_product(inputs.eps_x, w_energy, e_k),
+                                 _product(inputs.eps_y, p_k)))
         if inputs.a_mats is not None:
             leak = inputs.a_mats[k] @ (np.eye(eww.shape[0]) - eww @ eww_pinv)
-            total += frob_norm_sq(leak) * w_energy
-    return float(total)
+            total = _sum(total, _product(_square_sum(leak), w_energy))
+    try:
+        return math.ldexp(*total)
+    except OverflowError:
+        return math.inf
+
+
+def _product(*factors) -> tuple[float, int]:
+    """The product of floats and (m, e) pairs, m 2^e, left to right, as such a pair."""
+    m, e = 1.0, 0
+    for f in factors:
+        fm, fe = f if isinstance(f, tuple) else math.frexp(f)
+        m, k = math.frexp(m * fm)
+        e += fe + k
+    return (m, e) if m else (0.0, 0)
+
+
+def _sum(a: tuple[float, int], b: tuple[float, int]) -> tuple[float, int]:
+    """a + b for (m, e) pairs, as such a pair."""
+    e = max(a[1], b[1])
+    m, k = math.frexp(math.ldexp(a[0], a[1] - e) + math.ldexp(b[0], b[1] - e))
+    return (m, e + k) if m else (0.0, 0)
+
+
+def _square_sum(a: np.ndarray) -> tuple[float, int]:
+    """||a||_F^2 as an (m, e) pair: the sum of squares, of entries first divided
+    by a power of two if their squares could overflow."""
+    shift = max(0, int(np.frexp(np.abs(a).max(initial=0.0))[1]) - 500)
+    scaled = np.ldexp(a, -shift)
+    m, e = math.frexp(float(np.sum(scaled * scaled)))
+    return m, e + 2 * shift
 
 
 def greedy_eps_net(pool, eps: float) -> EpsNet:

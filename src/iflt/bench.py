@@ -541,17 +541,31 @@ def report_csv_text(rows: list[RunRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _not_finite(value, path: str) -> str | None:
+    """The path of the first number in a JSON document that is not finite."""
+    if isinstance(value, float):
+        return None if np.isfinite(value) else path
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, (list, tuple)) else ())
+    return next((found for key, v in items if (found := _not_finite(
+        v, f"{path}.{key}".lstrip(".") if isinstance(key, str) else f"{path}[{key}]"))), None)
+
+
 def write_report(report: RunReport, out_dir) -> dict[str, Path]:
-    """Write report.csv and summary.json; returns the paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "report.csv"
-    csv_path.write_text(report_csv_text(report.rows))
-    summary_path = out / "summary.json"
+    """Write report.csv and summary.json; returns the paths. A number in the
+    summary that is not finite raises ``InvalidInput`` naming it, before
+    anything is written."""
     doc = {
         "summary": report.summary,
         "diagnostics": report.diagnostics,
         "timings": report.timings,
     }
-    summary_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    if (where := _not_finite(doc, "")) is not None:
+        raise InvalidInput(f"summary.json: {where} is not finite")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    csv_path = out / "report.csv"
+    csv_path.write_text(report_csv_text(report.rows))
+    summary_path = out / "summary.json"
+    summary_path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return {"report_csv": csv_path, "summary_json": summary_path}

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +54,16 @@ MODEL_VERSION = 1
 RESIDUAL_RTOL = 1e-6
 
 
+@lru_cache(maxsize=16)
+def _diagonal_order(p: int):
+    """The pairs (j, l), j >= l, of p inputs diagonal by diagonal (d = j - l,
+    then l), and the places of the pairs (d, 0) and (p - 1, p - 1 - d), those
+    of the newest input in either term order."""
+    pairs = tuple((l + d, l) for d in range(p) for l in range(p - d))
+    return (pairs, tuple(k for k, (j, l) in enumerate(pairs) if l == 0),
+            tuple(k for k, (j, l) in enumerate(pairs) if j == p - 1))
+
+
 @dataclass(frozen=True)
 class FilterContext:
     """Observation window an input position is evaluated against.
@@ -60,46 +71,53 @@ class FilterContext:
     ``history`` may be any sequence offering ``len``, ``[i]``, ``m`` and ``s``
     as ``SignalSequence`` does, such as ``sigio.ManifestSequence``.
 
-    The context also keeps the Gram blocks C(y_a, y_b) = y_a y_b^T / s of the
-    observations the latest ``apply_filter`` call read, keyed by the positions
-    (a, b) with a >= b. A call at the next position of a lag filter shares all
-    but p of its p(p+1)/2 blocks with the previous one, so it forms only
-    those. Each block is formed one way, whatever the cache holds, so results
-    do not depend on the order of the calls.
+    The context also keeps the p(p+1)/2 Gram blocks of the inputs its latest
+    call read, in a list diagonal by diagonal, and their positions. At the
+    next position of a lag filter, in either term order, turning the list by
+    one keeps all but the p blocks of the new input, and only those are
+    formed. Each block is formed one way, so results do not depend on the
+    calls before.
     """
 
     history: SignalSequence
-    _gram: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _gram: tuple = field(default=((), ()), init=False, repr=False, compare=False)
 
     def _gram_matrix(self, q_specs, i: int, vs) -> np.ndarray:
         """Gram matrix of the stacked inputs ``vs`` that ``q_specs`` give at ``i``:
         its blocks j >= l, the ones ``cascade_map`` reads, and zeros above.
 
         Two inputs that are observations as they stand (``identity``,
-        ``sequence_lag``) share the block of their positions, taken from this
-        call's blocks, else from the cache, else formed; the cache then holds
-        this call's blocks and no others. Any other pair is formed from the
-        inputs' data. ``cascade_map`` rejects a block that overflowed.
+        ``sequence_lag``) share the block (y_a y_b^T) / s, a >= b, of their
+        positions, formed once. Any other pair is formed from the inputs'
+        data. ``cascade_map`` rejects a block that overflowed.
         """
         seq, p, n = self.history, len(vs), self.history.m
-        pos = [q.positions(i)[0] if q.kind in ("identity", "sequence_lag") else None
-               for q in q_specs]
-        blocks, g = {}, np.zeros((p * n, p * n))
+        pos = tuple(q.positions(i)[0] if q.kind in ("identity", "sequence_lag") else None
+                    for q in q_specs)
+        pairs, first, last = _diagonal_order(p)
+        prev, blocks = self._gram
+        reuse = None not in pos and len(prev) == p > 0
+        if reuse and pos[1:] == prev[:-1]:  # newest input first: (j, l) was (j - 1, l - 1)
+            blocks, fresh = blocks[-1:] + blocks[:-1], first
+        elif reuse and pos[:-1] == prev[1:]:  # oldest input first: (j, l) was (j + 1, l + 1)
+            blocks, fresh = blocks[1:] + blocks[:1], last
+        else:
+            blocks, fresh = [None] * len(pairs), range(len(pairs))
+        made = {}
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(p):
-                for l in range(j + 1):
-                    a, b = pos[j], pos[l]
-                    if a is None or b is None:
-                        block = (vs[j].data @ vs[l].data.T) / seq.s
-                    else:
-                        key = (max(a, b), min(a, b))
-                        if key not in blocks:
-                            blocks[key] = self._gram[key] if key in self._gram else (
-                                seq[key[0]].data @ seq[key[1]].data.T) / seq.s
-                        block = blocks[key] if a >= b else blocks[key].T
-                    g[j * n : (j + 1) * n, l * n : (l + 1) * n] = block
-        self._gram.clear()
-        self._gram.update(blocks)
+            for k in fresh:
+                j, l = pairs[k]
+                a, b = pos[j], pos[l]
+                if a is None or b is None:
+                    blocks[k] = (vs[j].data @ vs[l].data.T) / seq.s
+                    continue
+                if (key := (max(a, b), min(a, b))) not in made:
+                    made[key] = (seq[key[0]].data @ seq[key[1]].data.T) / seq.s
+                blocks[k] = made[key] if a >= b else made[key].T
+        object.__setattr__(self, "_gram", (pos, blocks))
+        g = np.zeros((p * n, p * n))
+        for (j, l), block in zip(pairs, blocks):
+            g[j * n : (j + 1) * n, l * n : (l + 1) * n] = block
         return g
 
 
@@ -109,7 +127,8 @@ class FilterModel:
 
     ``r_mats[j]`` stores the deflation matrices of training node j's cascade
     (used only when applying with ``fixed_r=True``). ``meta`` records fit
-    diagnostics: residuals, tolerances, sample counts, degenerate terms.
+    diagnostics: residuals, tolerances, sample counts, degenerate terms. The
+    window and coefficient widths ``apply_filter`` checks are taken at creation.
     """
 
     p: int
@@ -119,8 +138,13 @@ class FilterModel:
     r_mats: list[list[np.ndarray]] | None = None
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # what apply_filter checks against its context on every call
+        self._window = max((q.window() for q in self.q_specs), default=0)
+        self._t_cols = sorted({t.shape[1] for t in self.t_mats})
+
     def required_window(self) -> int:
-        return max(q.window() for q in self.q_specs)
+        return self._window
 
 
 def _node_cascade(train: TrainingSet, q_specs, k: int, xs=None):
@@ -249,10 +273,9 @@ def apply_filter(
     Z_j over the inputs, and the estimate is sum_j Z_j v_j.
     """
     n = ctx.history.m
-    cols = sorted({t.shape[1] for t in model.t_mats})
-    if cols != [n]:
+    if model._t_cols != [n]:
         raise InvalidInput(
-            f"model t_mats have {', '.join(map(str, cols))} columns but the "
+            f"model t_mats have {', '.join(map(str, model._t_cols))} columns but the "
             f"observations have {n} components"
         )
     vs = _transformed_inputs(model, ctx, i)
@@ -263,7 +286,7 @@ def apply_filter(
     else:
         cmap = cascade_map(vs, ctx._gram_matrix(model.q_specs, i, vs))
         acc = _estimate(model.t_mats, cmap.k_mats, vs, cmap.zero_indices)
-    acc -= acc.mean(axis=1, keepdims=True)
+    acc -= acc.sum(axis=1, keepdims=True) / acc.shape[1]  # the row means
     return Ensemble(acc, centered=True)
 
 

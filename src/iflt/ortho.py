@@ -28,7 +28,8 @@ ensembles from its blocks, and ``orthogonalize`` returns both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -69,18 +70,29 @@ class CascadeMap:
     ``zero_indices``, which collapsed to the zero ensemble, are zero.
 
     The blocks of ``k_mats``, ``cross`` and ``x_cross`` are views into one
-    buffer, the Gram matrix of U = [V; X] (the inputs, then the extra rows)
-    against V run in place: block (i, k), i >= k, holds C(u_i, w_k) and
-    block (k, i), k < i, K_ik^T. Each view keeps the whole buffer alive: a
-    caller that keeps a block past the map must copy it.
+    buffer ``g``, the Gram matrix of U = [V; X] (the inputs, then the extra
+    rows) against V run in place, whose block rows are ``rows``: block
+    (i, k), i >= k, holds C(u_i, w_k) and block (k, i), k < i, K_ik^T.
+    ``cross`` and ``x_cross`` are formed when first read. Each view keeps the
+    whole buffer alive: a caller that keeps a block past the map must copy it.
     """
 
     k_mats: tuple[tuple[np.ndarray, ...], ...]
-    cross: tuple[tuple[np.ndarray, ...], ...]
-    x_cross: tuple[tuple[np.ndarray, ...], ...]
     d_mats: tuple[np.ndarray, ...]
     d_pinvs: tuple[np.ndarray | None, ...]
     zero_indices: tuple[int, ...]
+    g: np.ndarray = field(repr=False)
+    rows: tuple[slice, ...] = field(repr=False)
+
+    @cached_property
+    def cross(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        cols = self.rows[: len(self.d_mats)]
+        return tuple(tuple(self.g[r, c] for c in cols[: j + 1]) for j, r in enumerate(cols))
+
+    @cached_property
+    def x_cross(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        p = len(self.d_mats)
+        return tuple(tuple(self.g[r, c] for c in self.rows[:p]) for r in self.rows[p:])
 
 
 def _check_aligned(vs, s: int | None = None) -> None:
@@ -141,51 +153,52 @@ def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
     if xs:
         _check_aligned(xs, s)
     us, pn = vs + xs, p * n
-    rows = [slice(end - u.m, end) for u, end in zip(us, accumulate(u.m for u in us))]
+    rows = tuple(slice(end - u.m, end) for u, end in zip(us, accumulate(u.m for u in us)))
     cols, shape = rows[:p], (rows[-1].stop, pn)
-    if g is None:
-        g = np.zeros(shape)
-        with np.errstate(over="ignore", invalid="ignore"):
+    if g is not None and np.shape(g) != shape:
+        raise InvalidInput(f"Gram matrix has shape {np.shape(g)}, expected {shape}")
+    # an overflow leaves entries that are not finite: g's are checked, a stage's
+    # fail its certificate and the stage is formed in data space
+    with np.errstate(over="ignore", invalid="ignore"):
+        if g is None:
+            g = np.zeros(shape)
             for i, u in enumerate(us):
                 for k in range(min(i + 1, p)):
                     g[rows[i], cols[k]] = (u.data @ vs[k].data.T) / s
-    elif np.shape(g) != shape:
-        raise InvalidInput(f"Gram matrix has shape {np.shape(g)}, expected {shape}")
-    if not np.all(np.isfinite(g)):
-        raise InvalidInput("covariance overflows: entries are not finite")
-    max_energy = float(np.diag(g).reshape(p, n).sum(axis=1).max())
-    scale = float(np.sqrt(s * max_energy))  # largest input norm
-    floor = GRAM_RECHECK_RTOL * max_energy
-    k_mats = tuple(tuple(g[cols[l], cols[j]].T for l in range(j)) for j in range(p))
-    d_mats, d_pinvs = [], []
-    ws: list[np.ndarray] = []  # data-space outputs, formed up to the last re-check
-    zero_indices: list[int] = []
-    for k in range(p):
-        done = k * n  # columns of the earlier outputs
-        cross = g[done:, cols[k]]  # becomes C(u_i, w_k), rows i >= k
-        cross -= g[done:, :done] @ g[:done, cols[k]]
-        d = 0.5 * (cross[:n] + cross[:n].T)
-        below = len(cross) > n  # rows that read D_k^+
-        d_pinv = _certified_inverse(d, floor) if below and np.trace(d) > floor else None
-        if np.trace(d) <= floor or (below and d_pinv is None):
-            forward_substitute(vs, k_mats, ws, k + 1)
-            if frob_norm(ws[k]) <= ZERO_W_RTOL * scale:  # zero C(u_i, w_k), so zero K_ik
-                zero_indices.append(k)
-                cross[:] = 0.0
-                d = d_pinv = np.zeros((n, n))
-            else:
-                for u, r in zip(us[k:], rows[k:]):
-                    g[r, cols[k]] = (u.data @ ws[k].T) / s
-                d = (ws[k] @ ws[k].T) / s
-                d_pinv = pseudo_inverse(d) if below else None
-        d_mats.append(d)
-        d_pinvs.append(d_pinv)
-        if k < p - 1:
-            g[cols[k], done + n :] = (cross[n : pn - done] @ d_pinv).T
-    return CascadeMap(k_mats, tuple(tuple(g[cols[j], c] for c in cols[: j + 1])
-                                    for j in range(p)),
-                      tuple(tuple(g[r, c] for c in cols) for r in rows[p:]),
-                      tuple(d_mats), tuple(d_pinvs), tuple(zero_indices))
+        if not np.isfinite(g).all():
+            raise InvalidInput("covariance overflows: entries are not finite")
+        max_energy = float(g.diagonal().reshape(p, n).sum(axis=1).max())
+        scale = float(np.sqrt(s * max_energy))  # largest input norm
+        floor = GRAM_RECHECK_RTOL * max_energy
+        k_mats = tuple(tuple(g[cols[l], cols[j]].T for l in range(j)) for j in range(p))
+        d_mats, d_pinvs = [], []
+        ws: list[np.ndarray] = []  # data-space outputs, formed up to the last re-check
+        zero_indices: list[int] = []
+        for k in range(p):
+            done = k * n  # columns of the earlier outputs
+            cross = g[done:, cols[k]]  # becomes C(u_i, w_k), rows i >= k
+            if done:  # stage 0 has no earlier outputs to deflate against
+                cross -= g[done:, :done] @ g[:done, cols[k]]
+            d = 0.5 * (cross[:n] + cross[:n].T)
+            below = len(cross) > n  # rows that read D_k^+
+            trace = d.trace()
+            d_pinv = _certified_inverse(d, floor) if below and trace > floor else None
+            if trace <= floor or (below and d_pinv is None):
+                forward_substitute(vs, k_mats, ws, k + 1)
+                if frob_norm(ws[k]) <= ZERO_W_RTOL * scale:  # zero C(u_i, w_k), so zero K_ik
+                    zero_indices.append(k)
+                    cross[:] = 0.0
+                    d = d_pinv = np.zeros((n, n))
+                else:
+                    for u, r in zip(us[k:], rows[k:]):
+                        g[r, cols[k]] = (u.data @ ws[k].T) / s
+                    d = (ws[k] @ ws[k].T) / s
+                    d_pinv = pseudo_inverse(d) if below else None
+            d_mats.append(d)
+            d_pinvs.append(d_pinv)
+            if k < p - 1:
+                g[cols[k], done + n :] = (cross[n : pn - done] @ d_pinv).T
+    return CascadeMap(k_mats, tuple(d_mats), tuple(d_pinvs), tuple(zero_indices), g, rows)
 
 
 def _triangular_inverse(l: np.ndarray) -> np.ndarray:
@@ -206,6 +219,7 @@ def _certified_inverse(d: np.ndarray, floor: float) -> np.ndarray | None:
     above ``floor``, so ``pseudo_inverse``'s cutoff keeps every direction and
     D^+ = D^-1. A factorization that fails, a trace that is too large or not
     finite, and a floor below the normal range (subnormal data) give None.
+    The caller ignores overflow, as ``cascade_map`` does for all its stages.
     """
     if floor < SMALLEST_NORMAL:
         return None
@@ -213,10 +227,8 @@ def _certified_inverse(d: np.ndarray, floor: float) -> np.ndarray | None:
         l_inv = _triangular_inverse(np.linalg.cholesky(d))
     except np.linalg.LinAlgError:
         return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        d_inv = l_inv.T @ l_inv
-        certified = floor * np.trace(d_inv) < 1.0  # false for inf and NaN
-    return d_inv if certified else None
+    d_inv = l_inv.T @ l_inv
+    return d_inv if floor * d_inv.trace() < 1.0 else None  # false for inf and NaN
 
 
 def forward_substitute(vs, k_mats, ws=None, upto=None) -> list[np.ndarray]:

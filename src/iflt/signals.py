@@ -27,13 +27,13 @@ def is_centered(arr: np.ndarray) -> bool:
     Rows whose sum of squares leaves the normal float range are first divided
     by the power of two above their max-abs value, so the test works at any scale.
     """
-    mean = np.abs(arr.mean(axis=1))
+    mean = np.abs(arr.sum(axis=1) / arr.shape[1])
     sq = np.einsum("ij,ij->i", arr, arr)
-    if not np.all((sq >= _FLOAT.tiny) & (sq <= _FLOAT.max)):
+    if not ((sq >= _FLOAT.tiny) & (sq <= _FLOAT.max)).all():
         exp = np.frexp(np.abs(arr).max(axis=1))[1]
         arr, mean = np.ldexp(arr, -exp[:, None]), np.ldexp(mean, -exp)
         sq = np.einsum("ij,ij->i", arr, arr)
-    return bool(np.all(mean <= CENTER_RTOL * np.sqrt(sq / arr.shape[1])))
+    return bool((mean <= CENTER_RTOL * np.sqrt(sq / arr.shape[1])).all())
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class Ensemble:
             raise InvalidInput(f"ensemble data must be 2-D, got shape {arr.shape}")
         if arr.shape[1] < 2:
             raise InvalidInput("an ensemble needs at least two realizations")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InvalidInput("ensemble data contains non-finite entries")
         object.__setattr__(self, "data", arr)
         if self.centered and not is_centered(arr):

@@ -1,3 +1,8 @@
+import dataclasses
+import math
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -21,6 +26,7 @@ from iflt import (
     pseudo_inverse,
     sym_sqrt,
 )
+from iflt import bench
 from iflt.analysis import ensemble_sq_distance
 from iflt.bench import ExperimentConfig, gen_observations, gen_reference_sequence, lag_specs
 from conftest import make_ensemble
@@ -219,6 +225,42 @@ def test_bound_term_by_term_oracle(rng):
     got = error_upper_bound(0.5, inputs)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got >= 0.5
+
+
+def exact_bound(optimal, inputs):
+    """``error_upper_bound``'s formula in exact rational arithmetic on the same
+    factors: the traces of D_k and D_k^+, and the entries of C(x_k, w_k)."""
+    total = Fraction(optimal)
+    for k, (eww, exw) in enumerate(zip(inputs.w_covs, inputs.xw_covs)):
+        e_k = Fraction(float(np.trace(pseudo_inverse(eww))))
+        w_energy = Fraction(float(np.trace(eww)))
+        f_k = sum(Fraction(float(v)) ** 2 for v in exw.ravel())
+        p_k = (Fraction(inputs.lambda_e) * Fraction(inputs.lambda_q)
+               * Fraction(inputs.r_hat[k]) * (Fraction(inputs.x_energy) * e_k + f_k) * w_energy)
+        total += Fraction(inputs.eps_x) * w_energy * e_k + Fraction(inputs.eps_y) * p_k
+    return total
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("drift_scale", [1e80, 1e100])
+def test_bound_forms_no_out_of_range_intermediate(monkeypatch, drift_scale):
+    # at these scales ||C(x_k, w_k)||_F^2 and eps_x tr D_k overflow as floats;
+    # with the probed constants the bound itself lies beyond the largest
+    # float, without lambda_e it lies inside
+    captured = []
+    monkeypatch.setattr(bench, "error_upper_bound",
+                        lambda optimal, inputs: captured.append((optimal, inputs)) or 0.0)
+    bench.run_benchmark(bench.config_from_dict({
+        "probe_constants": True, "drift_scale": drift_scale, "n_signals": 20,
+        "m": 4, "n": 4, "s": 48, "p_values": [2], "s_indices": [3, 7]}))
+    assert len(captured) == 2
+    for optimal, inputs in captured:
+        assert exact_bound(optimal, inputs) > Fraction(sys.float_info.max)
+        assert error_upper_bound(optimal, inputs) == math.inf
+        inputs = dataclasses.replace(inputs, lambda_e=0.0)
+        want = exact_bound(optimal, inputs)
+        assert want < Fraction(sys.float_info.max)
+        assert abs(Fraction(error_upper_bound(optimal, inputs)) - want) <= 1e-12 * want
 
 
 def test_bound_validates_inputs(rng):

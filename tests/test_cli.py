@@ -338,6 +338,20 @@ def test_config_numbers_too_large_for_the_data_exit_1(tmp_path, capsys, doc, fie
     assert f"error: {field}: " in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_bound_beyond_the_float_range_exits_1_naming_it(tmp_path, capsys):
+    # at drift 1e100 the probed bound lies beyond the largest float: no
+    # overflow warning, no Infinity in the summary, and nothing written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"probe_constants": True, "drift_scale": 1e100,
+                               "n_signals": 20, "m": 4, "n": 4, "s": 48,
+                               "p_values": [2], "s_indices": [3, 7]}))
+    err = _cli_error(capsys, ["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert ("error: summary.json: diagnostics.interp_p2.node_bound_checks[0].bound "
+            "is not finite") in err
+    assert not (tmp_path / "o").exists()
+
+
 _FIT_ARGS = ["--config", "{cfg}", "--refs", "{refs}", "--obs", "{obs}"]
 
 

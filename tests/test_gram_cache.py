@@ -1,14 +1,18 @@
-"""Property tests of the Gram block cache that ``FilterContext`` keeps for ``apply_filter``.
+"""Property tests of the Gram blocks that ``FilterContext`` keeps for ``apply_filter``.
 
 One context serves many calls. Whatever positions it served before, and in
 whatever order, a call must give the bits a fresh context gives, must keep at
 most p(p+1)/2 blocks, and must agree with the data-space cascade
-``oracle.data_space_cascade`` for every kind of transform.
+``oracle.data_space_cascade`` for every kind of transform. A steady-state
+apply of a lag filter forms only its p new Gram blocks and its p - 1
+certified inverses.
 """
 
 import tempfile
+from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from iflt import (
@@ -20,7 +24,9 @@ from iflt import (
     apply_filter,
     apply_q,
     center,
+    ortho,
 )
+from iflt.bench import lag_specs
 from iflt.sigio import ManifestSequence, save_sequence
 from oracle import data_space_cascade
 
@@ -44,12 +50,19 @@ def q_specs(draw, n: int):
     return QOperatorSpec.weighted_prefix_sum([a * b for a, b in zip(magnitudes, signs)])
 
 
+def newest_first(p: int) -> list[QOperatorSpec]:
+    """Lag filter whose term d looks back d positions; ``lag_specs`` runs oldest first."""
+    return [QOperatorSpec.sequence_lag(d) for d in range(p)]
+
+
 @st.composite
 def cache_cases(draw, mixed: bool):
     """(model, observation sequence, positions to apply at, in call order).
 
-    Lag filters only unless ``mixed``, which also draws component shifts and
-    weighted prefix sums.
+    Lag filters only, in either term order, unless ``mixed``, which also
+    draws component shifts and weighted prefix sums. Besides drawn, reversed
+    and repeated positions, a run of consecutive positions may start inside
+    the lag warm-up, where lags clamp to position 0.
     """
     p = draw(st.integers(1, 5))
     n = draw(st.integers(1, 4))
@@ -58,7 +71,7 @@ def cache_cases(draw, mixed: bool):
     if mixed:
         specs = [draw(q_specs(n)) for _ in range(p)]
     else:
-        specs = [QOperatorSpec.sequence_lag(d) for d in range(p)]
+        specs = draw(st.sampled_from((newest_first, lag_specs)))(p)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     length = p + 4
     items = tuple(center(Ensemble(10.0 ** rng.uniform(-1, 1) * rng.normal(size=(n, s))))
@@ -69,9 +82,11 @@ def cache_cases(draw, mixed: bool):
         t_mats=[rng.normal(size=(m, n)) for _ in range(p)],
         r_mats=[[rng.normal(size=(n, n)) / n for _ in range(j)] for j in range(p)],
     )
-    order = draw(st.sampled_from(("drawn", "reversed", "repeated")))
+    order = draw(st.sampled_from(("drawn", "reversed", "repeated", "consecutive")))
     if order == "reversed":
         positions = list(reversed(range(length)))
+    elif order == "consecutive":
+        positions = list(range(draw(st.integers(0, p)), length))
     elif order == "repeated":
         positions = [draw(st.integers(0, length - 1))] * 3
     else:
@@ -88,12 +103,14 @@ def reference_apply(model, ys, i):
 
 def assert_shared_context_matches_fresh(model, history, fresh_history, positions):
     ctx = FilterContext(history)
+    n = history.m
     bound = model.p * (model.p + 1) // 2
     for i in positions:
         shared = apply_filter(model, ctx, i).data
         fresh = apply_filter(model, FilterContext(fresh_history), i).data
         assert np.array_equal(shared, fresh), f"position {i}"
-        assert len(ctx._gram) <= bound
+        blocks = ctx._gram[1]
+        assert len(blocks) <= bound and sum(b.nbytes for b in blocks) <= bound * n * n * 8
 
 
 @CACHE_SETTINGS
@@ -125,16 +142,87 @@ def test_manifest_history_gives_the_bits_of_an_in_memory_one(case):
                                             positions)
 
 
+class _Observation(np.ndarray):
+    """Observation data that logs each product it takes part in: the two
+    positions for a product of two observations, else ``None``."""
+
+    def __array_finalize__(self, obj):
+        self.position = getattr(obj, "position", None)
+        self.log = getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul:
+            marked = [x.position for x in inputs if isinstance(x, _Observation)]
+            self.log.append(tuple(marked) if len(marked) == 2 else None)
+        plain = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(x.view(np.ndarray) for x in out)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def logged_history(rng, n: int, s: int, length: int):
+    """A sequence whose observations log the products they take part in, and the log."""
+    log, items = [], []
+    for position in range(length):
+        e = center(Ensemble(rng.normal(size=(n, s))))
+        data = e.data.view(_Observation)
+        data.position, data.log = position, log
+        object.__setattr__(e, "data", data)
+        items.append(e)
+    return SignalSequence(tuple(items)), log
+
+
 def test_lag_filter_forms_only_the_new_blocks_at_the_next_position():
     rng = np.random.default_rng(5)
     p, n, s = 4, 3, 40
-    ys = SignalSequence(tuple(center(Ensemble(rng.normal(size=(n, s)))) for _ in range(9)))
-    model = FilterModel(p=p, q_specs=[QOperatorSpec.sequence_lag(d) for d in range(p)],
-                        t_mats=[rng.normal(size=(2, n)) for _ in range(p)])
+    ys, log = logged_history(rng, n, s, 9)
+    for specs in (newest_first(p), lag_specs(p)):
+        model = FilterModel(p=p, q_specs=specs,
+                            t_mats=[rng.normal(size=(2, n)) for _ in range(p)])
+        ctx = FilterContext(ys)
+        log.clear()
+        apply_filter(model, ctx, 5)
+        assert sorted(pair for pair in log if pair) == [(a, b) for a in range(2, 6)
+                                                      for b in range(2, a + 1)]
+        log.clear()
+        before = list(ctx._gram[1])
+        apply_filter(model, ctx, 6)
+        assert sorted(pair for pair in log if pair) == [(6, b) for b in range(3, 7)]
+        # the context now holds the blocks of positions 3..6: the six of
+        # positions 3..5 are the arrays it held, the four of position 6 new
+        blocks = ctx._gram[1]
+        assert sorted(ctx._gram[0]) == [3, 4, 5, 6] and len(blocks) == p * (p + 1) // 2
+        assert sum(any(b is a for a in before) for b in blocks) == 6
+        assert sum(b.nbytes for b in blocks) <= p * (p + 1) // 2 * n * n * 8
+
+
+@pytest.mark.parametrize("specs", [newest_first, lag_specs])
+def test_steady_state_apply_does_only_its_products_and_certified_inverses(
+        specs, monkeypatch):
+    # past the warm-up and with a context that served the previous position:
+    # p Gram blocks, p - 1 Cholesky inverses, no SVD and no data-space output,
+    # and the p products sum_j Z_j v_j of the estimate
+    rng = np.random.default_rng(11)
+    p, n, s = 5, 4, 80
+    ys, log = logged_history(rng, n, s, 9)
+    model = FilterModel(p=p, q_specs=specs(p),
+                        t_mats=[rng.normal(size=(3, n)) for _ in range(p)])
     ctx = FilterContext(ys)
-    apply_filter(model, ctx, 5)
-    before = dict(ctx._gram)
     apply_filter(model, ctx, 6)
-    kept = [key for key in ctx._gram if ctx._gram[key] is before.get(key)]
-    assert sorted(ctx._gram) == [(a, b) for a in range(3, 7) for b in range(3, a + 1)]
-    assert sorted(kept) == [(a, b) for a in range(3, 6) for b in range(3, a + 1)]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    for name in ("pseudo_inverse", "forward_substitute"):
+        monkeypatch.setattr(ortho, name, counted(name, getattr(ortho, name)))
+    log.clear()
+    apply_filter(model, ctx, 7)
+    gram = [pair for pair in log if pair]
+    assert len(gram) == p and len(set(gram)) == p
+    assert len(log) - len(gram) == p
+    assert calls == {"cholesky": p - 1}
