@@ -145,6 +145,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("s: need at least two realizations")
     if not cfg.p_values or any(p < 1 for p in cfg.p_values):
         raise ConfigError("p_values: need at least one positive order")
+    if len(set(cfg.p_values)) != len(cfg.p_values):
+        raise ConfigError("p_values: orders must be distinct")
     if cfg.noise.kind not in NOISE_KINDS:
         raise ConfigError(f"noise.kind: unknown kind {cfg.noise.kind!r}")
     if not np.isfinite(cfg.noise.high - cfg.noise.low):  # NaN or inf if either bound is

@@ -159,12 +159,14 @@ def _read_windows(seq: ManifestSequence, q_specs, positions) -> None:
     """
     for i in positions:
         for q in q_specs:
-            for t in q.positions(i):
-                seq[t]
+            seq[q.position(i)]
 
 
 def _cmd_fit(args) -> int:
     cfg = _load_cfg(args)
+    if not 1 <= args.p <= len(cfg.s_indices):
+        raise IfltError(f"--p {args.p} out of range [1, {len(cfg.s_indices)}]: "
+                        "an order-p filter trains on the first p s_indices")
     xs = ManifestSequence(args.refs)
     ys = ManifestSequence(args.obs)
     q_specs = lag_specs(args.p)

@@ -82,21 +82,19 @@ class FilterContext:
     history: SignalSequence
     _gram: tuple = field(default=((), ()), init=False, repr=False, compare=False)
 
-    def _gram_matrix(self, q_specs, i: int, vs) -> np.ndarray:
-        """Gram matrix of the stacked inputs ``vs`` that ``q_specs`` give at ``i``:
-        its blocks j >= l, the ones ``cascade_map`` reads, and zeros above.
+    def _gram_matrix(self, q_specs, i: int) -> np.ndarray:
+        """Gram matrix of the stacked inputs that ``q_specs`` give at ``i``: its
+        blocks j >= l, the ones ``cascade_map`` reads, and zeros above.
 
-        Two inputs that are observations as they stand (``identity``,
-        ``sequence_lag``) share the block (y_a y_b^T) / s, a >= b, of their
-        positions, formed once. Any other pair is formed from the inputs'
-        data. ``cascade_map`` rejects a block that overflowed.
+        Every input is an observation as it stands, so two inputs share the
+        block (y_a y_b^T) / s, a >= b, of their positions, formed once.
+        ``cascade_map`` rejects a block that overflowed.
         """
-        seq, p, n = self.history, len(vs), self.history.m
-        pos = tuple(q.positions(i)[0] if q.kind in ("identity", "sequence_lag") else None
-                    for q in q_specs)
+        seq, p, n = self.history, len(q_specs), self.history.m
+        pos = tuple(q.position(i) for q in q_specs)
         pairs, first, last = _diagonal_order(p)
         prev, blocks = self._gram
-        reuse = None not in pos and len(prev) == p > 0
+        reuse = len(prev) == p > 0
         if reuse and pos[1:] == prev[:-1]:  # newest input first: (j, l) was (j - 1, l - 1)
             blocks, fresh = blocks[-1:] + blocks[:-1], first
         elif reuse and pos[:-1] == prev[1:]:  # oldest input first: (j, l) was (j + 1, l + 1)
@@ -108,9 +106,6 @@ class FilterContext:
             for k in fresh:
                 j, l = pairs[k]
                 a, b = pos[j], pos[l]
-                if a is None or b is None:
-                    blocks[k] = (vs[j].data @ vs[l].data.T) / seq.s
-                    continue
                 if (key := (max(a, b), min(a, b))) not in made:
                     made[key] = (seq[key[0]].data @ seq[key[1]].data.T) / seq.s
                 blocks[k] = made[key] if a >= b else made[key].T
@@ -242,7 +237,7 @@ def _transformed_inputs(model: FilterModel, ctx: FilterContext, i: int) -> list[
 def input_cascade(model: FilterModel, ctx: FilterContext, i: int) -> list[Ensemble]:
     """Transformed observations at position ``i``, passed through the cascade."""
     vs = _transformed_inputs(model, ctx, i)
-    return list(cascade_outputs(vs, cascade_map(vs, ctx._gram_matrix(model.q_specs, i, vs))))
+    return list(cascade_outputs(vs, cascade_map(vs, ctx._gram_matrix(model.q_specs, i))))
 
 
 def _estimate(t_mats, k_mats, vs, zero_indices=()) -> np.ndarray:
@@ -284,7 +279,7 @@ def apply_filter(
             raise InvalidInput("model carries no frozen deflation matrices")
         acc = _estimate(model.t_mats, model.r_mats, vs)
     else:
-        cmap = cascade_map(vs, ctx._gram_matrix(model.q_specs, i, vs))
+        cmap = cascade_map(vs, ctx._gram_matrix(model.q_specs, i))
         acc = _estimate(model.t_mats, cmap.k_mats, vs, cmap.zero_indices)
     acc -= acc.sum(axis=1, keepdims=True) / acc.shape[1]  # the row means
     return Ensemble(acc, centered=True)

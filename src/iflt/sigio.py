@@ -144,6 +144,9 @@ def read_manifest(path) -> dict:
         raise ParseError(f"{path}: manifest files must be a list of file names")
     if not files:
         raise ParseError(f"{path}: manifest lists no files")
+    for k, name in enumerate(files):
+        if "\0" in name:
+            raise ParseError(f"{path}: manifest files[{k}] {name!r} holds a NUL byte")
     return doc
 
 

@@ -18,7 +18,7 @@ from .exceptions import InvalidInput
 CENTER_RTOL = 1e-10
 _FLOAT = np.finfo(float)
 
-Q_KINDS = ("identity", "sequence_lag", "component_shift", "weighted_prefix_sum")
+Q_KINDS = ("identity", "sequence_lag")
 
 
 def is_centered(arr: np.ndarray) -> bool:
@@ -105,19 +105,13 @@ class SignalSequence:
 class QOperatorSpec:
     """Declarative transform applied at one position of an observation sequence.
 
-    kind is one of:
-
-    * ``identity``: the observation at the requested position.
-    * ``sequence_lag``: the observation ``lag`` positions earlier, clamped to
-      the start of the sequence.
-    * ``component_shift``: the observation with rows rolled by ``lag``.
-    * ``weighted_prefix_sum``: the weighted sum of observations from the
-      start of the sequence up to the requested position.
+    Every transform is a lag: the observation ``lag`` positions earlier,
+    clamped to the start of the sequence. ``kind`` is ``identity`` (lag 0) or
+    ``sequence_lag``; both names are kept so that stored models load.
     """
 
     kind: str
     lag: int = 0
-    weights: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.kind not in Q_KINDS:
@@ -125,13 +119,9 @@ class QOperatorSpec:
         if (isinstance(self.lag, bool) or not isinstance(self.lag, (int, np.integer))
                 or self.lag < 0):
             raise InvalidInput(f"lag must be a nonnegative integer, got {self.lag!r}")
+        if self.kind == "identity" and self.lag:
+            raise InvalidInput(f"an identity transform has lag 0, got {self.lag!r}")
         object.__setattr__(self, "lag", int(self.lag))
-        weights = tuple(float(w) for w in self.weights)
-        if not all(np.isfinite(weights)):
-            raise InvalidInput("weights must be finite")
-        if self.kind == "weighted_prefix_sum" and not weights:
-            raise InvalidInput("weighted_prefix_sum needs at least one weight")
-        object.__setattr__(self, "weights", weights)
 
     @staticmethod
     def identity() -> "QOperatorSpec":
@@ -141,51 +131,25 @@ class QOperatorSpec:
     def sequence_lag(d: int) -> "QOperatorSpec":
         return QOperatorSpec("sequence_lag", lag=d)
 
-    @staticmethod
-    def component_shift(d: int) -> "QOperatorSpec":
-        return QOperatorSpec("component_shift", lag=d)
-
-    @staticmethod
-    def weighted_prefix_sum(weights) -> "QOperatorSpec":
-        return QOperatorSpec("weighted_prefix_sum", weights=tuple(weights))
-
     def window(self) -> int:
-        """Length of the stretch of the sequence the transform reads from.
+        """The ``lag + 1`` trailing positions, ending at the requested one, that
+        the transform reads from."""
+        return self.lag + 1
 
-        For ``sequence_lag`` it is the ``lag + 1`` trailing positions ending at
-        the requested one; for ``weighted_prefix_sum`` the ``len(weights)``
-        leading positions, starting at position 0; otherwise the requested
-        position alone. ``positions`` gives the positions read at one index.
-        """
-        if self.kind == "sequence_lag":
-            return self.lag + 1
-        if self.kind == "weighted_prefix_sum":
-            return len(self.weights)
-        return 1
-
-    def positions(self, i: int) -> tuple[int, ...]:
-        """The sequence positions ``apply_q`` reads to evaluate the transform at ``i``."""
-        if self.kind == "sequence_lag":
-            return (max(0, i - self.lag),)
-        if self.kind == "weighted_prefix_sum":
-            return tuple(range(min(i, len(self.weights) - 1) + 1))
-        return (i,)
+    def position(self, i: int) -> int:
+        """The sequence position ``apply_q`` reads to evaluate the transform at ``i``."""
+        return max(0, i - self.lag)
 
     def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind in ("sequence_lag", "component_shift"):
-            out["lag"] = self.lag
-        if self.kind == "weighted_prefix_sum":
-            out["weights"] = list(self.weights)
-        return out
+        if self.kind == "identity":
+            return {"kind": "identity"}
+        return {"kind": self.kind, "lag": self.lag}
 
     @staticmethod
     def from_dict(d: dict) -> "QOperatorSpec":
         if not isinstance(d, dict):
             raise InvalidInput(f"a transform spec must be an object, got {type(d).__name__}")
-        return QOperatorSpec(
-            d.get("kind", ""), lag=d.get("lag", 0), weights=tuple(d.get("weights", ()))
-        )
+        return QOperatorSpec(d.get("kind", ""), lag=d.get("lag", 0))
 
 
 @dataclass(frozen=True)
@@ -225,24 +189,20 @@ class TrainingSet:
         return len(self.s_x)
 
 
-def _centered(data: np.ndarray) -> Ensemble:
-    """``Ensemble(data, centered=True)`` for data formed from centered rows.
+def center(e: Ensemble) -> Ensemble:
+    """Subtract each row's empirical mean.
 
     Rounding can leave a row mean above the centering tolerance, as for a
-    constant row or a large offset against a small spread; the row means of
-    ``data`` are then subtracted once more.
+    constant row or a large offset against a small spread; the row means are
+    then subtracted once more.
     """
+    data = e.data - e.data.mean(axis=1, keepdims=True)
     try:
         return Ensemble(data, centered=True)
     except InvalidInput:
         if not np.all(np.isfinite(data)):
             raise
         return Ensemble(data - data.mean(axis=1, keepdims=True), centered=True)
-
-
-def center(e: Ensemble) -> Ensemble:
-    """Subtract each row's empirical mean."""
-    return _centered(e.data - e.data.mean(axis=1, keepdims=True))
 
 
 def est_cov(a: Ensemble, b: Ensemble) -> np.ndarray:
@@ -272,21 +232,4 @@ def apply_q(q: QOperatorSpec, seq: SignalSequence, i: int) -> Ensemble:
     """Evaluate one observation transform at sequence position ``i``."""
     if not 0 <= i < len(seq):
         raise InvalidInput(f"sequence position {i} out of range [0, {len(seq) - 1}]")
-    if q.kind == "identity":
-        return seq[i]
-    if q.kind == "sequence_lag":
-        return seq[max(0, i - q.lag)]
-    if q.kind == "component_shift":
-        src = seq[i]
-        return Ensemble(np.roll(src.data, q.lag, axis=0), centered=src.centered)
-    # weighted_prefix_sum
-    if len(q.weights) > len(seq):
-        raise InvalidInput("more weights than sequence positions")
-    acc = np.zeros_like(seq[0].data)
-    centered = True
-    with np.errstate(over="ignore", invalid="ignore"):  # Ensemble rejects an overflow
-        for t in range(min(i + 1, len(q.weights))):
-            acc += q.weights[t] * seq[t].data
-            centered = centered and seq[t].centered
-    return _centered(acc) if centered else Ensemble(acc)
-
+    return seq[q.position(i)]

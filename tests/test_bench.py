@@ -109,6 +109,8 @@ def test_config_validation_messages():
         validate_config(ExperimentConfig(s_indices=(5, 5, 7, 9, 11)))
     with pytest.raises(ConfigError, match="p_values"):
         validate_config(ExperimentConfig(p_values=(9,)))
+    with pytest.raises(ConfigError, match="p_values: orders must be distinct"):
+        validate_config(ExperimentConfig(p_values=(1, 1)))
     with pytest.raises(ConfigError, match="noise.kind"):
         validate_config(ExperimentConfig(noise=NoiseSpec(kind="gaussian")))
     with pytest.raises(ConfigError, match="n:"):

@@ -1,4 +1,5 @@
 import json
+import tempfile
 import warnings
 
 import numpy as np
@@ -393,6 +394,29 @@ def test_fit_nodes_past_the_data_exit_1(tmp_path, cfg_path, capsys):
     assert "s_indices: position 57 is past the end of the data (12 positions)" in err
 
 
+@pytest.mark.parametrize("p", [0, -1, 4])
+def test_fit_order_out_of_range_exits_1(tmp_path, cfg_path, capsys, p):
+    data = tmp_path / "data"
+    assert cli_main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 0
+    err = _cli_error(capsys, ["fit", "--config", str(cfg_path),
+                              "--refs", str(data / "refs_manifest.json"),
+                              "--obs", str(data / "obs_manifest.json"), "--p", str(p),
+                              "--out", str(tmp_path / "m.json")])
+    assert f"error: --p {p} out of range [1, 3]" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_manifest_file_name_with_a_nul_byte_exits_1(tmp_path, cfg_path, capsys):
+    obs, model_path = _gen_and_fit(tmp_path, cfg_path)
+    doc = json.loads(obs.read_text())
+    doc["files"][0] += "\0"
+    obs.write_text(json.dumps(doc))
+    for argv in (["epsnet", "--data", str(obs), "--eps", "0.1"],
+                 ["apply", "--model", str(model_path), "--obs", str(obs), "--index", "1"]):
+        err = _cli_error(capsys, [*argv, "--out", str(tmp_path / "out")])
+        assert f"{obs}: manifest files[0] 'obs_0000.iflt\\x00' holds a NUL byte" in err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bench_with_subnormal_covariances_completes(tmp_path, capsys):
     # observation covariances near 1e-320: their subnormal singular values
@@ -621,19 +645,38 @@ def test_model_with_a_non_object_transform_spec_exits_1(tmp_path, cfg_path, caps
     assert "q_specs[1]" in err
 
 
-@pytest.mark.parametrize("spec", [
-    {"kind": "sequence_lag", "lag": 1.0},
-    {"kind": "sequence_lag", "lag": True},
-    {"kind": "component_shift", "lag": 1e300},
-], ids=["float", "bool", "huge-float"])
-def test_model_with_a_non_integer_lag_exits_1(tmp_path, cfg_path, capsys, spec):
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "sequence_lag", "lag": 1.0}, "lag must be a nonnegative integer"),
+    ({"kind": "sequence_lag", "lag": True}, "lag must be a nonnegative integer"),
+    ({"kind": "sequence_lag", "lag": 1e300}, "lag must be a nonnegative integer"),
+    ({"kind": "identity", "lag": 3}, "an identity transform has lag 0, got 3"),
+], ids=["float", "bool", "huge-float", "identity-lag"])
+def test_model_with_a_non_integer_lag_exits_1(tmp_path, cfg_path, capsys, spec, message):
     obs, model_path = _gen_and_fit(tmp_path, cfg_path)
     doc = json.loads(model_path.read_text())
     doc["q_specs"][1] = spec
     model_path.write_text(json.dumps(doc))
     for extra in ([], ["--fixed-r"]):
         err = _apply_error(tmp_path, capsys, model_path, obs, 5, *extra)
-        assert f"{model_path}: q_specs[1]: lag must be a nonnegative integer" in err
+        assert f"{model_path}: q_specs[1]: {message}" in err
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "component_shift", "lag": 1},
+    {"kind": "weighted_prefix_sum", "weights": [1e300, 1e300]},
+], ids=["component_shift", "weighted_prefix_sum"])
+def test_model_with_a_deleted_transform_kind_exits_1(tmp_path, cfg_path, capsys, spec):
+    # every transform is a lag, so these kinds are rejected when the model loads
+    obs, model_path = _gen_and_fit(tmp_path, cfg_path)
+    doc = json.loads(model_path.read_text())
+    doc["q_specs"][1] = spec
+    model_path.write_text(json.dumps(doc))
+    message = f"{model_path}: q_specs[1]: unknown transform kind '{spec['kind']}'"
+    for extra in ([], ["--fixed-r"]):
+        assert message in _apply_error(tmp_path, capsys, model_path, obs, 5, *extra)
+    assert message in _cli_error(capsys, [
+        "eval", "--refs", str(obs.with_name("refs_manifest.json")), "--obs", str(obs),
+        "--model", str(model_path), "--out", str(tmp_path / "eval")])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -658,15 +701,6 @@ def test_fit_and_apply_on_overflowing_data_exit_1(tmp_path, capsys):
     assert "covariance overflows" in err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_apply_with_overflowing_prefix_sum_weights_exits_1(tmp_path, cfg_path, capsys):
-    obs, model_path = _gen_and_fit(tmp_path, cfg_path)
-    doc = json.loads(model_path.read_text())
-    doc["q_specs"][1] = {"kind": "weighted_prefix_sum", "weights": [1e300, 1e300]}
-    model_path.write_text(json.dumps(doc))
-    assert "covariance overflows" in _apply_error(tmp_path, capsys, model_path, obs, 5)
-
-
 @pytest.fixture(scope="module")
 def fitted_model(tmp_path_factory):
     """Generated data and the document of a model fitted on it, shared by the
@@ -684,9 +718,19 @@ _JSON_VALUES = st.recursive(
                                                                  max_size=3),
     max_leaves=6,
 )
+def _replaced(doc, field, value) -> str:
+    """The JSON text of ``doc`` with the entry at the key path ``field`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    return json.dumps(doc)
+
+
 _MODEL_FIELDS = [("version",), ("p",), ("q_specs",), ("t_mats",), ("a_mats",), ("r_mats",),
                  ("meta",), ("q_specs", 0), ("q_specs", 1), ("q_specs", 0, "kind"),
-                 ("q_specs", 1, "lag"), ("q_specs", 1, "weights")]
+                 ("q_specs", 1, "lag")]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -700,16 +744,149 @@ def test_model_document_fuzz_exits_without_raising(fitted_model, field, value):
     of an entry replaced by any JSON value: ``apply`` (both deflation modes) and
     ``eval`` return an exit code and never raise."""
     root, obs, doc = fitted_model
-    doc = json.loads(json.dumps(doc))
-    target = doc
-    for key in field[:-1]:
-        target = target[key]
-    target[field[-1]] = value
     model_path = root / "fuzzed.json"
-    model_path.write_text(json.dumps(doc))
+    model_path.write_text(_replaced(doc, field, value))
     apply = ["apply", "--model", str(model_path), "--obs", str(obs), "--index", "5",
              "--out", str(root / "est.iflt")]
     for argv in (apply, [*apply, "--fixed-r"],
                  ["eval", "--refs", str(obs.with_name("refs_manifest.json")), "--obs",
                   str(obs), "--model", str(model_path), "--out", str(root / "eval")]):
         assert cli_main(argv) in (0, 1, 2)
+
+
+# size fields are drawn small: a config asking for 10**9 of anything makes
+# arrays that size before any check could refuse them
+_SIZE_FIELDS = ("n_signals", "m", "n", "s", "base_rank")
+_CONFIG_FIELDS = [(name,) for name in SMALL_CFG] + [
+    ("base_rank",), ("drift_scale",), ("rls_forgetting",), ("rls_delta",), ("residual_tol",),
+    ("include_baselines",), ("probe_constants",), ("noise",), ("noise", "kind"),
+    ("noise", "low"), ("noise", "high"), ("p_values", 0), ("s_indices", 0)]
+
+
+@st.composite
+def config_edits(draw):
+    field = draw(st.sampled_from(_CONFIG_FIELDS))
+    if field[0] in _SIZE_FIELDS:
+        value = draw(st.integers(-2, 12) | _JSON_VALUES.filter(
+            lambda v: not isinstance(v, int) or isinstance(v, bool)))
+    else:
+        value = draw(_JSON_VALUES)
+    return field, value
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(config_edits())
+@example((("p_values",), [1, 1]))
+@example((("noise",), {"low": 0, "high": 1e300}))
+def test_config_document_fuzz_exits_without_raising(fitted_model, edit):
+    """A small config with one field, one list entry or one noise field replaced
+    by any JSON value: ``bench`` returns an exit code and never raises."""
+    root, _, _ = fitted_model
+    cfg = root / "fuzzed_cfg.json"
+    cfg.write_text(_replaced({**SMALL_CFG, "noise": {"low": 0.0, "high": 1.0}}, *edit))
+    with tempfile.TemporaryDirectory() as out:
+        assert cli_main(["bench", "--config", str(cfg), "--out", out]) in (0, 1, 2)
+
+
+_MANIFEST_FIELDS = [("m",), ("s",), ("files",), ("files", 0), ("files", 5)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_MANIFEST_FIELDS), _JSON_VALUES)
+@example(("files", 0), "obs_0000.iflt\0")
+@example(("files", 0), "")
+@example(("m",), 2**70)
+def test_manifest_fuzz_exits_without_raising(fitted_model, field, value):
+    """An observation manifest with one field or one file name replaced by any
+    JSON value: ``epsnet``, ``apply`` and ``eval`` return an exit code and never
+    raise."""
+    root, obs, doc = fitted_model
+    manifest = obs.with_name("fuzzed_manifest.json")
+    manifest.write_text(_replaced(json.loads(obs.read_text()), field, value))
+    model_path = root / "model.json"
+    model_path.write_text(json.dumps(doc))
+    with tempfile.TemporaryDirectory() as out:
+        for argv in (["epsnet", "--data", str(manifest), "--eps", "0.1"],
+                     ["apply", "--model", str(model_path), "--obs", str(manifest),
+                      "--index", "5"],
+                     ["eval", "--refs", str(obs.with_name("refs_manifest.json")),
+                      "--obs", str(manifest), "--model", str(model_path), "--baselines"]):
+            assert cli_main([*argv, "--out", f"{out}/{argv[0]}"]) in (0, 1, 2)
+
+
+def _exit_code(argv) -> int:
+    """The status ``iflt`` exits with: what ``cli_main`` returns, or the code of
+    the ``SystemExit`` that argparse raises after printing the help."""
+    try:
+        return cli_main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_ARGV_TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\0"),
+                     max_size=6)  # an operating system passes no NUL byte in argv
+_NUMBERS = (st.integers(-3, 20) | st.integers(-2**70, 2**70)).map(str) | st.floats().map(repr)
+
+
+@st.composite
+def argvs(draw):
+    """``iflt`` argv: a working command line whose values are replaced, whose
+    flags are dropped and to which flags of any command or stray words are added.
+
+    Paths start with ``{root}``, the fitted data's directory. Inputs are its
+    files, a directory, a missing file or any text; outputs go under
+    ``{root}/out``. ``gen`` and ``bench`` keep a ``--config`` flag, so they
+    never run the default, full-size config.
+    """
+    cfg, model, out = "{root}/cfg.json", "{root}/model.json", "{root}/out/x"
+    refs, obs = "{root}/data/refs_manifest.json", "{root}/data/obs_manifest.json"
+    working = {
+        "gen": [("--config", cfg), ("--out", out)],
+        "fit": [("--config", cfg), ("--refs", refs), ("--obs", obs), ("--p", "2"),
+                ("--out", out)],
+        "apply": [("--model", model), ("--obs", obs), ("--index", "5"), ("--out", out)],
+        "eval": [("--config", cfg), ("--refs", refs), ("--obs", obs), ("--model", model),
+                 ("--out", out)],
+        "bench": [("--config", cfg), ("--out", out)],
+        "epsnet": [("--data", obs), ("--eps", "0.1"), ("--out", out)],
+    }
+    inputs = st.sampled_from([cfg, model, refs, obs, "{root}/data/obs_0000.iflt",
+                              "{root}/data", "{root}/missing.json"]) | _ARGV_TEXT
+    outputs = st.sampled_from(["x", "y.json", "", "missing/x", "file"]).map(
+        lambda name: "{root}/out/" + name)
+    values = {"--config": inputs, "--refs": inputs, "--obs": inputs, "--model": inputs,
+              "--data": inputs, "--bound-constants": inputs, "--out": outputs,
+              "--format": st.sampled_from(["bin", "csv"]) | _ARGV_TEXT,
+              "--seed": _NUMBERS, "--p": _NUMBERS, "--index": _NUMBERS, "--eps": _NUMBERS,
+              "--rls-lambda": _NUMBERS, "--rls-delta": _NUMBERS}
+    command = draw(st.sampled_from(sorted(working)))
+    argv = [command]
+    for flag, value in working[command]:
+        action = draw(st.sampled_from(["replace", "drop"] + ["keep"] * 6))
+        if action == "drop" and not (flag == "--config" and command in ("gen", "bench")):
+            continue
+        argv += [flag, draw(values[flag]) if action == "replace" else value]
+    for _ in range(draw(st.integers(0, 2))):
+        flag = draw(st.sampled_from([*values, "--fixed-r", "--baselines", "--probe-constants",
+                                     "-h", "stray"]))
+        flag = draw(_ARGV_TEXT) if flag == "stray" else flag
+        argv += [flag, draw(values[flag])] if flag in values else [flag]
+    if draw(st.integers(0, 9)) == 0:
+        argv[0] = draw(_ARGV_TEXT)
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argvs())
+@example(["fit", "--config", "{root}/cfg.json", "--refs", "{root}/data/refs_manifest.json",
+          "--obs", "{root}/data/obs_manifest.json", "--p", "0", "--out", "{root}/out/x"])
+@example(["apply", "--model", "{root}/model.json", "--obs", "{root}/data/obs_manifest.json",
+          "--index", "-1", "--out", "{root}/out/x", "-h"])
+def test_argv_fuzz_exits_without_raising(fitted_model, argv):
+    """Any command with any flags and values: ``iflt`` exits 0, 1 or 2."""
+    root, _, doc = fitted_model
+    (root / "model.json").write_text(json.dumps(doc))
+    (root / "out").mkdir(exist_ok=True)
+    (root / "out" / "file").write_text("")
+    argv = [arg.replace("{root}", str(root)) for arg in argv]
+    assert _exit_code(argv) in (0, 1, 2), argv
