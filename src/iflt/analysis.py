@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import InvalidInput, ParseError
-from .interp import FilterModel, _coefficient, _estimate, _node_cascade
+from .interp import FilterModel, _coefficient, _node_cascade, back_substitute
 from .linalg import frob_norm, pseudo_inverse, root_pinv_norm_sq
 from .ortho import CascadeMap, cross_cov_residual
 from .signals import Ensemble, TrainingSet, energy, est_cov
@@ -146,8 +146,12 @@ def _decompose_node(model: FilterModel, x_k: Ensemble, k: int, vs,
     a_mats = model.a_mats or [None] * model.p
     mismatch = sum(root_pinv_norm_sq(cmap.x_cross[j][j] - cmap.x_cross[k][j], d_pinv)
                    for j, d_pinv in enumerate(cmap.d_pinvs))
-    t_mats = [_coefficient(cmap, j, j, a_mats[j]) for j in range(model.p)]
-    estimate = _estimate(t_mats, cmap.k_mats, vs, cmap.zero_indices)  # in data space
+    n = vs[0].m
+    z = back_substitute(np.hstack([_coefficient(cmap, j, j, a_mats[j]) for j in range(model.p)]),
+                        cmap.g, n, cmap.zero_indices)
+    estimate = np.zeros((len(z), x_k.s))  # sum_j Z_j v_j, in data space
+    for j, v in enumerate(vs):
+        estimate += z[:, j * n : (j + 1) * n] @ v.data
     lhs = float(np.sum((x_k.data - estimate) ** 2)) / x_k.s
     optimal = energy(x_k) - captured_energy(cmap, k)
     rhs = optimal + mismatch

@@ -35,7 +35,7 @@ from .signals import (
     SignalSequence,
     TrainingSet,
     apply_q,
-    center,
+    center_rows,
     energy,
     est_cov,
 )
@@ -45,6 +45,9 @@ MAX_FLOAT = float(np.finfo(float).max)
 # an ensemble whose Frobenius norm reaches this has an energy, and so
 # covariances, that overflow
 MAX_NORM = float(np.sqrt(MAX_FLOAT))
+# the largest array a run may ask for: a config that would make a bigger one
+# is refused before anything is allocated
+MAX_ARRAY_BYTES = 4 << 30
 
 
 @dataclass(frozen=True)
@@ -167,6 +170,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("rls_delta: must be positive and finite")
     if cfg.base_rank < 1:
         raise ConfigError("base_rank: must be at least 1")
+    for name, what, count in (
+        ("n_signals/m/s", "a sequence of n_signals x m x s", cfg.n_signals * cfg.m * cfg.s),
+        ("base_rank", "a low-rank factor of the references", cfg.base_rank * max(cfg.m, cfg.s)),
+    ):
+        if 8 * count > MAX_ARRAY_BYTES:
+            raise ConfigError(f"{name}: {what} would take {8 * count / (1 << 30):.3g} GiB, "
+                              f"more than the {MAX_ARRAY_BYTES >> 30} GiB an array may take")
     if not 0.0 <= cfg.drift_scale < np.inf:
         raise ConfigError("drift_scale: must be nonnegative and finite")
     if not 0.0 < cfg.residual_tol < np.inf:
@@ -239,22 +249,22 @@ def gen_reference_sequence(cfg: ExperimentConfig) -> SignalSequence:
 
     Every position is a shared low-rank base plus a smooth, position-dependent
     low-rank drift scaled by ``drift_scale`` (zero drift makes all positions
-    identical); each ensemble is centered.
+    identical), formed and centered in its place in the sequence's array.
     """
     rng = np.random.default_rng([cfg.seed, 0])
     base = _lowrank(rng, cfg.m, cfg.s, cfg.base_rank)
     drift_a = _lowrank(rng, cfg.m, cfg.s, cfg.base_rank)
     drift_b = _lowrank(rng, cfg.m, cfg.s, cfg.base_rank)
-    items = []
+    data = np.empty((cfg.n_signals, cfg.m, cfg.s))
     denom = max(cfg.n_signals - 1, 1)
-    for i in range(cfg.n_signals):
+    for i, out in enumerate(data):
         u = i / denom
         with np.errstate(over="ignore", invalid="ignore"):
-            data = base + cfg.drift_scale * (np.sin(np.pi * u) * drift_a + u * drift_b)
-            if not np.linalg.norm(data) < MAX_NORM:  # also false for inf and NaN
+            np.add(base, cfg.drift_scale * (np.sin(np.pi * u) * drift_a + u * drift_b), out=out)
+            if not np.linalg.norm(out) < MAX_NORM:  # also false for inf and NaN
                 raise ConfigError("drift_scale: too large, reference covariances overflow")
-        items.append(center(Ensemble(data)))
-    return SignalSequence(tuple(items))
+        center_rows(out)
+    return SignalSequence._of_checked(data)
 
 
 def noise_matrix(cfg: ExperimentConfig, i: int) -> np.ndarray:
@@ -264,15 +274,16 @@ def noise_matrix(cfg: ExperimentConfig, i: int) -> np.ndarray:
 
 
 def gen_observations(xs: SignalSequence, cfg: ExperimentConfig) -> SignalSequence:
-    """Entrywise-corrupted observations of the reference family, re-centered."""
-    items = []
-    for i, x in enumerate(xs.items):
+    """Entrywise-corrupted observations of the reference family, re-centered,
+    each formed in its place in the sequence's array."""
+    data = np.empty_like(xs.data)
+    for i, out in enumerate(data):
         with np.errstate(over="ignore", invalid="ignore"):
-            data = x.data * noise_matrix(cfg, i)
-            if not np.linalg.norm(data) < MAX_NORM:
+            np.multiply(xs.data[i], noise_matrix(cfg, i), out=out)
+            if not np.linalg.norm(out) < MAX_NORM:
                 raise ConfigError("noise.low/high: too large, observation covariances overflow")
-        items.append(center(Ensemble(data)))
-    return SignalSequence(tuple(items))
+        center_rows(out)
+    return SignalSequence._of_checked(data)
 
 
 def default_rls_delta(y: Ensemble) -> float:
@@ -439,7 +450,7 @@ def node_bound_checks(model: FilterModel, train: TrainingSet, measured, constant
                 lambda_e=scale * constants["lambda_e"], lambda_q=scale * constants["lambda_q"],
                 r_hat=tuple(scale * g for g in constants["r_hat"]),
                 w_covs=cmap.d_mats, xw_covs=tuple(cmap.x_cross[j][j] for j in range(model.p)),
-                x_energy=constants["x_energy"]))
+                x_energy=constants["x_energy"], a_mats=model.a_mats))
             out.append({"node": pos + 1, "measured": measured[k], "optimal": optimal,
                         "bound": bound})
         del vs, cmap  # free its work buffers before the next node's are formed

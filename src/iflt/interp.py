@@ -23,97 +23,93 @@ the model metadata.
 
 Deflation matrices are recomputed from each input's own transformed
 observations by default (this is what makes the cascade outputs orthogonal
-for unseen inputs); ``fixed_r=True`` replays the deflation matrices frozen at
-fit time instead.
-
-Every cascade is read from ``ortho.cascade_map``, the block LDL^T of the
-inputs' Gram matrix: V = L W (V, W stacking the p inputs and outputs) with L
-unit block-lower in the deflation blocks K_kl, so the estimate is one
-back-substitution away from the inputs, x_hat = [T_1 ... T_p] W = Z V with
-Z L = [T_1 ... T_p]. ``apply_filter`` takes K from the Gram blocks the
-``FilterContext`` caches, or frozen from fit. ``fit`` and the diagnostics add
-the references as extra rows of the recursion, so T_j = C(x_j, w_jj) D_jj^+
-with no pass over the data. ``input_cascade`` forms the outputs themselves,
-for the diagnostics that need them, with ``ortho.cascade_outputs``.
+for unseen inputs); ``fixed_r=True`` replays those frozen at fit time. Every
+cascade is the block LDL^T of the inputs' Gram matrix (``ortho``): V = L W,
+L unit block-lower in the deflation blocks, so x_hat = [T_1 ... T_p] W = Z V
+with Z L = [T_1 ... T_p]. ``fit`` and the diagnostics add the references as
+extra rows, so T_j = C(x_j, w_jj) D_jj^+ with no pass over the data.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import InvalidInput, ParseError
 from .linalg import frob_norm
-from .ortho import CascadeMap, cascade_map, cascade_outputs
+from .ortho import CascadeMap, cascade_map, cascade_outputs, ldl_stages
 from .signals import Ensemble, QOperatorSpec, SignalSequence, TrainingSet, apply_q
 
 MODEL_VERSION = 1
 RESIDUAL_RTOL = 1e-6
 
 
-@lru_cache(maxsize=16)
-def _diagonal_order(p: int):
-    """The pairs (j, l), j >= l, of p inputs diagonal by diagonal (d = j - l,
-    then l), and the places of the pairs (d, 0) and (p - 1, p - 1 - d), those
-    of the newest input in either term order."""
-    pairs = tuple((l + d, l) for d in range(p) for l in range(p - d))
-    return (pairs, tuple(k for k, (j, l) in enumerate(pairs) if l == 0),
-            tuple(k for k, (j, l) in enumerate(pairs) if j == p - 1))
-
-
 @dataclass(frozen=True)
 class FilterContext:
     """Observation window an input position is evaluated against.
 
-    ``history`` may be any sequence offering ``len``, ``[i]``, ``m`` and ``s``
-    as ``SignalSequence`` does, such as ``sigio.ManifestSequence``.
-
-    The context also keeps the p(p+1)/2 Gram blocks of the inputs its latest
-    call read, in a list diagonal by diagonal, and their positions. At the
-    next position of a lag filter, in either term order, turning the list by
-    one keeps all but the p blocks of the new input, and only those are
-    formed. Each block is formed one way, so results do not depend on the
-    calls before.
+    ``history`` may be any sequence offering ``len``, ``[i]``, ``m``, ``s``
+    and ``window(lo, hi)`` as ``SignalSequence`` does, such as
+    ``sigio.ManifestSequence``. The context keeps the Gram band of its latest
+    call: the Gram matrix of the distinct positions it read, in increasing
+    order. A call whose positions share a run with those copies that run's
+    blocks and forms the others, so a lag filter at the next position forms
+    only the p blocks of its new input. Each block is formed by one rule, so
+    results do not depend on the calls before.
     """
 
     history: SignalSequence
-    _gram: tuple = field(default=((), ()), init=False, repr=False, compare=False)
+    _band: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _gram_matrix(self, q_specs, i: int) -> np.ndarray:
-        """Gram matrix of the stacked inputs that ``q_specs`` give at ``i``: its
-        blocks j >= l, the ones ``cascade_map`` reads, and zeros above.
-
-        Every input is an observation as it stands, so two inputs share the
-        block (y_a y_b^T) / s, a >= b, of their positions, formed once.
-        ``cascade_map`` rejects a block that overflowed.
-        """
-        seq, p, n = self.history, len(q_specs), self.history.m
-        pos = tuple(q.position(i) for q in q_specs)
-        pairs, first, last = _diagonal_order(p)
-        prev, blocks = self._gram
-        reuse = len(prev) == p > 0
-        if reuse and pos[1:] == prev[:-1]:  # newest input first: (j, l) was (j - 1, l - 1)
-            blocks, fresh = blocks[-1:] + blocks[:-1], first
-        elif reuse and pos[:-1] == prev[1:]:  # oldest input first: (j, l) was (j + 1, l + 1)
-            blocks, fresh = blocks[1:] + blocks[:1], last
+    def _window(self, q_specs, i: int) -> tuple[list[int], list[int], np.ndarray]:
+        """The distinct positions the transforms read at ``i``, in increasing
+        order, the index among them of each transform's, and their observations
+        as one (len(ups), n, s) array: a view of the history where they form
+        one run, else gathered."""
+        pos = [q.position(i) for q in q_specs]
+        ups = sorted(set(pos))
+        if ups[-1] - ups[0] == len(ups) - 1:
+            win = self.history.window(ups[0], ups[-1])
         else:
-            blocks, fresh = [None] * len(pairs), range(len(pairs))
-        made = {}
+            win = np.stack([self.history[a].data for a in ups])
+        return ups, [ups.index(a) for a in pos], win
+
+    def _gram(self, ups, rel, win: np.ndarray) -> np.ndarray:
+        """Gram matrix of the inputs, input j at ``win[rel[j]]``, full and symmetric.
+
+        Two inputs share the block (y_a y_b^T) / s, a >= b, of their positions,
+        formed once; block (b, a) is its transpose. A block that overflowed raises.
+        """
+        (n, s), band = win.shape[1:], self._band
+        held, old = band.pop("positions", ()), band.pop("gram", None)
+        gu = np.empty((len(ups) * n,) * 2)
+        kept = [a for a in ups if a in held]
+        x, y, k = (ups.index(kept[0]), held.index(kept[0]), len(kept)) if kept else (0, 0, 0)
+        if kept and ups[x : x + k] == kept == list(held[y : y + k]):  # one run in both
+            gu[x * n : (x + k) * n, x * n : (x + k) * n] = old[y * n : (y + k) * n,
+                                                                y * n : (y + k) * n]
+        else:
+            kept = []
+        del old  # freed before the inputs' Gram matrix is copied out
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in fresh:
-                j, l = pairs[k]
-                a, b = pos[j], pos[l]
-                if (key := (max(a, b), min(a, b))) not in made:
-                    made[key] = (seq[key[0]].data @ seq[key[1]].data.T) / seq.s
-                blocks[k] = made[key] if a >= b else made[key].T
-        object.__setattr__(self, "_gram", (pos, blocks))
-        g = np.zeros((p * n, p * n))
-        for (j, l), block in zip(pairs, blocks):
-            g[j * n : (j + 1) * n, l * n : (l + 1) * n] = block
-        return g
+            for x, a in enumerate(ups):
+                for y, b in enumerate(ups[: x + 1]):  # a >= b
+                    if a not in kept or b not in kept:
+                        block = win[x] @ win[y].T
+                        block /= s
+                        gu[x * n : (x + 1) * n, y * n : (y + 1) * n] = block
+                        if y < x:
+                            gu[y * n : (y + 1) * n, x * n : (x + 1) * n] = block.T
+        if not np.isfinite(gu).all():
+            raise InvalidInput("covariance overflows: entries are not finite")
+        band.update(positions=tuple(ups), gram=gu)
+        if rel == list(range(len(ups))):
+            return gu.copy()
+        blocks = np.ix_(rel, range(n), rel, range(n))
+        return gu.reshape(len(ups), n, len(ups), n)[blocks].reshape((len(rel) * n,) * 2)
 
 
 @dataclass
@@ -140,6 +136,20 @@ class FilterModel:
 
     def required_window(self) -> int:
         return self._window
+
+    @cached_property
+    def _t(self) -> np.ndarray:  # [T_1 ... T_p], taken at the first apply
+        return np.hstack(self.t_mats)
+
+    @cached_property
+    def _fixed_z(self) -> np.ndarray:
+        """Z L = [T_1 ... T_p] for L of the frozen ``r_mats``, at the first ``fixed_r`` apply."""
+        n = self.t_mats[0].shape[1]
+        g = np.zeros((self.p * n,) * 2)  # K_jk^T in block (k, j), as back_substitute reads
+        for j, row in enumerate(self.r_mats):
+            for k, k_mat in enumerate(row):
+                g[k * n : (k + 1) * n, j * n : (j + 1) * n] = k_mat.T
+        return back_substitute(self._t, g, n)
 
 
 def _node_cascade(train: TrainingSet, q_specs, k: int, xs=None):
@@ -224,36 +234,37 @@ def fit(
                        r_mats=r_mats, meta=meta)
 
 
-def _transformed_inputs(model: FilterModel, ctx: FilterContext, i: int) -> list[Ensemble]:
-    """The p transformed observations the filter sees at position ``i``."""
+def _check_window(model: FilterModel, ctx: FilterContext, i: int) -> None:
     if len(ctx.history) < model.required_window():
-        raise InvalidInput(
-            f"history of {len(ctx.history)} positions is shorter than the "
-            f"required window {model.required_window()}"
-        )
-    return [apply_q(q, ctx.history, i) for q in model.q_specs]
+        raise InvalidInput(f"history of {len(ctx.history)} positions is shorter than the "
+                           f"required window {model.required_window()}")
+    if not 0 <= i < len(ctx.history):
+        raise InvalidInput(f"sequence position {i} out of range [0, {len(ctx.history) - 1}]")
 
 
 def input_cascade(model: FilterModel, ctx: FilterContext, i: int) -> list[Ensemble]:
     """Transformed observations at position ``i``, passed through the cascade."""
-    vs = _transformed_inputs(model, ctx, i)
-    return list(cascade_outputs(vs, cascade_map(vs, ctx._gram_matrix(model.q_specs, i))))
+    _check_window(model, ctx, i)
+    vs = [apply_q(q, ctx.history, i) for q in model.q_specs]
+    return list(cascade_outputs(vs, cascade_map(vs, ctx._gram(*ctx._window(model.q_specs, i)))))
 
 
-def _estimate(t_mats, k_mats, vs, zero_indices=()) -> np.ndarray:
-    """sum_j T_j w_j for W = L^{-1} V, L unit block-lower with blocks ``k_mats``.
-
-    It is sum_j Z_j v_j after one back-substitution Z L = [T_1 ... T_p]. The
-    outputs in ``zero_indices`` contribute nothing; their K columns are zero.
+def back_substitute(t: np.ndarray, g: np.ndarray, n: int, zero_indices=()) -> np.ndarray:
+    """Z with Z L = T = [T_1 ... T_p], L unit block-lower with K_jk (j > k) in
+    block (j, k), for ``g`` holding each K_jk^T in block (k, j) as
+    ``ortho.cascade_map`` leaves it: one GEMM per block row,
+    Z_k = T_k - [Z_k+1 ... Z_p] [K_k+1,k; ...; K_pk]. The blocks of the
+    outputs in ``zero_indices`` are zero, as are their K columns.
     """
-    z = [np.zeros_like(t) if k in zero_indices else t for k, t in enumerate(t_mats)]
-    for k in reversed(range(len(z))):
-        for j in range(k + 1, len(z)):
-            z[k] = z[k] - z[j] @ k_mats[j][k]
-    acc = np.zeros((z[0].shape[0], vs[0].s))
-    for z_j, v in zip(z, vs):
-        acc += z_j @ v.data
-    return acc
+    z = t.copy()
+    p = t.shape[1] // n
+    for k in reversed(range(p)):
+        zk = z[:, k * n : (k + 1) * n]
+        if k in zero_indices:
+            zk[:] = 0.0
+        elif k < p - 1:
+            zk -= z[:, (k + 1) * n :] @ g[k * n : (k + 1) * n, (k + 1) * n : p * n].T
+    return z
 
 
 def apply_filter(
@@ -262,10 +273,11 @@ def apply_filter(
     """Estimate the reference ensemble for observation position ``i``.
 
     The deflation blocks K are recomputed from the input's own covariances
-    (``ortho.cascade_map`` on the Gram matrix from ``ctx``'s block cache) or,
-    with ``fixed_r=True``, are the ones stored at fit time. Either way one
-    back-substitution Z L = [T_1 ... T_p] turns the coefficients into blocks
-    Z_j over the inputs, and the estimate is sum_j Z_j v_j.
+    (``ortho.ldl_stages`` on the Gram matrix from ``ctx``'s band) or, with
+    ``fixed_r=True``, are the ones stored at fit time, whose Z the model
+    keeps. Either way Z L = [T_1 ... T_p] gives blocks Z_j over the inputs,
+    and the estimate is one GEMM over the distinct positions they read, with
+    the Z_j of inputs at one position (lags clamped at the start) summed.
     """
     n = ctx.history.m
     if model._t_cols != [n]:
@@ -273,14 +285,22 @@ def apply_filter(
             f"model t_mats have {', '.join(map(str, model._t_cols))} columns but the "
             f"observations have {n} components"
         )
-    vs = _transformed_inputs(model, ctx, i)
+    _check_window(model, ctx, i)
+    ups, rel, win = ctx._window(model.q_specs, i)
     if fixed_r:
         if model.r_mats is None:
             raise InvalidInput("model carries no frozen deflation matrices")
-        acc = _estimate(model.t_mats, model.r_mats, vs)
+        z = model._fixed_z
     else:
-        cmap = cascade_map(vs, ctx._gram_matrix(model.q_specs, i))
-        acc = _estimate(model.t_mats, cmap.k_mats, vs, cmap.zero_indices)
+        g = ctx._gram(ups, rel, win)
+        zero_indices = ldl_stages(g, [win[x] for x in rel], model.p)
+        z = back_substitute(model._t, g, n, zero_indices)
+    if rel != list(range(len(ups))):
+        zw = np.zeros((len(z), len(win) * n))  # Z over the distinct positions
+        for j, x in enumerate(rel):
+            zw[:, x * n : (x + 1) * n] += z[:, j * n : (j + 1) * n]
+        z = zw
+    acc = z @ win.reshape(len(win) * n, -1)
     acc -= acc.sum(axis=1, keepdims=True) / acc.shape[1]  # the row means
     return Ensemble(acc, centered=True)
 

@@ -16,14 +16,9 @@ machine precision by construction.
 If an input is an exact linear image of earlier outputs its residual is the
 zero ensemble; residual norms at or below ``1e-12`` times the input scale are
 snapped to exact zeros so that downstream pseudo-inverses of their covariance
-are zero matrices rather than noise amplifiers.
-
-``cascade_map`` is the one implementation: it computes the cascade from the
-Gram matrix of the inputs. There each C(w_l, w_l)^+ is a Cholesky inverse
-whose trace certifies every eigenvalue well above the Gram matrix's rounding;
-the SVD ``pseudo_inverse`` runs only on the stages that fail the certificate,
-which are re-formed in data space. ``cascade_outputs`` forms the output
-ensembles from its blocks, and ``orthogonalize`` returns both.
+are zero matrices rather than noise amplifiers. ``cascade_map`` (its stage
+loop ``ldl_stages``) is the one implementation, from the inputs' Gram matrix;
+``cascade_outputs`` forms the outputs from its blocks.
 """
 
 from __future__ import annotations
@@ -37,6 +32,10 @@ import numpy as np
 from .exceptions import InvalidInput
 from .linalg import SMALLEST_NORMAL, frob_norm, pseudo_inverse
 from .signals import Ensemble, est_cov
+
+# the LAPACK gufuncs np.linalg.cholesky and inv wrap; at a 16 x 16 stage the
+# wrappers' checks cost as much. A failed factorization gives NaNs, not an error.
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky, inv as _inv
 
 ZERO_W_RTOL = 1e-12
 # A covariance read from the Gram matrix is good to about eps E / lambda in a
@@ -126,26 +125,8 @@ def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
     given it is formed one block (u_i v_k^T) / s at a time, as
     ``FilterContext`` forms a lag filter's. A ``g`` of another shape than U's
     rows by V's rows, or with an entry that is not finite (an overflowed
-    product), raises ``InvalidInput``. As w_k is orthogonal to the earlier
-    outputs, D_k = C(w_k, w_k) = C(v_k, w_k), and stage by stage
-
-        C(u_i, w_k) = G_ik - sum_{l < k} C(u_i, w_l) K_kl^T,   rows i >= k,
-        K_ik = C(v_i, w_k) D_k^+,                               inputs i > k.
-
-    This is block LDL^T of G, i.e. block Gram-Schmidt (Golub & Van Loan,
-    Matrix Computations, 4.1 and 5.2): one GEMM and at most one
-    pseudo-inverse per stage, and no pass over the data. An extra row x is
-    one more block row, so C(x, w_k) D_k^+ is the best coefficient of w_k for x.
-
-    G carries rounding of about eps times the largest input energy E. A stage
-    that rows below read takes D_k^+ = D_k^-1 from its Cholesky factor when
-    floor tr D_k^-1 < 1 with floor = ``GRAM_RECHECK_RTOL`` E, which certifies
-    every eigenvalue of D_k above the floor. A stage with tr D_k <= floor, or
-    without that certificate (the factorization fails, the trace is too large
-    or not finite, or the floor is subnormal), is formed in data space
-    instead, by forward substitution: snapped to zero when its norm is at most
-    ``ZERO_W_RTOL`` times the largest input norm, or else with its covariances
-    taken from the data and D_k^+ from the SVD ``pseudo_inverse``.
+    product), raises ``InvalidInput``. An extra row x is one more block row,
+    so C(x, w_k) D_k^+ is the best coefficient of w_k for x.
     """
     vs, xs = tuple(vs), tuple(xs)
     _check_aligned(vs)
@@ -157,55 +138,93 @@ def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
     cols, shape = rows[:p], (rows[-1].stop, pn)
     if g is not None and np.shape(g) != shape:
         raise InvalidInput(f"Gram matrix has shape {np.shape(g)}, expected {shape}")
-    # an overflow leaves entries that are not finite: g's are checked, a stage's
-    # fail its certificate and the stage is formed in data space
-    with np.errstate(over="ignore", invalid="ignore"):
-        if g is None:
-            g = np.zeros(shape)
+    if g is None:
+        g = np.zeros(shape)
+        with np.errstate(over="ignore", invalid="ignore"):
             for i, u in enumerate(us):
                 for k in range(min(i + 1, p)):
                     g[rows[i], cols[k]] = (u.data @ vs[k].data.T) / s
-        if not np.isfinite(g).all():
-            raise InvalidInput("covariance overflows: entries are not finite")
-        max_energy = float(g.diagonal().reshape(p, n).sum(axis=1).max())
-        scale = float(np.sqrt(s * max_energy))  # largest input norm
+    if not np.isfinite(g).all():
+        raise InvalidInput("covariance overflows: entries are not finite")
+    d_mats, d_pinvs = [], []
+    zero_indices = ldl_stages(g, [u.data for u in us], p, d_mats, d_pinvs)
+    k_mats = tuple(tuple(g[cols[l], cols[j]].T for l in range(j)) for j in range(p))
+    return CascadeMap(k_mats, tuple(d_mats), tuple(d_pinvs), tuple(zero_indices), g, rows)
+
+
+def ldl_stages(g: np.ndarray, us, p: int, d_mats=None, d_pinvs=None) -> list[int]:
+    """``cascade_map``'s stage loop, in place in the finite Gram matrix ``g`` of
+    the arrays ``us`` (the p inputs, then any extra rows) against the inputs,
+    unchecked; returns the zero-snapped stages, and D_k and D_k^+ in
+    ``d_mats`` and ``d_pinvs`` when given. As w_k is orthogonal to the earlier
+    outputs, D_k = C(w_k, w_k) = C(v_k, w_k), and stage by stage
+
+        C(u_i, w_k) = G_ik - sum_{l < k} C(u_i, w_l) K_kl^T,   rows i >= k,
+        K_ik = C(v_i, w_k) D_k^+,                               inputs i > k.
+
+    This is block LDL^T of G, i.e. block Gram-Schmidt (Golub & Van Loan,
+    Matrix Computations, 4.1 and 5.2): one GEMM and at most one
+    pseudo-inverse per stage, and no pass over the data.
+
+    G carries rounding of about eps times the largest input energy E. A stage
+    that rows below read takes D_k^+ = D_k^-1 from its Cholesky factor when
+    floor tr D_k^-1 < 1 with floor = ``GRAM_RECHECK_RTOL`` E, which certifies
+    every eigenvalue of D_k above the floor (and fails when tr D_k <= floor,
+    as tr D tr D^-1 >= n^2). The last stage needs tr D_k > floor. A stage
+    without that (the factorization fails, the trace is too large or not
+    finite, or the floor is subnormal) is formed in data space instead, by
+    forward substitution: snapped to zero when its norm is at most
+    ``ZERO_W_RTOL`` times the largest input norm, or else with its covariances
+    taken from the data and D_k^+ from the SVD ``pseudo_inverse``.
+    """
+    n, s = us[0].shape
+    pn = p * n
+    ws: list[np.ndarray] = []  # data-space outputs, formed up to the last re-check
+    zero_indices: list[int] = []
+    # an overflow or a failed factorization leaves entries that are not
+    # finite: a stage's fail its certificate and the stage is formed in data space
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        max_energy = g.diagonal().reshape(p, n).sum(axis=1).max()
         floor = GRAM_RECHECK_RTOL * max_energy
-        k_mats = tuple(tuple(g[cols[l], cols[j]].T for l in range(j)) for j in range(p))
-        d_mats, d_pinvs = [], []
-        ws: list[np.ndarray] = []  # data-space outputs, formed up to the last re-check
-        zero_indices: list[int] = []
         for k in range(p):
             done = k * n  # columns of the earlier outputs
-            cross = g[done:, cols[k]]  # becomes C(u_i, w_k), rows i >= k
+            col = slice(done, done + n)
+            cross = g[done:, col]  # becomes C(u_i, w_k), rows i >= k
             if done:  # stage 0 has no earlier outputs to deflate against
-                cross -= g[done:, :done] @ g[:done, cols[k]]
-            d = 0.5 * (cross[:n] + cross[:n].T)
+                cross -= g[done:, :done] @ g[:done, col]
+            d = cross[:n] + cross[:n].T
+            d *= 0.5
             below = len(cross) > n  # rows that read D_k^+
-            trace = d.trace()
-            d_pinv = _certified_inverse(d, floor) if below and trace > floor else None
-            if trace <= floor or (below and d_pinv is None):
-                forward_substitute(vs, k_mats, ws, k + 1)
-                if frob_norm(ws[k]) <= ZERO_W_RTOL * scale:  # zero C(u_i, w_k), so zero K_ik
+            d_pinv = _certified_inverse(d, floor) if below else None
+            if (d_pinv is None) if below else d.trace() <= floor:
+                k_rows = [[g[l * n : (l + 1) * n, j * n : (j + 1) * n].T for l in range(j)]
+                          for j in range(k + 1)]
+                forward_substitute(us, k_rows, ws, k + 1)
+                # zero C(u_i, w_k), so zero K_ik, when w_k is at most ZERO_W_RTOL
+                # times the largest input norm
+                if frob_norm(ws[k]) <= ZERO_W_RTOL * np.sqrt(s * max_energy):
                     zero_indices.append(k)
                     cross[:] = 0.0
                     d = d_pinv = np.zeros((n, n))
                 else:
-                    for u, r in zip(us[k:], rows[k:]):
-                        g[r, cols[k]] = (u.data @ ws[k].T) / s
+                    starts = [0, *accumulate(len(u) for u in us)]
+                    for i in range(k, len(us)):
+                        g[starts[i] : starts[i + 1], col] = (us[i] @ ws[k].T) / s
                     d = (ws[k] @ ws[k].T) / s
                     d_pinv = pseudo_inverse(d) if below else None
-            d_mats.append(d)
-            d_pinvs.append(d_pinv)
+            if d_mats is not None:
+                d_mats.append(d)
+                d_pinvs.append(d_pinv)
             if k < p - 1:
-                g[cols[k], done + n :] = (cross[n : pn - done] @ d_pinv).T
-    return CascadeMap(k_mats, tuple(d_mats), tuple(d_pinvs), tuple(zero_indices), g, rows)
+                g[col, done + n :] = (cross[n : pn - done] @ d_pinv).T
+    return zero_indices
 
 
 def _triangular_inverse(l: np.ndarray) -> np.ndarray:
     """Inverse of a lower-triangular ``l``: [[A, 0], [B, C]]^-1 is
     [[A^-1, 0], [-C^-1 B A^-1, C^-1]], down to ``np.linalg.inv`` at 32 rows."""
     if len(l) <= 32:
-        return np.linalg.inv(l)
+        return _inv(l)
     h, out = len(l) // 2, np.zeros_like(l)
     out[:h, :h], out[h:, h:] = _triangular_inverse(l[:h, :h]), _triangular_inverse(l[h:, h:])
     out[h:, :h] = -(out[h:, h:] @ (l[h:, :h] @ out[:h, :h]))
@@ -219,23 +238,22 @@ def _certified_inverse(d: np.ndarray, floor: float) -> np.ndarray | None:
     above ``floor``, so ``pseudo_inverse``'s cutoff keeps every direction and
     D^+ = D^-1. A factorization that fails, a trace that is too large or not
     finite, and a floor below the normal range (subnormal data) give None.
-    The caller ignores overflow, as ``cascade_map`` does for all its stages.
+    The caller ignores overflow, division by zero and invalid operations, as
+    ``ldl_stages`` does for all its stages.
     """
     if floor < SMALLEST_NORMAL:
         return None
-    try:
-        l_inv = _triangular_inverse(np.linalg.cholesky(d))
-    except np.linalg.LinAlgError:
-        return None
+    l_inv = _triangular_inverse(_cholesky(d))  # NaN where the factorization fails
     d_inv = l_inv.T @ l_inv
     return d_inv if floor * d_inv.trace() < 1.0 else None  # false for inf and NaN
 
 
 def forward_substitute(vs, k_mats, ws=None, upto=None) -> list[np.ndarray]:
-    """Extend ``ws`` by w_j = v_j - sum_l K_jl w_l (K_jl = 0 for a zero-snapped w_l)."""
+    """Extend ``ws`` by w_j = v_j - sum_l K_jl w_l (K_jl = 0 for a zero-snapped w_l),
+    for input arrays ``vs``."""
     ws = [] if ws is None else ws
     for j in range(len(ws), len(vs) if upto is None else upto):
-        w = vs[j].data.copy()
+        w = vs[j].copy()
         for l, k_mat in enumerate(k_mats[j]):
             w -= k_mat @ ws[l]
         ws.append(w)
@@ -250,7 +268,7 @@ def cascade_outputs(vs, cmap: CascadeMap) -> tuple[Ensemble, ...]:
     arithmetic, and this keeps tiny residuals from failing the centered claim.
     The zero-snapped outputs are exact zeros.
     """
-    ws = forward_substitute(vs, cmap.k_mats)
+    ws = forward_substitute([v.data for v in vs], cmap.k_mats)
     for k, w in enumerate(ws):
         if k in cmap.zero_indices:
             w[:] = 0.0

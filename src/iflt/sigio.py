@@ -155,9 +155,9 @@ class ManifestSequence:
 
     ``m``, ``s`` and the length come from the manifest. Ensemble ``i`` is read
     on first access, checked against the manifest's shape, centered as the
-    readers do, and kept for later accesses. It offers what ``SignalSequence``
-    offers (``m``, ``s``, ``len``, ``[i]``, ``items``), so a command that uses
-    a few positions reads only their files.
+    readers do, and kept for later accesses. It offers what ``FilterContext``
+    reads of a ``SignalSequence`` (``m``, ``s``, ``len``, ``[i]``, ``window``),
+    so a command that uses a few positions reads only their files.
     """
 
     def __init__(self, manifest_path):
@@ -174,24 +174,36 @@ class ManifestSequence:
         i = range(len(self._files))[i]
         e = self._read.get(i)
         if e is None:
-            rel = self._files[i]
-            p = Path(rel)
-            e = read_ensemble(p if p.is_absolute() else self._base / p)
-            if (e.m, e.s) != (self.m, self.s):
-                raise ParseError(
-                    f"{rel}: shape {(e.m, e.s)} does not match manifest {(self.m, self.s)}"
-                )
-            self._read[i] = e
+            e = self._read[i] = self._load(i)
         return e
 
-    @property
-    def items(self) -> tuple[Ensemble, ...]:
-        return tuple(self[i] for i in range(len(self)))
+    def _load(self, i: int) -> Ensemble:
+        """Ensemble ``i`` read from its file and checked against the manifest's shape."""
+        rel = self._files[i]
+        p = Path(rel)
+        e = read_ensemble(p if p.is_absolute() else self._base / p)
+        if (e.m, e.s) != (self.m, self.s):
+            raise ParseError(
+                f"{rel}: shape {(e.m, e.s)} does not match manifest {(self.m, self.s)}"
+            )
+        return e
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Positions lo..hi gathered into one (hi - lo + 1, m, s) buffer."""
+        return np.stack([self[i].data for i in range(lo, hi + 1)])
 
 
 def load_sequence(manifest_path) -> SignalSequence:
-    """Read and check every ensemble a manifest lists."""
-    return SignalSequence(ManifestSequence(manifest_path).items)
+    """Read and check every ensemble a manifest lists, each into its place in
+    the sequence's one array: no file's data is held past its copy. The array
+    is made once the first file has matched the manifest's shape."""
+    seq = ManifestSequence(manifest_path)
+    first = seq._load(0).data
+    data = np.empty((len(seq), *first.shape))
+    data[0] = first
+    for i in range(1, len(seq)):
+        data[i] = seq._load(i).data
+    return SignalSequence._of_checked(data)
 
 
 def save_sequence(out_dir, prefix: str, seq: SignalSequence, fmt: str = "bin") -> Path:

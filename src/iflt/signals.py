@@ -68,37 +68,78 @@ class Ensemble:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
+def _view(data: np.ndarray) -> Ensemble:
+    """A centered Ensemble over checked ``data``, made without the checks."""
+    e = object.__new__(Ensemble)
+    object.__setattr__(e, "data", data)
+    object.__setattr__(e, "centered", True)
+    return e
+
+
+def center_rows(arr: np.ndarray) -> np.ndarray:
+    """Subtract each row's empirical mean from the finite ``arr`` in place; returns ``arr``.
+
+    Rounding can leave a row mean above the centering tolerance, as for a
+    constant row or a large offset against a small spread; the row means are
+    then subtracted once more, and ``InvalidInput`` raised if one is above it
+    even then.
+    """
+    for _ in range(2):
+        arr -= arr.mean(axis=1, keepdims=True)
+        if is_centered(arr):
+            return arr
+    raise InvalidInput("row means are too large after centering")
+
+
 class SignalSequence:
-    """Ordered ensembles sharing component count, realization count and outcomes."""
+    """Ensembles of one shape that share their outcomes, held as one (N, m, s) array.
 
-    items: tuple[Ensemble, ...]
+    Made from ensembles, stacked into a new array and checked once, here:
+    each position finite and centered row by row, else ``InvalidInput`` names
+    it. ``seq[i]`` is a centered ``Ensemble`` view of position i, made once
+    and not checked again, and ``window(lo, hi)`` the view of positions lo..hi.
+    """
 
-    def __post_init__(self):
-        items = tuple(self.items)
-        if not items:
-            raise InvalidInput("a signal sequence needs at least one ensemble")
-        m, s = items[0].m, items[0].s
-        for pos, e in enumerate(items):
-            if (e.m, e.s) != (m, s):
-                raise InvalidInput(
-                    f"sequence item {pos} has shape {(e.m, e.s)}, expected {(m, s)}"
-                )
-        object.__setattr__(self, "items", items)
+    __slots__ = ("data", "items")
+
+    def __init__(self, items):
+        try:  # no ensembles, or two of different shapes, cannot be stacked
+            data = np.stack([e.data for e in items])
+        except ValueError as exc:
+            raise InvalidInput(f"a signal sequence needs ensembles of one shape: {exc}") from exc
+        for pos, arr in enumerate(data):
+            if not np.isfinite(arr).all():
+                raise InvalidInput(f"sequence position {pos} contains non-finite entries")
+            if not is_centered(arr):
+                raise InvalidInput(f"sequence position {pos} is not centered: "
+                                   "row means are too large")
+        self.data, self.items = data, tuple(map(_view, data))
+
+    @classmethod
+    def _of_checked(cls, data: np.ndarray) -> "SignalSequence":
+        """The sequence over an (N, m, s) float array whose every position its
+        maker checked as it wrote it, as the generators and
+        ``sigio.load_sequence`` do."""
+        seq = object.__new__(cls)
+        seq.data, seq.items = data, tuple(map(_view, data))
+        return seq
 
     @property
     def m(self) -> int:
-        return self.items[0].m
+        return self.data.shape[1]
 
     @property
     def s(self) -> int:
-        return self.items[0].s
+        return self.data.shape[2]
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.data)
 
     def __getitem__(self, i: int) -> Ensemble:
         return self.items[i]
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        return self.data[lo : hi + 1]
 
 
 @dataclass(frozen=True)
@@ -190,19 +231,8 @@ class TrainingSet:
 
 
 def center(e: Ensemble) -> Ensemble:
-    """Subtract each row's empirical mean.
-
-    Rounding can leave a row mean above the centering tolerance, as for a
-    constant row or a large offset against a small spread; the row means are
-    then subtracted once more.
-    """
-    data = e.data - e.data.mean(axis=1, keepdims=True)
-    try:
-        return Ensemble(data, centered=True)
-    except InvalidInput:
-        if not np.all(np.isfinite(data)):
-            raise
-        return Ensemble(data - data.mean(axis=1, keepdims=True), centered=True)
+    """``e`` with each row's empirical mean subtracted, by ``center_rows``."""
+    return _view(center_rows(e.data.copy()))
 
 
 def est_cov(a: Ensemble, b: Ensemble) -> np.ndarray:

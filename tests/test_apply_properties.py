@@ -7,6 +7,10 @@ defined. Both must agree to 1e-10 relative on random inputs, on inputs where
 one transformed observation is an exact linear image of earlier ones, at
 lag-clamped positions (duplicated inputs) and on all-zero observations.
 
+The same holds for any lag set in any term order, with gaps between the
+lags (as {0, 3}), where the estimate's one product over the observations'
+window gives zero weight to the positions no input reads.
+
 On the near-deficient class that image is perturbed by 1e-6..10^-4.5 of its
 norm, so one live stage holds 1e-12..1e-9 of its input's energy. There the
 data-space reference itself misses the extended-precision estimate of
@@ -22,6 +26,7 @@ from iflt import (
     Ensemble,
     FilterContext,
     FilterModel,
+    QOperatorSpec,
     SignalSequence,
     apply_filter,
     apply_q,
@@ -126,3 +131,77 @@ def test_near_deficient_apply_is_as_accurate_as_the_data_space_reference():
     assert np.count_nonzero(reference > REL_TOL) > 0  # the class is below float64's reach
     assert np.count_nonzero(library > REL_TOL) <= np.count_nonzero(reference > REL_TOL)
     assert library.max() <= reference.max()
+
+
+@st.composite
+def lag_set_cases(draw):
+    """(model, observation sequence, position) for a lag set oldest first (as
+    ``lag_specs``), newest first, or with gaps in either order, on one of the
+    well-conditioned input classes."""
+    kind = draw(st.sampled_from(WELL_CONDITIONED))
+    order = draw(st.sampled_from(("oldest_first", "newest_first", "gapped")))
+    p = draw(st.integers(1 if kind in ("random", "zero") else 2, 4))
+    if order == "gapped":
+        lags = draw(st.lists(st.integers(0, 2 * p + 1), min_size=p, max_size=p, unique=True))
+    else:
+        lags = list(range(p)) if order == "newest_first" else list(reversed(range(p)))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    s = draw(st.integers(p * n + 8, p * n + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top, length = max(lags), max(lags) + 3
+    if kind == "zero":
+        items = [Ensemble(np.zeros((n, s)), centered=True) for _ in range(length)]
+    else:
+        items = [center(Ensemble(10.0 ** rng.uniform(-1, 1) * rng.normal(size=(n, s))))
+                 for _ in range(length)]
+    i = draw(st.integers(0, top - 1) if kind == "clamped" else st.integers(top, length - 1))
+    if kind == "rank_deficient":
+        # term k's input a linear image of the inputs of the terms before it
+        k = draw(st.integers(1, p - 1))
+        items[i - lags[k]] = center(Ensemble(sum(
+            rng.normal(size=(n, n)) @ items[i - lags[l]].data for l in range(k))))
+    model = FilterModel(
+        p=p,
+        q_specs=[QOperatorSpec.sequence_lag(lag) for lag in lags],
+        t_mats=[rng.normal(size=(m, n)) for _ in range(p)],
+        r_mats=[[rng.normal(size=(n, n)) / n for _ in range(j)] for j in range(p)],
+    )
+    return model, SignalSequence(tuple(items)), i
+
+
+@PROPERTY_SETTINGS
+@given(case=lag_set_cases(), fixed_r=st.booleans())
+def test_apply_matches_data_space_reference_for_any_lag_set(case, fixed_r):
+    model, ys, i = case
+    got = apply_filter(model, FilterContext(ys), i, fixed_r=fixed_r).data
+    want = reference_apply(model, ys, i, fixed_r)
+    assert np.linalg.norm(got - want) <= REL_TOL * np.linalg.norm(want)
+
+
+def test_gapped_lags_read_only_their_positions():
+    # lags {0, 3}: the estimate reads positions i-3 and i only, so a history
+    # whose positions i-2 and i-1 cannot be read gives the same bits
+    rng = np.random.default_rng(4)
+    ys = SignalSequence(tuple(center(Ensemble(rng.normal(size=(3, 30)))) for _ in range(6)))
+    model = FilterModel(p=2, q_specs=[QOperatorSpec.sequence_lag(3), QOperatorSpec.identity()],
+                        t_mats=[rng.normal(size=(2, 3)) for _ in range(2)],
+                        r_mats=[[], [rng.normal(size=(3, 3))]])
+
+    class Gapped:
+        m, s = ys.m, ys.s
+
+        def __len__(self):
+            return len(ys)
+
+        def __getitem__(self, i):
+            assert i not in (3, 4), f"position {i} read"
+            return ys[i]
+
+        def window(self, lo, hi):
+            assert not {3, 4} & set(range(lo, hi + 1)), f"window {lo}..{hi} read"
+            return ys.window(lo, hi)
+
+    for fixed_r in (False, True):
+        want = apply_filter(model, FilterContext(ys), 5, fixed_r=fixed_r).data
+        got = apply_filter(model, FilterContext(Gapped()), 5, fixed_r=fixed_r).data
+        assert np.array_equal(got, want)

@@ -26,7 +26,7 @@ from iflt.bench import (
 )
 from iflt.interp import FilterContext, apply_filter
 from iflt.ortho import cascade_map
-from iflt.signals import TrainingSet
+from iflt.signals import Ensemble, SignalSequence, TrainingSet, center
 
 SMALL = ExperimentConfig(n_signals=14, m=4, n=4, s=48, p_values=(2, 3),
                          s_indices=(3, 7, 11), seed=123)
@@ -206,6 +206,25 @@ def test_probe_constants_and_bound(tmp_path):
     assert len(consts["r_hat"]) == 2
     for check in diag["node_bound_checks"]:
         assert check["bound"] >= check["optimal"]
+
+
+def test_node_bound_checks_add_the_free_matrices_leakage():
+    # observations of rank 2 in 3 components: every D_k is rank deficient, so
+    # a free matrix A_k leaks through I - D_k D_k^+ and the bound must count it
+    rng = np.random.default_rng(3)
+    n, s, p = 3, 40, 2
+    mix = rng.normal(size=(n, 2))
+    ys = SignalSequence(tuple(center(Ensemble(mix @ rng.normal(size=(2, s))))
+                              for _ in range(4)))
+    train = TrainingSet(tuple(center(Ensemble(rng.normal(size=(n, s)))) for _ in range(p)),
+                        ys, (1, 3))
+    model = fit(train, lag_specs(p), a_mats=[rng.normal(size=(n, n)) for _ in range(p)])
+    constants = {"eps_x": 0.1, "eps_y": 0.1, "lambda_e": 1.0, "lambda_q": 1.0,
+                 "r_hat": [1.0] * p, "x_energy": 1.0}
+    freed = node_bound_checks(model, train, [0.0] * p, [constants])[1][0]
+    plain = node_bound_checks(replace(model, a_mats=None), train, [0.0] * p, [constants])[1][0]
+    for a, b in zip(freed, plain, strict=True):
+        assert a["optimal"] == b["optimal"] and a["bound"] > b["bound"] * (1 + 1e-6)
 
 
 def test_evaluate_forms_one_reference_cascade_per_node(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -339,6 +340,26 @@ def test_config_numbers_too_large_for_the_data_exit_1(tmp_path, capsys, doc, fie
     assert f"error: {field}: " in err
 
 
+@pytest.mark.parametrize("doc, field", [
+    pytest.param({"base_rank": 10 ** 9}, "base_rank", id="base_rank"),
+    pytest.param({"n_signals": 10 ** 6, "m": 1000, "n": 1000}, "n_signals/m/s", id="sequence"),
+    pytest.param({"s": 10 ** 12}, "n_signals/m/s", id="realizations"),
+])
+def test_config_sizes_beyond_an_array_exit_1_before_allocating(tmp_path, capsys, doc, field):
+    # each would ask for many GiB; the config is refused naming the field,
+    # with nothing near that size allocated first
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        err = _cli_error(capsys, ["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"error: {field}: " in err and "GiB" in err
+    assert peak < 1 << 20
+
+
 @pytest.mark.filterwarnings("error")
 def test_bound_beyond_the_float_range_exits_1_naming_it(tmp_path, capsys):
     # at drift 1e100 the probed bound lies beyond the largest float: no
@@ -629,6 +650,48 @@ def test_ensemble_file_errors_name_the_file(tmp_path, capsys, fmt, data, message
     err = _cli_error(capsys, ["epsnet", "--data", str(manifest), "--eps", "0.1",
                               "--out", str(tmp_path / "net.json")])
     assert f"error: {bad}: " in err and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["epsnet", "--data", "{manifest}", "--eps", "0.1", "--out", "{tmp}/net.json"],
+    ["apply", "--model", "{model}", "--obs", "{manifest}", "--index", "1",
+     "--out", "{tmp}/est.iflt"],
+], ids=["epsnet", "apply"])
+def test_file_of_zero_components_exits_1_naming_it(tmp_path, cfg_path, capsys, argv):
+    # a 16-byte file: the header, with m = 0 and s = 2, and no data
+    _, model_path = _gen_and_fit(tmp_path, cfg_path)
+    empty = tmp_path / "empty.iflt"
+    empty.write_bytes(sigio.MAGIC + sigio.struct.pack("<III", sigio.BIN_VERSION, 0, 2))
+    manifest = tmp_path / "manifest.json"
+    sigio.write_manifest(manifest, [empty.name], 4, 2)
+    err = _cli_error(capsys, [a.format(manifest=manifest, model=model_path, tmp=tmp_path)
+                              for a in argv])
+    assert "error: empty.iflt: shape (0, 2) does not match manifest (4, 2)" in err
+
+
+def test_apply_of_gapped_lags_reads_only_their_files(tmp_path, capsys):
+    # lags {3, 0} at --index 8 read obs_0004 and obs_0007: obs_0005 and
+    # obs_0006 may be missing and unreadable, and the estimate is the same
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CFG, "m": 3, "n": 3, "s": 30}))
+    data = tmp_path / "data"
+    assert cli_main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+    rng = np.random.default_rng(5)
+    model_path = tmp_path / "gapped.json"
+    model_path.write_text(json.dumps({
+        "version": 1, "p": 2, "q_specs": [{"kind": "sequence_lag", "lag": 3},
+                                          {"kind": "identity"}],
+        "t_mats": [rng.normal(size=(3, 3)).tolist() for _ in range(2)],
+        "r_mats": [[], [rng.normal(size=(3, 3)).tolist()]]}))
+    obs = data / "obs_manifest.json"
+    argv = ["apply", "--model", str(model_path), "--obs", str(obs), "--index", "8"]
+    for fixed_r in ([], ["--fixed-r"]):
+        assert cli_main([*argv, "--out", str(tmp_path / "want.iflt"), *fixed_r]) == 0
+        (data / "obs_0005.iflt").write_bytes(b"not an ensemble")
+        (data / "obs_0006.iflt").unlink(missing_ok=True)
+        assert cli_main([*argv, "--out", str(tmp_path / "got.iflt"), *fixed_r]) == 0
+        assert (tmp_path / "got.iflt").read_bytes() == (tmp_path / "want.iflt").read_bytes()
+        assert cli_main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
 
 
 @pytest.mark.parametrize("spec", [5, "identity", None, [{"kind": "identity"}]])

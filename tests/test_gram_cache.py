@@ -1,11 +1,11 @@
-"""Property tests of the Gram blocks that ``FilterContext`` keeps for ``apply_filter``.
+"""Property tests of the Gram band that ``FilterContext`` keeps for ``apply_filter``.
 
 One context serves many calls. Whatever positions it served before, and in
-whatever order, a call must give the bits a fresh context gives, must keep at
-most p(p+1)/2 blocks, and must agree with the data-space cascade
+whatever order, a call must give the bits a fresh context gives, must keep one
+Gram matrix of at most p positions, and must agree with the data-space cascade
 ``oracle.data_space_cascade`` for any order of identities and lags. A steady-state
-apply of a lag filter forms only its p new Gram blocks and its p - 1
-certified inverses.
+apply of a lag filter forms only its p new Gram blocks, its p - 1 certified
+inverses and the one product of its estimate.
 """
 
 import tempfile
@@ -96,13 +96,12 @@ def reference_apply(model, ys, i):
 def assert_shared_context_matches_fresh(model, history, fresh_history, positions):
     ctx = FilterContext(history)
     n = history.m
-    bound = model.p * (model.p + 1) // 2
     for i in positions:
         shared = apply_filter(model, ctx, i).data
         fresh = apply_filter(model, FilterContext(fresh_history), i).data
         assert np.array_equal(shared, fresh), f"position {i}"
-        blocks = ctx._gram[1]
-        assert len(blocks) <= bound and sum(b.nbytes for b in blocks) <= bound * n * n * 8
+        held = ctx._band["positions"]
+        assert len(held) <= model.p and ctx._band["gram"].shape == (len(held) * n,) * 2
 
 
 @CACHE_SETTINGS
@@ -136,11 +135,20 @@ def test_manifest_history_gives_the_bits_of_an_in_memory_one(case):
 
 class _Observation(np.ndarray):
     """Observation data that logs each product it takes part in: the two
-    positions for a product of two observations, else ``None``."""
+    positions for a product of two observations, else ``None``. A window
+    (``first`` set) indexed by an integer gives the observation at that
+    position."""
 
     def __array_finalize__(self, obj):
         self.position = getattr(obj, "position", None)
+        self.first = getattr(obj, "first", None)
         self.log = getattr(obj, "log", None)
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        if self.first is not None and isinstance(key, (int, np.integer)):
+            out.position, out.first = self.first + key, None
+        return out
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
         if ufunc is np.matmul:
@@ -152,16 +160,30 @@ class _Observation(np.ndarray):
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
+class LoggedHistory:
+    """A sequence whose windows' observations log the products they take part in."""
+
+    def __init__(self, seq: SignalSequence, log: list):
+        self.seq, self.log, self.m, self.s = seq, log, seq.m, seq.s
+
+    def __len__(self):
+        return len(self.seq)
+
+    def __getitem__(self, i):
+        return self.seq[i]
+
+    def window(self, lo, hi):
+        win = self.seq.window(lo, hi).view(_Observation)
+        win.first, win.log = lo, self.log
+        return win
+
+
 def logged_history(rng, n: int, s: int, length: int):
     """A sequence whose observations log the products they take part in, and the log."""
-    log, items = [], []
-    for position in range(length):
-        e = center(Ensemble(rng.normal(size=(n, s))))
-        data = e.data.view(_Observation)
-        data.position, data.log = position, log
-        object.__setattr__(e, "data", data)
-        items.append(e)
-    return SignalSequence(tuple(items)), log
+    log = []
+    seq = SignalSequence(tuple(center(Ensemble(rng.normal(size=(n, s))))
+                               for _ in range(length)))
+    return LoggedHistory(seq, log), log
 
 
 def test_lag_filter_forms_only_the_new_blocks_at_the_next_position():
@@ -177,15 +199,14 @@ def test_lag_filter_forms_only_the_new_blocks_at_the_next_position():
         assert sorted(pair for pair in log if pair) == [(a, b) for a in range(2, 6)
                                                       for b in range(2, a + 1)]
         log.clear()
-        before = list(ctx._gram[1])
+        before = ctx._band["gram"]
         apply_filter(model, ctx, 6)
         assert sorted(pair for pair in log if pair) == [(6, b) for b in range(3, 7)]
-        # the context now holds the blocks of positions 3..6: the six of
-        # positions 3..5 are the arrays it held, the four of position 6 new
-        blocks = ctx._gram[1]
-        assert sorted(ctx._gram[0]) == [3, 4, 5, 6] and len(blocks) == p * (p + 1) // 2
-        assert sum(any(b is a for a in before) for b in blocks) == 6
-        assert sum(b.nbytes for b in blocks) <= p * (p + 1) // 2 * n * n * 8
+        # the context now holds the Gram matrix of positions 3..6: the blocks
+        # of positions 3..5 copied from the one it held, those of 6 new
+        held, gram = ctx._band["positions"], ctx._band["gram"]
+        assert held == (3, 4, 5, 6) and gram.shape == (p * n, p * n)
+        assert np.array_equal(gram[: 3 * n, : 3 * n], before[n:, n:])
 
 
 @pytest.mark.parametrize("specs", [newest_first, lag_specs])
@@ -193,7 +214,7 @@ def test_steady_state_apply_does_only_its_products_and_certified_inverses(
         specs, monkeypatch):
     # past the warm-up and with a context that served the previous position:
     # p Gram blocks, p - 1 Cholesky inverses, no SVD and no data-space output,
-    # and the p products sum_j Z_j v_j of the estimate
+    # and the one product Z V of the estimate over the observations' window
     rng = np.random.default_rng(11)
     p, n, s = 5, 4, 80
     ys, log = logged_history(rng, n, s, 9)
@@ -209,12 +230,11 @@ def test_steady_state_apply_does_only_its_products_and_certified_inverses(
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
-    for name in ("pseudo_inverse", "forward_substitute"):
+    for name in ("_cholesky", "pseudo_inverse", "forward_substitute"):
         monkeypatch.setattr(ortho, name, counted(name, getattr(ortho, name)))
     log.clear()
     apply_filter(model, ctx, 7)
     gram = [pair for pair in log if pair]
     assert len(gram) == p and len(set(gram)) == p
-    assert len(log) - len(gram) == p
-    assert calls == {"cholesky": p - 1}
+    assert len(log) - len(gram) == 1
+    assert calls == {"_cholesky": p - 1}

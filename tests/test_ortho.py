@@ -155,7 +155,8 @@ def test_fit_and_apply_share_one_gram_rule(rng, n, s, p):
     specs, i = lag_specs(p), p
     vs = [apply_q(q, ys, i) for q in specs]
     own = cascade_map(vs)
-    shared = cascade_map(vs, FilterContext(ys)._gram_matrix(specs, i))
+    ctx = FilterContext(ys)
+    shared = cascade_map(vs, ctx._gram(*ctx._window(specs, i)))
     assert not own.zero_indices
     for got, want in zip(own.k_mats, shared.k_mats, strict=True):
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))

@@ -192,13 +192,18 @@ def stored_sequences(draw):
 
 
 def _write_uncentered(case, out: Path) -> Path:
-    """Save a sequence whose ensembles carry row offsets, so readers center them."""
+    """Write ensembles that carry row offsets, so readers center them, and
+    their manifest; a ``SignalSequence`` holds only centered data, so the
+    files are written one by one."""
     rng = np.random.default_rng(case["seed"])
     m, s = case["m"], case["s"]
-    seq = SignalSequence(tuple(
-        Ensemble(rng.normal(size=(m, s)) + rng.normal(size=(m, 1)))
-        for _ in range(case["length"])))
-    return save_sequence(out, "seq", seq, case["fmt"])
+    write = write_ensemble_bin if case["fmt"] == "bin" else sigio.write_ensemble_csv
+    names = [f"seq_{i:04d}.{'iflt' if case['fmt'] == 'bin' else 'csv'}"
+             for i in range(case["length"])]
+    for name in names:
+        write(out / name, Ensemble(rng.normal(size=(m, s)) + rng.normal(size=(m, 1))))
+    sigio.write_manifest(out / "seq_manifest.json", names, m, s)
+    return out / "seq_manifest.json"
 
 
 @PROPERTY_SETTINGS
@@ -214,7 +219,7 @@ def test_manifest_sequence_equals_load_sequence(case):
             assert lazy[i] is e
             assert e.centered and np.array_equal(e.data, eager[i].data)
         assert all(np.array_equal(a.data, b.data)
-                   for a, b in zip(lazy.items, eager.items))
+                   for a, b in zip([lazy[i] for i in range(len(lazy))], eager.items))
 
 
 @PROPERTY_SETTINGS

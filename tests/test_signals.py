@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from iflt import (
     energy,
     est_cov,
 )
+from iflt import bench
 from iflt.signals import Q_KINDS
 from conftest import make_ensemble
 
@@ -264,3 +266,66 @@ def test_center_of_a_constant_row_is_zero(value):
     out = center(Ensemble(np.full((1, 50), value)))
     assert out.centered
     assert np.all(out.data == 0.0)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "sequence position 2 contains non-finite entries"),
+    (np.inf, "sequence position 2 contains non-finite entries"),
+    (5.0, "sequence position 2 is not centered"),
+])
+def test_sequence_rejects_a_bad_position_naming_it(rng, bad, message):
+    items = [make_ensemble(rng, 3, 8) for _ in range(4)]
+    items[2].data[1, 3] += bad  # a NaN, an infinity, or a row mean of 5/8
+    with pytest.raises(InvalidInput, match=message):
+        SignalSequence(items)
+
+
+def test_sequence_items_are_views_of_its_one_array(rng):
+    items = [make_ensemble(rng, 3, 8) for _ in range(5)]
+    seq = SignalSequence(items)  # stacked into a new array
+    assert (len(seq), seq.m, seq.s) == (5, 3, 8)
+    assert np.array_equal(seq.data, np.stack([e.data for e in items]))
+    assert not any(np.shares_memory(seq.data, e.data) for e in items)
+    for i in range(5):
+        assert seq[i].centered and np.shares_memory(seq[i].data, seq.data)
+        assert seq[i] is seq.items[i] and np.shares_memory(seq.window(i, 4), seq.data)
+
+
+def test_item_access_runs_no_check(monkeypatch):
+    # a default evaluate checks each estimate once (200 interp, 100 Wiener,
+    # 100 RLS rows) and nothing it reads from the sequences
+    cfg = bench.ExperimentConfig()
+    xs = bench.gen_reference_sequence(cfg)
+    ys = bench.gen_observations(xs, cfg)
+    models = bench.fit_benchmark_models(cfg, xs, ys)
+    calls = []
+    check = Ensemble.__post_init__
+    monkeypatch.setattr(Ensemble, "__post_init__", lambda e: calls.append(1) or check(e))
+    for _ in range(3):
+        [ys[i] for i in range(len(ys))]
+    assert not calls
+    report = bench.evaluate(cfg, xs, ys, models)
+    assert len(calls) == len(report.rows) == 400
+
+
+def test_generation_peaks_at_one_array_and_one_positions_temporaries():
+    # filter_large's inputs: 100 positions of 64 x 1024; each sequence is one
+    # array formed in place, so neither step holds two copies of the data
+    cfg = bench.ExperimentConfig(n_signals=100, m=64, n=64, s=1024, p_values=(8,),
+                                 s_indices=(8, 21, 34, 47, 61, 74, 87, 100))
+    position = cfg.m * cfg.s * 8
+    tracemalloc.start()
+    try:
+        xs = bench.gen_reference_sequence(cfg)
+        refs_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ys = bench.gen_observations(xs, cfg)
+        obs_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert xs.data.nbytes == ys.data.nbytes == 100 * position
+    # the low-rank base and drifts with their factors, and a position's sums
+    assert refs_peak <= xs.data.nbytes + 8 * position
+    # the noise factor of one position
+    assert obs_peak <= ys.data.nbytes + 2 * position
