@@ -141,17 +141,17 @@ def node_error_decomposition(model: FilterModel, train: TrainingSet, k: int) -> 
 def _decompose_node(model: FilterModel, x_k: Ensemble, k: int, vs,
                     cmap: CascadeMap) -> tuple[dict, float]:
     """``node_error_decomposition``'s record at node k and the optimal error
-    ``energy(x_k) - captured_energy(cmap, k)``, from node k's inputs ``vs`` and
-    their cascade map ``cmap`` with every node's reference as extra rows."""
+    ``energy(x_k) - captured_energy(cmap, k)``, from node k's input arrays ``vs``
+    and their cascade map ``cmap`` with every node's reference as extra rows."""
     a_mats = model.a_mats or [None] * model.p
     mismatch = sum(root_pinv_norm_sq(cmap.x_cross[j][j] - cmap.x_cross[k][j], d_pinv)
                    for j, d_pinv in enumerate(cmap.d_pinvs))
-    n = vs[0].m
+    n = len(vs[0])
     z = back_substitute(np.hstack([_coefficient(cmap, j, j, a_mats[j]) for j in range(model.p)]),
                         cmap.g, n, cmap.zero_indices)
     estimate = np.zeros((len(z), x_k.s))  # sum_j Z_j v_j, in data space
     for j, v in enumerate(vs):
-        estimate += z[:, j * n : (j + 1) * n] @ v.data
+        estimate += z[:, j * n : (j + 1) * n] @ v
     lhs = float(np.sum((x_k.data - estimate) ** 2)) / x_k.s
     optimal = energy(x_k) - captured_energy(cmap, k)
     rhs = optimal + mismatch

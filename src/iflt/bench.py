@@ -29,12 +29,12 @@ from .baselines import rls_apply, rls_init, rls_run, wiener_apply, wiener_fit
 from .exceptions import ConfigError, InvalidInput
 from .interp import FilterContext, FilterModel, _node_cascade, apply_filter, fit, input_cascade
 from .linalg import frob_norm_sq, pseudo_inverse
+from .ortho import window
 from .signals import (
     Ensemble,
     QOperatorSpec,
     SignalSequence,
     TrainingSet,
-    apply_q,
     center_rows,
     energy,
     est_cov,
@@ -390,7 +390,8 @@ def probe_bound_constants(
     r_hat = [0.0] * model.p
     prev = None
     for i in sample:
-        vs = [apply_q(q, ys, i) for q in model.q_specs]
+        ups, rel, _ = window(ys, model.q_specs, i)
+        vs = [ys[ups[x]] for x in rel]
         ws = input_cascade(model, ctx, i)
         d_pinvs = [pseudo_inverse(est_cov(w, w)) for w in ws]
         if prev is not None:
@@ -419,8 +420,8 @@ def probe_bound_constants(
     }
 
 
-def node_bound_checks(model: FilterModel, train: TrainingSet, measured, constant_sets=(),
-                      scale: float = 1.0) -> tuple[list[dict], list[list[dict]]]:
+def node_bound_checks(model: FilterModel, train: TrainingSet, measured,
+                      constant_sets=()) -> tuple[list[dict], list[list[dict]]]:
     """One pass over the training nodes: each node's error decomposition and
     its bound check under each of ``constant_sets``.
 
@@ -432,9 +433,7 @@ def node_bound_checks(model: FilterModel, train: TrainingSet, measured, constant
     the filter is not applied again. An optimum below zero by at most
     ``ORTHO_RTOL`` times the node reference's energy is rounding (the reference
     lies in the span of the outputs) and counts as zero; a larger negative one
-    still raises. ``scale`` inflates the probed Lipschitz/gain constants (they
-    are lower bounds on the true ones). Returns the node gaps and each set's
-    checks.
+    still raises. Returns the node gaps and each set's checks.
     """
     gaps, checks = [], [[] for _ in constant_sets]
     for k, pos in enumerate(train.s_y_indices):
@@ -447,8 +446,8 @@ def node_bound_checks(model: FilterModel, train: TrainingSet, measured, constant
         for out, constants in zip(checks, constant_sets):
             bound = error_upper_bound(optimal, ErrorBoundInputs(
                 eps_x=constants["eps_x"], eps_y=constants["eps_y"],
-                lambda_e=scale * constants["lambda_e"], lambda_q=scale * constants["lambda_q"],
-                r_hat=tuple(scale * g for g in constants["r_hat"]),
+                lambda_e=constants["lambda_e"], lambda_q=constants["lambda_q"],
+                r_hat=tuple(constants["r_hat"]),
                 w_covs=cmap.d_mats, xw_covs=tuple(cmap.x_cross[j][j] for j in range(model.p)),
                 x_energy=constants["x_energy"], a_mats=model.a_mats))
             out.append({"node": pos + 1, "measured": measured[k], "optimal": optimal,
@@ -472,12 +471,20 @@ def evaluate(
     there: fit residuals, and one ``node_bound_checks`` pass for the node
     error decompositions and the per-node error bound from probed
     (``cfg.probe_constants``) and supplied ``bound_constants``, whose realized
-    errors are the filter's report rows at the nodes. References and
-    observations of unequal length raise ``InvalidInput`` naming both by ``names``.
+    errors are the filter's report rows at the nodes. Before any filter is
+    applied, references and observations of unequal length or realization
+    count raise ``InvalidInput`` naming both by ``names``, as does a model
+    whose component counts are not theirs, naming it.
     """
-    if len(xs) != len(ys):
-        raise InvalidInput(f"{names[0]} has {len(xs)} positions but {names[1]} has "
-                           f"{len(ys)}; they must have the same length")
+    for what, same, a, b in (("positions", "length", len(xs), len(ys)),
+                             ("realizations", "realization count", xs.s, ys.s)):
+        if a != b:
+            raise InvalidInput(f"{names[0]} has {a} {what} but {names[1]} has {b}; "
+                               f"they must have the same {same}")
+    for method, model in models.items():
+        if (shape := model.t_mats[0].shape) != (xs.m, ys.m):
+            raise InvalidInput(f"{method} maps {shape[1]} components to {shape[0]}, but "
+                               f"{names[1]} has {ys.m} and {names[0]} has {xs.m}")
     model_rows = {method: evaluate_interp(model, xs, ys, method)
                   for method, model in models.items()}
     rows: list[RunRow] = [r for method_rows in model_rows.values() for r in method_rows]

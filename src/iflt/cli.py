@@ -41,6 +41,7 @@ from .interp import (
     load_model,
     save_model,
 )
+from .ortho import window
 from .sigio import (
     ManifestSequence,
     load_sequence,
@@ -152,14 +153,13 @@ def _cmd_gen(args) -> int:
 
 
 def _read_windows(seq: ManifestSequence, q_specs, positions) -> None:
-    """Read every ensemble the transforms touch at ``positions``, up front.
+    """Read every ensemble ``ortho.window`` reads at ``positions``, up front.
 
     The library calls that follow then do no file I/O, so what they spend is
     compute only.
     """
     for i in positions:
-        for q in q_specs:
-            seq[q.position(i)]
+        window(seq, q_specs, i)
 
 
 def _cmd_fit(args) -> int:

@@ -40,8 +40,9 @@ import numpy as np
 
 from .exceptions import InvalidInput, ParseError
 from .linalg import frob_norm
-from .ortho import CascadeMap, cascade_map, cascade_outputs, ldl_stages
-from .signals import Ensemble, QOperatorSpec, SignalSequence, TrainingSet, apply_q
+from .ortho import (CascadeMap, cascade_map, cascade_outputs, gram, inputs_gram, ldl_stages,
+                    window)
+from .signals import Ensemble, QOperatorSpec, SignalSequence, TrainingSet
 
 MODEL_VERSION = 1
 RESIDUAL_RTOL = 1e-6
@@ -49,12 +50,11 @@ RESIDUAL_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class FilterContext:
-    """Observation window an input position is evaluated against.
+    """Observation history an input position is evaluated against.
 
-    ``history`` may be any sequence offering ``len``, ``[i]``, ``m``, ``s``
-    and ``window(lo, hi)`` as ``SignalSequence`` does, such as
+    ``history`` may be any sequence ``ortho.window`` reads, such as
     ``sigio.ManifestSequence``. The context keeps the Gram band of its latest
-    call: the Gram matrix of the distinct positions it read, in increasing
+    call: the ``ortho.gram`` of the distinct positions it read, in increasing
     order. A call whose positions share a run with those copies that run's
     blocks and forms the others, so a lag filter at the next position forms
     only the p blocks of its new input. Each block is formed by one rule, so
@@ -64,52 +64,20 @@ class FilterContext:
     history: SignalSequence
     _band: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _window(self, q_specs, i: int) -> tuple[list[int], list[int], np.ndarray]:
-        """The distinct positions the transforms read at ``i``, in increasing
-        order, the index among them of each transform's, and their observations
-        as one (len(ups), n, s) array: a view of the history where they form
-        one run, else gathered."""
-        pos = [q.position(i) for q in q_specs]
-        ups = sorted(set(pos))
-        if ups[-1] - ups[0] == len(ups) - 1:
-            win = self.history.window(ups[0], ups[-1])
-        else:
-            win = np.stack([self.history[a].data for a in ups])
-        return ups, [ups.index(a) for a in pos], win
-
     def _gram(self, ups, rel, win: np.ndarray) -> np.ndarray:
-        """Gram matrix of the inputs, input j at ``win[rel[j]]``, full and symmetric.
-
-        Two inputs share the block (y_a y_b^T) / s, a >= b, of their positions,
-        formed once; block (b, a) is its transpose. A block that overflowed raises.
-        """
-        (n, s), band = win.shape[1:], self._band
+        """A copy of G of the inputs, input j at ``win[rel[j]]``, for the
+        ``ortho.window`` (ups, rel, win); the window's Gram matrix is kept."""
+        n, band = win.shape[1], self._band
         held, old = band.pop("positions", ()), band.pop("gram", None)
-        gu = np.empty((len(ups) * n,) * 2)
-        kept = [a for a in ups if a in held]
-        x, y, k = (ups.index(kept[0]), held.index(kept[0]), len(kept)) if kept else (0, 0, 0)
-        if kept and ups[x : x + k] == kept == list(held[y : y + k]):  # one run in both
-            gu[x * n : (x + k) * n, x * n : (x + k) * n] = old[y * n : (y + k) * n,
-                                                                y * n : (y + k) * n]
-        else:
-            kept = []
-        del old  # freed before the inputs' Gram matrix is copied out
-        with np.errstate(over="ignore", invalid="ignore"):
-            for x, a in enumerate(ups):
-                for y, b in enumerate(ups[: x + 1]):  # a >= b
-                    if a not in kept or b not in kept:
-                        block = win[x] @ win[y].T
-                        block /= s
-                        gu[x * n : (x + 1) * n, y * n : (y + 1) * n] = block
-                        if y < x:
-                            gu[y * n : (y + 1) * n, x * n : (x + 1) * n] = block.T
-        if not np.isfinite(gu).all():
-            raise InvalidInput("covariance overflows: entries are not finite")
-        band.update(positions=tuple(ups), gram=gu)
-        if rel == list(range(len(ups))):
-            return gu.copy()
-        blocks = np.ix_(rel, range(n), rel, range(n))
-        return gu.reshape(len(ups), n, len(ups), n)[blocks].reshape((len(rel) * n,) * 2)
+        run = [a for a in ups if a in held]
+        x, y, k = (ups.index(run[0]), held.index(run[0]), len(run)) if run else (0, 0, 0)
+        one_run = run and ups[x : x + k] == run == list(held[y : y + k])  # in both
+        b = slice(y * n, (y + k) * n)
+        gw = gram(win, kept=(x, old[b, b]) if one_run else None)
+        del old  # freed before G is copied out
+        band.update(positions=tuple(ups), gram=gw)
+        g = inputs_gram(gw, rel, n)
+        return g.copy() if g is gw else g
 
 
 @dataclass
@@ -119,7 +87,7 @@ class FilterModel:
     ``r_mats[j]`` stores the deflation matrices of training node j's cascade
     (used only when applying with ``fixed_r=True``). ``meta`` records fit
     diagnostics: residuals, tolerances, sample counts, degenerate terms. The
-    window and coefficient widths ``apply_filter`` checks are taken at creation.
+    coefficient widths ``apply_filter`` checks are taken at creation.
     """
 
     p: int
@@ -129,13 +97,8 @@ class FilterModel:
     r_mats: list[list[np.ndarray]] | None = None
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        # what apply_filter checks against its context on every call
-        self._window = max((q.window() for q in self.q_specs), default=0)
+    def __post_init__(self):  # what apply_filter checks on every call
         self._t_cols = sorted({t.shape[1] for t in self.t_mats})
-
-    def required_window(self) -> int:
-        return self._window
 
     @cached_property
     def _t(self) -> np.ndarray:  # [T_1 ... T_p], taken at the first apply
@@ -153,9 +116,10 @@ class FilterModel:
 
 
 def _node_cascade(train: TrainingSet, q_specs, k: int, xs=None):
-    """Inputs at node ``k`` and their cascade map, extra rows ``xs`` or x_k."""
-    vs = [apply_q(q, train.s_y_context, train.s_y_indices[k]) for q in q_specs]
-    return vs, cascade_map(vs, xs=(train.s_x[k],) if xs is None else xs)
+    """Input arrays at node ``k`` and their cascade map, extra rows ``xs`` or x_k."""
+    _, rel, win = window(train.s_y_context, q_specs, train.s_y_indices[k])
+    vs, xs = [win[x] for x in rel], [x.data for x in ((train.s_x[k],) if xs is None else xs)]
+    return vs, cascade_map(inputs_gram(gram(win, xs), rel, win.shape[1]), vs + xs, len(vs))
 
 
 def _coefficient(cmap: CascadeMap, r: int, k: int, a_mat: np.ndarray | None) -> np.ndarray:
@@ -234,19 +198,11 @@ def fit(
                        r_mats=r_mats, meta=meta)
 
 
-def _check_window(model: FilterModel, ctx: FilterContext, i: int) -> None:
-    if len(ctx.history) < model.required_window():
-        raise InvalidInput(f"history of {len(ctx.history)} positions is shorter than the "
-                           f"required window {model.required_window()}")
-    if not 0 <= i < len(ctx.history):
-        raise InvalidInput(f"sequence position {i} out of range [0, {len(ctx.history) - 1}]")
-
-
 def input_cascade(model: FilterModel, ctx: FilterContext, i: int) -> list[Ensemble]:
     """Transformed observations at position ``i``, passed through the cascade."""
-    _check_window(model, ctx, i)
-    vs = [apply_q(q, ctx.history, i) for q in model.q_specs]
-    return list(cascade_outputs(vs, cascade_map(vs, ctx._gram(*ctx._window(model.q_specs, i)))))
+    ups, rel, win = window(ctx.history, model.q_specs, i)
+    vs = [win[x] for x in rel]
+    return list(cascade_outputs(vs, cascade_map(ctx._gram(ups, rel, win), vs, len(vs))))
 
 
 def back_substitute(t: np.ndarray, g: np.ndarray, n: int, zero_indices=()) -> np.ndarray:
@@ -285,8 +241,7 @@ def apply_filter(
             f"model t_mats have {', '.join(map(str, model._t_cols))} columns but the "
             f"observations have {n} components"
         )
-    _check_window(model, ctx, i)
-    ups, rel, win = ctx._window(model.q_specs, i)
+    ups, rel, win = window(ctx.history, model.q_specs, i)
     if fixed_r:
         if model.r_mats is None:
             raise InvalidInput("model carries no frozen deflation matrices")

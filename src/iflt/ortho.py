@@ -17,8 +17,8 @@ If an input is an exact linear image of earlier outputs its residual is the
 zero ensemble; residual norms at or below ``1e-12`` times the input scale are
 snapped to exact zeros so that downstream pseudo-inverses of their covariance
 are zero matrices rather than noise amplifiers. ``cascade_map`` (its stage
-loop ``ldl_stages``) is the one implementation, from the inputs' Gram matrix;
-``cascade_outputs`` forms the outputs from its blocks.
+loop ``ldl_stages``) is the one implementation, from the Gram matrix ``gram``
+forms of the observations ``window`` picks; ``cascade_outputs`` forms outputs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .exceptions import InvalidInput
 from .linalg import SMALLEST_NORMAL, frob_norm, pseudo_inverse
-from .signals import Ensemble, est_cov
+from .signals import Ensemble, SignalSequence, est_cov
 
 # the LAPACK gufuncs np.linalg.cholesky and inv wrap; at a 16 x 16 stage the
 # wrappers' checks cost as much. A failed factorization gives NaNs, not an error.
@@ -94,60 +94,90 @@ class CascadeMap:
         return tuple(tuple(self.g[r, c] for c in self.rows[:p]) for r in self.rows[p:])
 
 
-def _check_aligned(vs, s: int | None = None) -> None:
-    if not vs:
-        raise InvalidInput("need at least one ensemble")
-    m, s = vs[0].m, vs[0].s if s is None else s
-    for pos, v in enumerate(vs):
-        if (v.m, v.s) != (m, s):
-            raise InvalidInput(
-                f"ensemble {pos} has shape {(v.m, v.s)}, expected {(m, s)}"
-            )
-        if not v.centered:
-            raise InvalidInput(f"ensemble {pos} is not centered")
-
-
 def orthogonalize(vs) -> OrthoResult:
-    """Run the deflation cascade over realization-aligned centered ensembles:
-    ``cascade_map``'s blocks and the outputs ``cascade_outputs`` forms from them."""
-    vs = tuple(vs)
-    cmap = cascade_map(vs)
-    ws = cascade_outputs(vs, cmap)
+    """``cascade_map`` and ``cascade_outputs`` of centered ensembles of one
+    shape, checked as a ``SignalSequence`` is."""
+    win = SignalSequence(tuple(vs)).data
+    cmap = cascade_map(gram(win), win, len(win))
+    ws = cascade_outputs(win, cmap)
     return OrthoResult(ws, cmap.k_mats, cross_cov_residual(ws), cmap.zero_indices)
 
 
-def cascade_map(vs, g: np.ndarray | None = None, xs=()) -> CascadeMap:
+def window(history, q_specs, i: int) -> tuple[list[int], list[int], np.ndarray]:
+    """The distinct positions of ``history`` the transforms ``q_specs`` read at
+    ``i``, in increasing order, the index among them of each transform's, and
+    their observations as one (len(ups), n, s) array: a view of the history
+    where they form one run, else gathered, so that no position in a gap is
+    read. ``history`` offers ``len``, ``[i]`` and ``window(lo, hi)`` as
+    ``SignalSequence`` does; an ``i`` out of range raises ``InvalidInput``."""
+    if not 0 <= i < len(history):
+        raise InvalidInput(f"sequence position {i} out of range [0, {len(history) - 1}]")
+    pos = [q.position(i) for q in q_specs]
+    ups = sorted(set(pos))
+    win = (history.window(ups[0], ups[-1]) if ups[-1] - ups[0] == len(ups) - 1
+           else np.stack([history[a].data for a in ups]))
+    return ups, [ups.index(a) for a in pos], win
+
+
+def gram(win: np.ndarray, xs=(), kept=None) -> np.ndarray:
+    """The Gram matrix of the window's observations ``win``, and then of the
+    extra rows ``xs`` (arrays), against the observations, in one buffer.
+
+    Positions a >= b share the block (y_a y_b^T) / s, formed once, and block
+    (b, a) is its transpose; an extra row x has the blocks (x y_b^T) / s. The
+    blocks of the pair ``kept`` = (x, old), the Gram matrix ``old`` of window
+    positions x, x + 1, ..., are copied instead. An entry that is not finite
+    (an overflowed product) raises ``InvalidInput``.
+    """
+    d, n, s = win.shape
+    us = [*win, *xs]
+    rows = [slice(end - len(u), end) for u, end in zip(us, accumulate(len(u) for u in us))]
+    g = np.empty((rows[-1].stop, d * n))
+    x0, k = (kept[0], len(kept[1]) // n) if kept is not None else (0, 0)
+    if k:
+        g[x0 * n : (x0 + k) * n, x0 * n : (x0 + k) * n] = kept[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, u in enumerate(us):
+            for b in range(min(a + 1, d)):
+                if not x0 <= b <= a < x0 + k:
+                    block = u @ win[b].T
+                    block /= s
+                    g[rows[a], rows[b]] = block
+                    if b < a < d:
+                        g[rows[b], rows[a]] = block.T
+    if not np.isfinite(g).all():
+        raise InvalidInput("covariance overflows: entries are not finite")
+    return g
+
+
+def inputs_gram(g: np.ndarray, rel, n: int) -> np.ndarray:
+    """G of cascade inputs at the window positions ``rel`` from the window's
+    ``gram`` ``g``, whose extra rows follow: ``g`` itself where ``rel`` is
+    every position in order, else its blocks gathered into a new buffer."""
+    if rel == list(range(g.shape[1] // n)):
+        return g
+    cols = (np.asarray(rel)[:, None] * n + np.arange(n)).ravel()
+    return g[np.ix_(np.concatenate([cols, np.arange(g.shape[1], len(g))]), cols)]
+
+
+def cascade_map(g: np.ndarray, us, p: int) -> CascadeMap:
     """The blocks of the deflation cascade, run in place in a Gram matrix.
 
-    ``g`` holds the blocks G_ik = C(u_i, v_k) of the inputs ``vs`` and then
-    the extra rows ``xs``, U = [V; X], against the inputs, and is overwritten
-    with the ``CascadeMap`` layout; only its blocks i >= k are read. When not
-    given it is formed one block (u_i v_k^T) / s at a time, as
-    ``FilterContext`` forms a lag filter's. A ``g`` of another shape than U's
-    rows by V's rows, or with an entry that is not finite (an overflowed
-    product), raises ``InvalidInput``. An extra row x is one more block row,
-    so C(x, w_k) D_k^+ is the best coefficient of w_k for x.
+    ``g`` holds the blocks G_ik = C(u_i, v_k) of the arrays ``us``, U = [V; X]
+    (the p inputs, then any extra rows), against the inputs, as ``gram`` forms
+    them, and is overwritten with the ``CascadeMap`` layout; only its blocks
+    i >= k are read. A ``g`` of another shape, or with an entry that is not
+    finite, raises ``InvalidInput``. An extra row x is one more block row, so
+    C(x, w_k) D_k^+ is the best coefficient of w_k for x.
     """
-    vs, xs = tuple(vs), tuple(xs)
-    _check_aligned(vs)
-    p, n, s = len(vs), vs[0].m, vs[0].s
-    if xs:
-        _check_aligned(xs, s)
-    us, pn = vs + xs, p * n
-    rows = tuple(slice(end - u.m, end) for u, end in zip(us, accumulate(u.m for u in us)))
-    cols, shape = rows[:p], (rows[-1].stop, pn)
-    if g is not None and np.shape(g) != shape:
+    rows = tuple(slice(end - len(u), end) for u, end in zip(us, accumulate(len(u) for u in us)))
+    cols, shape = rows[:p], (rows[-1].stop, p * len(us[0]))
+    if np.shape(g) != shape:
         raise InvalidInput(f"Gram matrix has shape {np.shape(g)}, expected {shape}")
-    if g is None:
-        g = np.zeros(shape)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, u in enumerate(us):
-                for k in range(min(i + 1, p)):
-                    g[rows[i], cols[k]] = (u.data @ vs[k].data.T) / s
     if not np.isfinite(g).all():
         raise InvalidInput("covariance overflows: entries are not finite")
     d_mats, d_pinvs = [], []
-    zero_indices = ldl_stages(g, [u.data for u in us], p, d_mats, d_pinvs)
+    zero_indices = ldl_stages(g, us, p, d_mats, d_pinvs)
     k_mats = tuple(tuple(g[cols[l], cols[j]].T for l in range(j)) for j in range(p))
     return CascadeMap(k_mats, tuple(d_mats), tuple(d_pinvs), tuple(zero_indices), g, rows)
 
@@ -261,14 +291,14 @@ def forward_substitute(vs, k_mats, ws=None, upto=None) -> list[np.ndarray]:
 
 
 def cascade_outputs(vs, cmap: CascadeMap) -> tuple[Ensemble, ...]:
-    """The output ensembles of the cascade ``cmap`` of ``vs``.
+    """The output ensembles of the cascade ``cmap`` of the input arrays ``vs``.
 
     w_0 = v_0 as it is, and every later w_k = v_k - sum_l K_kl w_l by forward
     substitution, re-centered: deflation of centered data is centered in exact
     arithmetic, and this keeps tiny residuals from failing the centered claim.
     The zero-snapped outputs are exact zeros.
     """
-    ws = forward_substitute([v.data for v in vs], cmap.k_mats)
+    ws = forward_substitute(vs, cmap.k_mats)
     for k, w in enumerate(ws):
         if k in cmap.zero_indices:
             w[:] = 0.0

@@ -155,7 +155,7 @@ class ManifestSequence:
 
     ``m``, ``s`` and the length come from the manifest. Ensemble ``i`` is read
     on first access, checked against the manifest's shape, centered as the
-    readers do, and kept for later accesses. It offers what ``FilterContext``
+    readers do, and kept for later accesses. It offers what ``ortho.window``
     reads of a ``SignalSequence`` (``m``, ``s``, ``len``, ``[i]``, ``window``),
     so a command that uses a few positions reads only their files.
     """

@@ -172,11 +172,6 @@ class QOperatorSpec:
     def sequence_lag(d: int) -> "QOperatorSpec":
         return QOperatorSpec("sequence_lag", lag=d)
 
-    def window(self) -> int:
-        """The ``lag + 1`` trailing positions, ending at the requested one, that
-        the transform reads from."""
-        return self.lag + 1
-
     def position(self, i: int) -> int:
         """The sequence position ``apply_q`` reads to evaluate the transform at ``i``."""
         return max(0, i - self.lag)

@@ -14,9 +14,10 @@ identities that define the pseudo-inverse.
 
 import numpy as np
 
-from iflt import Ensemble, OrthoResult, apply_q, cross_cov_residual, pseudo_inverse, sym_sqrt
+from iflt import (Ensemble, OrthoResult, SignalSequence, apply_q, cross_cov_residual,
+                  pseudo_inverse, sym_sqrt)
 from iflt.linalg import frob_norm_sq
-from iflt.ortho import ZERO_W_RTOL, _check_aligned
+from iflt.ortho import ZERO_W_RTOL
 from iflt.signals import energy, est_cov
 
 
@@ -26,7 +27,7 @@ def data_space_cascade(vs) -> OrthoResult:
     outputs of norm at most ``ZERO_W_RTOL`` times the largest input's snapped
     to zero and the later live ones re-centered."""
     vs = tuple(vs)
-    _check_aligned(vs)
+    SignalSequence(vs)  # aligned, finite and centered, as orthogonalize checks
     scale = max(float(np.linalg.norm(v.data)) for v in vs)
     ws: list[Ensemble] = []
     k_rows: list[tuple[np.ndarray, ...]] = []

@@ -238,9 +238,9 @@ def test_evaluate_forms_one_reference_cascade_per_node(monkeypatch):
                 "r_hat": [0.9], "x_energy": 30.0}
     calls = []
 
-    def counted(vs, g=None, xs=()):
-        calls.extend([len(xs)] if xs else [])
-        return cascade_map(vs, g, xs)
+    def counted(g, us, p):
+        calls.extend([len(us) - p] if len(us) > p else [])
+        return cascade_map(g, us, p)
 
     monkeypatch.setattr(interp, "cascade_map", counted)
     report = evaluate(cfg, xs, ys, models, supplied)

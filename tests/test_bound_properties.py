@@ -111,7 +111,10 @@ def test_node_bound_checks_match_the_data_space_cascade(s_indices, seed, p, scal
     train = node_training_set(xs, ys, nodes_for(cfg, p), "s_indices")
     constants = {**constants, "r_hat": constants["r_hat"][:p]}
     # only the optimal errors and bounds are compared, so no realized errors
-    checks = node_bound_checks(model, train, [None] * p, [constants], scale)[1][0]
+    scaled = {**constants, "lambda_e": scale * constants["lambda_e"],
+              "lambda_q": scale * constants["lambda_q"],
+              "r_hat": [scale * g for g in constants["r_hat"]]}
+    checks = node_bound_checks(model, train, [None] * p, [scaled])[1][0]
     want = _data_space_checks(model, train, xs, ys, constants, scale)
     for check, (optimal, bound) in zip(checks, want, strict=True):
         assert check["optimal"] == pytest.approx(optimal, rel=REL_TOL, abs=0.0)

@@ -615,6 +615,59 @@ def test_eval_rejects_sequences_of_unequal_length(tmp_path, cfg_path, capsys, sh
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("edit, other, extra", [
+    ({"m": 2, "n": 2}, "refs", "--model"),
+    ({"m": 2, "n": 2}, "obs", "--model"),
+    ({"s": 30}, "refs", "--model"),
+    ({"s": 30}, "refs", "--baselines"),
+], ids=["fewer-reference-components", "fewer-observation-components",
+        "fewer-realizations-model", "fewer-realizations-baselines"])
+def test_eval_rejects_sequences_of_another_shape(tmp_path, cfg_path, capsys, edit, other, extra):
+    # one sequence from data of another shape: refused before any filter is
+    # applied, naming the flags (and the model)
+    obs, model_path = _gen_and_fit(tmp_path, cfg_path)
+    refs = obs.with_name("refs_manifest.json")
+    other_cfg = tmp_path / "other.json"
+    other_cfg.write_text(json.dumps({**SMALL_CFG, **edit}))
+    assert cli_main(["gen", "--config", str(other_cfg), "--out", str(tmp_path / "other")]) == 0
+    if other == "refs":
+        refs = tmp_path / "other" / "refs_manifest.json"
+    else:
+        obs = tmp_path / "other" / "obs_manifest.json"
+    err = _cli_error(capsys, ["eval", "--config", str(cfg_path), "--refs", str(refs),
+                              "--obs", str(obs), "--out", str(tmp_path / "eval"),
+                              *(["--model", str(model_path)] if extra == "--model"
+                                else ["--baselines"])])
+    if "s" in edit:
+        assert (f"--refs {refs} has 30 realizations but --obs {obs} has 40; "
+                "they must have the same realization count") in err
+    else:
+        m_refs, m_obs = (2, 4) if other == "refs" else (4, 2)
+        assert (f"interp_p2 maps 4 components to 4, but --obs {obs} has {m_obs} and "
+                f"--refs {refs} has {m_refs}") in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_apply_on_a_history_shorter_than_the_lags(tmp_path, cfg_path):
+    # an order-3 filter lags up to 2 positions, and lags clamp to the start:
+    # at position 2 of a 2-position manifest it writes the bytes it writes
+    # at position 2 of the whole sequence, in both modes
+    data = tmp_path / "data"
+    assert cli_main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 0
+    obs, model_path = data / "obs_manifest.json", tmp_path / "m3.json"
+    assert cli_main(["fit", "--config", str(cfg_path), "--refs", str(data / "refs_manifest.json"),
+                     "--obs", str(obs), "--p", "3", "--out", str(model_path)]) == 0
+    short = _truncated_manifest(obs, 2)
+    for flags in ([], ["--fixed-r"]):
+        written = []
+        for k, manifest in enumerate((short, obs)):
+            out = tmp_path / f"est{k}.iflt"
+            assert cli_main(["apply", "--model", str(model_path), "--obs", str(manifest),
+                             "--index", "2", "--out", str(out), *flags]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+
 def test_epsnet_reads_csv_files_holding_a_constant_row(tmp_path, capsys):
     rng = np.random.default_rng(3)
     names = []

@@ -175,12 +175,19 @@ def test_free_term_changes_nothing_at_full_rank(rng):
     assert freed.meta["residual_ok"]
 
 
-def test_apply_insufficient_history(rng):
-    x, y, train = single_pair_train(rng)
-    model = fit(train, [QOperatorSpec.sequence_lag(4)])
-    ctx = FilterContext(SignalSequence((y, y)))
-    with pytest.raises(InvalidInput):
-        apply_filter(model, ctx, 1)
+def test_apply_on_a_history_shorter_than_the_lags(rng):
+    # every lag clamps to the start of the sequence: an order-5 filter at
+    # position 1 of a 2-position history reads what it reads at position 1 of
+    # a longer one, and gives the same bits in both modes
+    p, nodes = 5, (3, 4, 5, 6, 7)
+    ys = SignalSequence(tuple(make_ensemble(rng, 3, 40) for _ in range(8)))
+    model = fit(TrainingSet(tuple(make_ensemble(rng, 2, 40) for _ in nodes), ys, nodes),
+                lag_specs(p))
+    short = SignalSequence(ys.items[:2])
+    for fixed_r in (False, True):
+        got = apply_filter(model, FilterContext(short), 1, fixed_r=fixed_r)
+        want = apply_filter(model, FilterContext(ys), 1, fixed_r=fixed_r)
+        assert np.array_equal(got.data, want.data)
 
 
 def test_fixed_r_order_one_identical(rng):

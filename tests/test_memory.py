@@ -10,9 +10,11 @@ stacked copy of the data shows plainly.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from iflt import FilterContext, SignalSequence, TrainingSet, apply_filter, cascade_map, fit
+from iflt.ortho import gram
 from iflt.bench import lag_specs, node_bound_checks
 from iflt.interp import _node_cascade
 from conftest import make_ensemble
@@ -76,9 +78,14 @@ def test_cascade_map_runs_in_one_buffer(rng, traced):
     # twice the realizations of ``train``, so that one copy of the stacked
     # inputs V weighs 13 column blocks
     s = 2 * S
-    vs = [make_ensemble(rng, N, s) for _ in range(P)]
+    win = np.stack([make_ensemble(rng, N, s).data for _ in range(P)])
+    xs = [make_ensemble(rng, N, s).data]
     rows, cols = (P + 1) * N, P * N
-    cmap, peak = traced(cascade_map, vs, xs=(make_ensemble(rng, N, s),))
+
+    def gram_and_cascade():
+        return cascade_map(gram(win, xs), [*win, *xs], P)
+
+    cmap, peak = traced(gram_and_cascade)
     assert not cmap.zero_indices
     # the (pn + m) x pn buffer, and stage temporaries and the returned D_k and
     # D_k^+ within four of one stage's (pn + m) x n column blocks: a second

@@ -244,7 +244,7 @@ def test_positions_are_exactly_what_apply_q_reads(case):
         make_ensemble(rng, 3, 4) for _ in range(length))))
     out = apply_q(q, seq, i)
     assert seq.touched == [q.position(i)] and out is seq.seq[q.position(i)]
-    assert i - q.window() < q.position(i) <= i
+    assert i - q.lag <= q.position(i) <= i
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

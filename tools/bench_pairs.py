@@ -12,7 +12,9 @@ the change side is the working tree as it stands. The result is written to
 pair's end-to-end metrics, each side's median and quartiles (numpy linear
 percentiles 25 and 75), the median over pairs of change / parent - 1, the
 count of pairs in which the change read lower, summed attempted and failed
-operation counts, and the environment line ``perfbench`` prints.
+operation counts, and the environment line ``perfbench`` prints. Each
+end-to-end metric gets, with the bound ``BENCHMARK.json`` fixes for it, the
+parent's spread (q3 - q1) / median and a verdict (see ``verdict``).
 """
 
 from __future__ import annotations
@@ -68,14 +70,53 @@ def side_summary(results: list[dict]) -> dict:
             "failed": sum(r["failed"] for r in results), "metrics": metrics}
 
 
-def compare(parent: list[dict], change: list[dict]) -> dict:
-    changes, lower = {}, {}
+def load_bounds(path=ROOT / "BENCHMARK.json") -> dict:
+    """{metric: (better, bound)} for the benchmark's end-to-end metrics."""
+    return {m["name"]: (m["better"], m["bound"])
+            for m in json.loads(Path(path).read_text())["end_to_end"]}
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """The parent's spread (q3 - q1) / median and the verdict on one metric,
+    from the values of paired runs (``parent[k]`` and ``change[k]`` one pair).
+
+    ``unresolved`` where the spread is above ``bound``, unless every change
+    run reads better than every parent run; else ``better`` where the change
+    reads better in at least nine tenths of the pairs (ties count for
+    neither) and its median beats the parent's by more than the parent's
+    q3 - q1; ``worse`` where its median is worse than the parent's by more
+    than ``bound`` of it; else ``no worse``.
+    """
+    sign = 1.0 if better == "lower" else -1.0  # below: lower reads better
+    p, c = sign * np.asarray(parent, dtype=float), sign * np.asarray(change, dtype=float)
+    q1, med, q3 = np.percentile(p, [25, 50, 75])
+    spread = (q3 - q1) / abs(med) if med else (0.0 if q3 == q1 else np.inf)
+    worse_by = np.median(c) - med
+    if spread > bound and not c.max() < p.min():
+        out = "unresolved"
+    elif np.sum(c < p) >= 0.9 * len(p) and -worse_by > q3 - q1:
+        out = "better"
+    elif worse_by > bound * abs(med):
+        out = "worse"
+    else:
+        out = "no worse"
+    return {"bound": bound, "parent_spread": float(spread), "verdict": out}
+
+
+def compare(parent: list[dict], change: list[dict], bounds: dict) -> dict:
+    """Per metric over the pairs: the median change / parent - 1, the count of
+    pairs where the change read lower, and the ``verdict`` of each metric
+    ``bounds`` ({metric: (better, bound)}) names."""
+    changes, lower, verdicts = {}, {}, {}
     for name in parent[0]["metrics"]:
         pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
                  for p, c in zip(parent, change)]
         changes[name] = float(np.median([c / p - 1 for p, c in pairs]))
         lower[name] = sum(c < p for p, c in pairs)
-    return {"median_pair_change": changes, "change_lower_in_pairs": lower}
+        if name in bounds:
+            verdicts[name] = verdict(*zip(*pairs), *bounds[name])
+    return {"median_pair_change": changes, "change_lower_in_pairs": lower,
+            "verdicts": verdicts}
 
 
 def main(argv=None) -> int:
@@ -98,6 +139,7 @@ def main(argv=None) -> int:
                    "the working tree first; quartiles are numpy linear percentiles 25 and 75; "
                    "median_pair_change is the median over pairs of change / parent - 1",
            "workloads": json.loads(out.read_text())["workloads"] if args.append else {}}
+    bounds = load_bounds()
     with tempfile.TemporaryDirectory() as tmp:
         doc["parent_commit"] = export_tree(args.parent, Path(tmp))
         sides = {"parent": Path(tmp) / "tree", "change": ROOT}
@@ -112,11 +154,15 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} pair {pair}: " + ", ".join(
                         f"{side} apply_ms_p90 {runs[side][-1]['metrics']['apply_ms_p90']['value']:.4f}"
                         for side in ("parent", "change")), flush=True)
+                compared = compare(runs["parent"], runs["change"], bounds)
+                for name, v in compared["verdicts"].items():
+                    print(f"{workload} seed {seed} {name}: {v['verdict']} (parent spread "
+                          f"{v['parent_spread']:.3f}, bound {v['bound']})", flush=True)
                 doc["workloads"][f"{workload}_seed{seed}"] = {
                     "seed": seed, "pairs": args.pairs,
                     "parent": side_summary(runs["parent"]),
                     "change": side_summary(runs["change"]),
-                    **compare(runs["parent"], runs["change"]),
+                    **compared,
                     "pairs_by_pair": [{
                         "pair": k + 1, "first": "parent" if (k + 1) % 2 else "change",
                         **{f"{name}_{side}": runs[side][k]["metrics"][name]["value"]
