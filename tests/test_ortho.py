@@ -159,6 +159,19 @@ def test_cascade_map_blocks_are_fits_frozen_deflation_matrices():
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("n, s, p", [(16, 256, 5), (64, 1024, 8)], ids=["m16", "m64"])
+def test_fit_and_apply_share_one_gram_rule(rng, n, s, p):
+    # a node's cascade in fit and an apply's FilterContext both form G by
+    # ortho.gram: at one position past the warm-up both see the same bits
+    ys = SignalSequence(tuple(make_ensemble(rng, n, s) for _ in range(p + 1)))
+    specs, i = lag_specs(p), p
+    node_vs, node = _node_cascade(TrainingSet((make_ensemble(rng, 2, s),), ys, (i,)), specs, 0)
+    shared = cascade_map(FilterContext(ys)._gram(*ortho.window(ys, specs, i)), node_vs, p)
+    assert not node.zero_indices
+    for got, want in zip(node.k_mats, shared.k_mats, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
 @st.composite
 def lag_sets(draw):
     """(lag specs, sequence length, position): oldest first, newest first,
