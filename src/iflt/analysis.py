@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import InvalidInput, ParseError
-from .interp import FilterModel, _coefficient, _node_cascade, back_substitute
-from .linalg import frob_norm, pseudo_inverse, root_pinv_norm_sq
-from .ortho import CascadeMap, cross_cov_residual
-from .signals import Ensemble, TrainingSet, energy, est_cov
+from .interp import FilterModel, back_substitute
+from .linalg import frob_norm, frob_norm_sq, pseudo_inverse, root_pinv_norm_sq
+from .ortho import CascadeMap, cascade_outputs, cross_cov_residual, position_cascade
+from .signals import Ensemble, SignalSequence, TrainingSet, energy, est_cov
 
 # optimal_error rejects outputs whose largest cross-covariance exceeds this
 # share of their largest covariance
@@ -43,10 +43,11 @@ class ErrorBoundInputs:
     pseudo-inverse of a cascade-output covariance moves with the output,
     ``lambda_q`` how fast the observation transforms move with their input,
     and ``r_hat[k]`` the squared gain of the k-th deflation stage. These are
-    assumptions about the signal families, supplied by the caller (probes in
-    the benchmark module give crude empirical lower bounds). ``x_energy``
-    stands in for the unknown target's mean squared norm; ``w_covs`` /
-    ``xw_covs`` are the per-term covariances C(w_k, w_k) and C(x_k, w_k).
+    assumptions about the signal families, supplied by the caller
+    (``probe_bound_constants`` gives crude empirical lower bounds).
+    ``x_energy`` stands in for the unknown target's mean squared norm;
+    ``w_covs`` / ``xw_covs`` are the per-term covariances C(w_k, w_k) and
+    C(x_k, w_k).
     """
 
     eps_x: float
@@ -130,24 +131,25 @@ def node_error_decomposition(model: FilterModel, train: TrainingSet, k: int) -> 
     with ws the cascade outputs of node k's observation (the k-th coefficient
     block coincides with the trained one) and D_j = C(w_j, w_j). Returns
     ``{"lhs", "rhs", "gap"}``; the identity assumes the fit used zero free terms.
-    ``bench.node_bound_checks`` reads the same record from the map it forms.
+    ``node_bound_checks`` reads the same record in its one pass over the nodes.
     """
     if not 0 <= k < model.p:
         raise InvalidInput(f"node index {k} out of range [0, {model.p - 1}]")
-    vs, cmap = _node_cascade(train, model.q_specs, k, train.s_x)
-    return _decompose_node(model, train.s_x[k], k, vs, cmap)[0]
+    return _node_step(model, train, k)[0]
 
 
-def _decompose_node(model: FilterModel, x_k: Ensemble, k: int, vs,
-                    cmap: CascadeMap) -> tuple[dict, float]:
-    """``node_error_decomposition``'s record at node k and the optimal error
-    ``energy(x_k) - captured_energy(cmap, k)``, from node k's input arrays ``vs``
-    and their cascade map ``cmap`` with every node's reference as extra rows."""
-    a_mats = model.a_mats or [None] * model.p
+def _node_step(model: FilterModel, train: TrainingSet, k: int) -> tuple[dict, float, CascadeMap]:
+    """``node_error_decomposition``'s record at node k, the optimal error
+    ``energy(x_k) - captured_energy(cmap, k)``, and node k's cascade map
+    ``cmap`` (``ortho.position_cascade``) with every node's reference as extra
+    rows."""
+    vs, cmap = position_cascade(train.s_y_context, model.q_specs, train.s_y_indices[k],
+                                [x.data for x in train.s_x])
+    x_k, a_mats = train.s_x[k], model.a_mats or [None] * model.p
     mismatch = sum(root_pinv_norm_sq(cmap.x_cross[j][j] - cmap.x_cross[k][j], d_pinv)
                    for j, d_pinv in enumerate(cmap.d_pinvs))
     n = len(vs[0])
-    z = back_substitute(np.hstack([_coefficient(cmap, j, j, a_mats[j]) for j in range(model.p)]),
+    z = back_substitute(np.hstack([cmap.coefficient(j, j, a_mats[j]) for j in range(model.p)]),
                         cmap.g, n, cmap.zero_indices)
     estimate = np.zeros((len(z), x_k.s))  # sum_j Z_j v_j, in data space
     for j, v in enumerate(vs):
@@ -155,7 +157,93 @@ def _decompose_node(model: FilterModel, x_k: Ensemble, k: int, vs,
     lhs = float(np.sum((x_k.data - estimate) ** 2)) / x_k.s
     optimal = energy(x_k) - captured_energy(cmap, k)
     rhs = optimal + mismatch
-    return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}, optimal
+    return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}, optimal, cmap
+
+
+def node_bound_checks(model: FilterModel, train: TrainingSet, measured,
+                      constant_sets=()) -> tuple[list[dict], list[list[dict]]]:
+    """One pass over the training nodes: each node's error decomposition and
+    its bound check under each of ``constant_sets``.
+
+    Node k's cascade map, with every node's reference as extra rows, gives the
+    ``node_error_decomposition`` record (plus the node and ``rel_gap``), the
+    optimal error and the bound's covariances D_j = C(w_j, w_j) and
+    C(x_j, w_j); it is freed before the next node's is formed. ``measured[k]``,
+    the realized error at node k, is read from the model's report row there:
+    the filter is not applied again. An optimum below zero by at most
+    ``ORTHO_RTOL`` times the node reference's energy is rounding (the reference
+    lies in the span of the outputs) and counts as zero; a larger negative one
+    still raises. Returns the node gaps and each set's checks.
+    """
+    gaps, checks = [], [[] for _ in constant_sets]
+    for k, pos in enumerate(train.s_y_indices):
+        rec, optimal, cmap = _node_step(model, train, k)
+        rel = rec["gap"] / rec["lhs"] if rec["lhs"] > 0 else rec["gap"]
+        gaps.append({"node": pos + 1, **rec, "rel_gap": rel})
+        if optimal < 0.0 and -ORTHO_RTOL * energy(train.s_x[k]) <= optimal:
+            optimal = 0.0  # x_k in the span of the outputs, up to rounding
+        for out, constants in zip(checks, constant_sets):
+            bound = error_upper_bound(optimal, ErrorBoundInputs(
+                eps_x=constants["eps_x"], eps_y=constants["eps_y"],
+                lambda_e=constants["lambda_e"], lambda_q=constants["lambda_q"],
+                r_hat=tuple(constants["r_hat"]),
+                w_covs=cmap.d_mats, xw_covs=tuple(cmap.x_cross[j][j] for j in range(model.p)),
+                x_energy=constants["x_energy"], a_mats=model.a_mats))
+            out.append({"node": pos + 1, "measured": measured[k], "optimal": optimal,
+                        "bound": bound})
+        del cmap  # free its work buffers before the next node's are formed
+    return gaps, checks
+
+
+def probe_bound_constants(xs: SignalSequence, ys: SignalSequence, model: FilterModel) -> dict:
+    """Crude empirical probes of the bound constants (lower bounds, not certificates).
+
+    ``eps_x`` (``eps_y``) is the exact covering radius of the nodes' references
+    (observations) over the generated pool; ``x_energy`` is the largest
+    reference energy. The rest are max observed ratios over ten evenly spread
+    positions, each compared with the one sampled before it, with d the squared
+    distance ``ensemble_sq_distance``; a zero denominator skips the ratio. At
+    each position the inputs v_j and the outputs w_j are those of
+    ``ortho.position_cascade`` and ``cascade_outputs``.
+
+    * ``lambda_q`` (transform Lipschitz constant): d(v_j, v_j') / d(y, y').
+    * ``lambda_e`` (inverse-covariance sensitivity): ||D_j^+ - D_j'^+||_F^2 /
+      d(w_j, w_j'), with D_j = C(w_j, w_j) for cascade output w_j.
+    * ``r_hat[k]`` (squared gain of deflation stage k): energy(w_k) / energy(v_k).
+    """
+    nodes = model.meta["node_positions"]
+    sample = sorted(set(np.linspace(0, len(xs) - 1, 10, dtype=int).tolist()))
+    lambda_e = lambda_q = 0.0
+    r_hat = [0.0] * model.p
+    prev = None
+    for i in sample:
+        vs, cmap = position_cascade(ys, model.q_specs, i)
+        ws = cascade_outputs(vs, cmap)
+        d_pinvs = [pseudo_inverse(est_cov(w, w)) for w in ws]
+        if prev is not None:
+            prev_i, prev_vs, prev_ws, prev_pinvs = prev
+            for a, b, a_pinv, b_pinv in zip(prev_ws, ws, prev_pinvs, d_pinvs):
+                base = ensemble_sq_distance(a, b)
+                if base > 0.0:
+                    lambda_e = max(lambda_e, frob_norm_sq(a_pinv - b_pinv) / base)
+            base = ensemble_sq_distance(ys[prev_i], ys[i])
+            if base > 0.0:
+                for a, b in zip(prev_vs, vs):
+                    lambda_q = max(lambda_q, float(np.sum((a - b) ** 2)) / ys.s / base)
+        for k, (v, w) in enumerate(zip(vs, ws)):
+            base = float(np.sum(v**2)) / ys.s  # energy(v)
+            if base > 0.0:
+                r_hat[k] = max(r_hat[k], energy(w) / base)
+        prev = i, vs, ws, d_pinvs
+    return {
+        "eps_x": net_radius(xs.items, nodes),
+        "eps_y": net_radius(ys.items, nodes),
+        "lambda_e": lambda_e,
+        "lambda_q": lambda_q,
+        "r_hat": r_hat,
+        "x_energy": max(energy(x) for x in xs.items),
+        "sample_positions": [i + 1 for i in sample],
+    }
 
 
 def error_upper_bound(optimal_err: float, inputs: ErrorBoundInputs) -> float:

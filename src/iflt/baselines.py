@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import InvalidInput, NumericalError
 from .linalg import pseudo_inverse
-from .signals import Ensemble, est_cov
+from .signals import Ensemble, est_cov, finish_estimate
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,7 @@ def wiener_apply(model: WienerModel, y: Ensemble) -> Ensemble:
         raise InvalidInput(
             f"filter expects {model.t.shape[1]} components, observation has {y.m}"
         )
-    out = model.t @ y.data
-    out -= out.mean(axis=1, keepdims=True)
-    return Ensemble(out, centered=True)
+    return finish_estimate(model.t, y.data, "from the Wiener coefficients")
 
 
 @dataclass
@@ -145,6 +143,4 @@ def rls_apply(state: RlsState, y: Ensemble) -> Ensemble:
         raise InvalidInput(
             f"weights expect {state.weights.shape[1]} components, observation has {y.m}"
         )
-    out = state.weights @ y.data
-    out -= out.mean(axis=1, keepdims=True)
-    return Ensemble(out, centered=True)
+    return finish_estimate(state.weights, y.data, "from the RLS weights")

@@ -17,28 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    ORTHO_RTOL,
-    ErrorBoundInputs,
-    _decompose_node,
-    ensemble_sq_distance,
-    error_upper_bound,
-    net_radius,
-)
+from .analysis import node_bound_checks, probe_bound_constants
 from .baselines import rls_apply, rls_init, rls_run, wiener_apply, wiener_fit
 from .exceptions import ConfigError, InvalidInput
-from .interp import FilterContext, FilterModel, _node_cascade, apply_filter, fit, input_cascade
-from .linalg import frob_norm_sq, pseudo_inverse
-from .ortho import window
-from .signals import (
-    Ensemble,
-    QOperatorSpec,
-    SignalSequence,
-    TrainingSet,
-    center_rows,
-    energy,
-    est_cov,
-)
+from .interp import FilterContext, FilterModel, apply_filter, fit
+from .signals import Ensemble, QOperatorSpec, SignalSequence, TrainingSet, center_rows, est_cov
 
 NOISE_KINDS = ("hadamard_uniform",)
 MAX_FLOAT = float(np.finfo(float).max)
@@ -363,97 +346,6 @@ def _method_summary(rows: list[RunRow]) -> dict:
         "offnode_mean_err_e": float(np.mean(off)) if off else None,
         "count": len(rows),
     }
-
-
-def probe_bound_constants(
-    xs: SignalSequence,
-    ys: SignalSequence,
-    model: FilterModel,
-) -> dict:
-    """Crude empirical probes of the bound constants (lower bounds, not certificates).
-
-    ``eps_x`` (``eps_y``) is the exact covering radius of the nodes' references
-    (observations) over the generated pool; ``x_energy`` is the largest
-    reference energy. The rest are max observed ratios over ten evenly spread
-    positions, each compared with the one sampled before it, with d the squared
-    distance ``ensemble_sq_distance``; a zero denominator skips the ratio.
-
-    * ``lambda_q`` (transform Lipschitz constant): d(v_j, v_j') / d(y, y').
-    * ``lambda_e`` (inverse-covariance sensitivity): ||D_j^+ - D_j'^+||_F^2 /
-      d(w_j, w_j'), with D_j = C(w_j, w_j) for cascade output w_j.
-    * ``r_hat[k]`` (squared gain of deflation stage k): energy(w_k) / energy(v_k).
-    """
-    nodes = model.meta["node_positions"]
-    sample = sorted(set(np.linspace(0, len(xs) - 1, 10, dtype=int).tolist()))
-    ctx = FilterContext(ys)
-    lambda_e = lambda_q = 0.0
-    r_hat = [0.0] * model.p
-    prev = None
-    for i in sample:
-        ups, rel, _ = window(ys, model.q_specs, i)
-        vs = [ys[ups[x]] for x in rel]
-        ws = input_cascade(model, ctx, i)
-        d_pinvs = [pseudo_inverse(est_cov(w, w)) for w in ws]
-        if prev is not None:
-            prev_i, prev_vs, prev_ws, prev_pinvs = prev
-            for a, b, a_pinv, b_pinv in zip(prev_ws, ws, prev_pinvs, d_pinvs):
-                base = ensemble_sq_distance(a, b)
-                if base > 0.0:
-                    lambda_e = max(lambda_e, frob_norm_sq(a_pinv - b_pinv) / base)
-            base = ensemble_sq_distance(ys[prev_i], ys[i])
-            if base > 0.0:
-                for a, b in zip(prev_vs, vs):
-                    lambda_q = max(lambda_q, ensemble_sq_distance(a, b) / base)
-        for k, (v, w) in enumerate(zip(vs, ws)):
-            base = energy(v)
-            if base > 0.0:
-                r_hat[k] = max(r_hat[k], energy(w) / base)
-        prev = i, vs, ws, d_pinvs
-    return {
-        "eps_x": net_radius(xs.items, nodes),
-        "eps_y": net_radius(ys.items, nodes),
-        "lambda_e": lambda_e,
-        "lambda_q": lambda_q,
-        "r_hat": r_hat,
-        "x_energy": max(energy(x) for x in xs.items),
-        "sample_positions": [i + 1 for i in sample],
-    }
-
-
-def node_bound_checks(model: FilterModel, train: TrainingSet, measured,
-                      constant_sets=()) -> tuple[list[dict], list[list[dict]]]:
-    """One pass over the training nodes: each node's error decomposition and
-    its bound check under each of ``constant_sets``.
-
-    Node k's cascade map, with every node's reference as extra rows, gives the
-    ``node_error_decomposition`` record (plus the node and ``rel_gap``), the
-    optimal error and the bound's covariances D_j = C(w_j, w_j) and
-    C(x_j, w_j); it is freed before the next node's is formed. ``measured[k]``,
-    the realized error at node k, is read from the model's report row there:
-    the filter is not applied again. An optimum below zero by at most
-    ``ORTHO_RTOL`` times the node reference's energy is rounding (the reference
-    lies in the span of the outputs) and counts as zero; a larger negative one
-    still raises. Returns the node gaps and each set's checks.
-    """
-    gaps, checks = [], [[] for _ in constant_sets]
-    for k, pos in enumerate(train.s_y_indices):
-        vs, cmap = _node_cascade(train, model.q_specs, k, train.s_x)
-        rec, optimal = _decompose_node(model, train.s_x[k], k, vs, cmap)
-        rel = rec["gap"] / rec["lhs"] if rec["lhs"] > 0 else rec["gap"]
-        gaps.append({"node": pos + 1, **rec, "rel_gap": rel})
-        if optimal < 0.0 and -ORTHO_RTOL * energy(train.s_x[k]) <= optimal:
-            optimal = 0.0  # x_k in the span of the outputs, up to rounding
-        for out, constants in zip(checks, constant_sets):
-            bound = error_upper_bound(optimal, ErrorBoundInputs(
-                eps_x=constants["eps_x"], eps_y=constants["eps_y"],
-                lambda_e=constants["lambda_e"], lambda_q=constants["lambda_q"],
-                r_hat=tuple(constants["r_hat"]),
-                w_covs=cmap.d_mats, xw_covs=tuple(cmap.x_cross[j][j] for j in range(model.p)),
-                x_energy=constants["x_energy"], a_mats=model.a_mats))
-            out.append({"node": pos + 1, "measured": measured[k], "optimal": optimal,
-                        "bound": bound})
-        del vs, cmap  # free its work buffers before the next node's are formed
-    return gaps, checks
 
 
 def evaluate(

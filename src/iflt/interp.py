@@ -26,8 +26,9 @@ observations by default (this is what makes the cascade outputs orthogonal
 for unseen inputs); ``fixed_r=True`` replays those frozen at fit time. Every
 cascade is the block LDL^T of the inputs' Gram matrix (``ortho``): V = L W,
 L unit block-lower in the deflation blocks, so x_hat = [T_1 ... T_p] W = Z V
-with Z L = [T_1 ... T_p]. ``fit`` and the diagnostics add the references as
-extra rows, so T_j = C(x_j, w_jj) D_jj^+ with no pass over the data.
+with Z L = [T_1 ... T_p]. ``fit`` and the diagnostics take a node's cascade
+from ``ortho.position_cascade`` with the references as extra rows, so
+T_j = C(x_j, w_jj) D_jj^+ with no pass over the data.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ import numpy as np
 
 from .exceptions import InvalidInput, ParseError
 from .linalg import frob_norm
-from .ortho import (CascadeMap, cascade_map, cascade_outputs, gram, inputs_gram, ldl_stages,
-                    window)
-from .signals import Ensemble, QOperatorSpec, SignalSequence, TrainingSet
+from .ortho import CascadeMap, gram, inputs_gram, ldl_stages, position_cascade, window
+from .signals import Ensemble, QOperatorSpec, SignalSequence, TrainingSet, finish_estimate
 
 MODEL_VERSION = 1
 RESIDUAL_RTOL = 1e-6
@@ -115,21 +115,6 @@ class FilterModel:
         return back_substitute(self._t, g, n)
 
 
-def _node_cascade(train: TrainingSet, q_specs, k: int, xs=None):
-    """Input arrays at node ``k`` and their cascade map, extra rows ``xs`` or x_k."""
-    _, rel, win = window(train.s_y_context, q_specs, train.s_y_indices[k])
-    vs, xs = [win[x] for x in rel], [x.data for x in ((train.s_x[k],) if xs is None else xs)]
-    return vs, cascade_map(inputs_gram(gram(win, xs), rel, win.shape[1]), vs + xs, len(vs))
-
-
-def _coefficient(cmap: CascadeMap, r: int, k: int, a_mat: np.ndarray | None) -> np.ndarray:
-    """T = C(x_r, w_k) D_k^+ + A (I - D_k D_k^+) for extra row ``r`` and output ``k``."""
-    t = cmap.x_cross[r][k] @ cmap.d_pinvs[k]
-    if a_mat is not None:
-        t = t + a_mat @ (np.eye(t.shape[1]) - cmap.d_mats[k] @ cmap.d_pinvs[k])
-    return t
-
-
 def _matching_terms(cmap: CascadeMap, k: int) -> tuple[list[np.ndarray], np.ndarray]:
     """C(w_j, w_k) for every output j, as the recursion gives them, and C(x_k, w_k):
     D_k for j = k, the rounding-level C(v_j, w_k) - K_jk D_k for j > k."""
@@ -172,9 +157,10 @@ def fit(
         a_mats = _matrix_list(list(a_mats), "a_mats", p, (m, n), InvalidInput)
     t_mats, r_mats, terms, degenerate = [], [], [], []
     for j in range(p):
-        cmap = _node_cascade(train, q_specs, j)[1]
+        cmap = position_cascade(train.s_y_context, q_specs, train.s_y_indices[j],
+                                [train.s_x[j].data])[1]
         degenerate += [j] if j in cmap.zero_indices else []
-        t_mats.append(_coefficient(cmap, 0, j, a_mats[j] if a_mats else None))
+        t_mats.append(cmap.coefficient(0, j, a_mats[j] if a_mats else None))
         r_mats.append([k.copy() for k in cmap.k_mats[j]])
         terms.append(_matching_terms(cmap, j))
         del cmap  # free its work buffers before the next node's are formed
@@ -196,13 +182,6 @@ def fit(
     }
     return FilterModel(p=p, q_specs=q_specs, t_mats=t_mats, a_mats=a_mats,
                        r_mats=r_mats, meta=meta)
-
-
-def input_cascade(model: FilterModel, ctx: FilterContext, i: int) -> list[Ensemble]:
-    """Transformed observations at position ``i``, passed through the cascade."""
-    ups, rel, win = window(ctx.history, model.q_specs, i)
-    vs = [win[x] for x in rel]
-    return list(cascade_outputs(vs, cascade_map(ctx._gram(ups, rel, win), vs, len(vs))))
 
 
 def back_substitute(t: np.ndarray, g: np.ndarray, n: int, zero_indices=()) -> np.ndarray:
@@ -242,22 +221,24 @@ def apply_filter(
             f"observations have {n} components"
         )
     ups, rel, win = window(ctx.history, model.q_specs, i)
-    if fixed_r:
-        if model.r_mats is None:
-            raise InvalidInput("model carries no frozen deflation matrices")
-        z = model._fixed_z
-    else:
-        g = ctx._gram(ups, rel, win)
-        zero_indices = ldl_stages(g, [win[x] for x in rel], model.p)
-        z = back_substitute(model._t, g, n, zero_indices)
-    if rel != list(range(len(ups))):
-        zw = np.zeros((len(z), len(win) * n))  # Z over the distinct positions
-        for j, x in enumerate(rel):
-            zw[:, x * n : (x + 1) * n] += z[:, j * n : (j + 1) * n]
-        z = zw
-    acc = z @ win.reshape(len(win) * n, -1)
-    acc -= acc.sum(axis=1, keepdims=True) / acc.shape[1]  # the row means
-    return Ensemble(acc, centered=True)
+    if fixed_r and model.r_mats is None:
+        raise InvalidInput("model carries no frozen deflation matrices")
+    # Z of large t_mats can overflow; the estimate is then not finite, and
+    # finish_estimate raises for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fixed_r:
+            z = model._fixed_z
+        else:
+            g = ctx._gram(ups, rel, win)
+            zero_indices = ldl_stages(g, [win[x] for x in rel], model.p)
+            z = back_substitute(model._t, g, n, zero_indices)
+        if rel != list(range(len(ups))):
+            zw = np.zeros((len(z), len(win) * n))  # Z over the distinct positions
+            for j, x in enumerate(rel):
+                zw[:, x * n : (x + 1) * n] += z[:, j * n : (j + 1) * n]
+            z = zw
+    return finish_estimate(z, win.reshape(len(win) * n, -1),
+                           f"at sequence position {i} from the model's t_mats")
 
 
 def save_model(model: FilterModel) -> bytes:

@@ -18,7 +18,8 @@ zero ensemble; residual norms at or below ``1e-12`` times the input scale are
 snapped to exact zeros so that downstream pseudo-inverses of their covariance
 are zero matrices rather than noise amplifiers. ``cascade_map`` (its stage
 loop ``ldl_stages``) is the one implementation, from the Gram matrix ``gram``
-forms of the observations ``window`` picks; ``cascade_outputs`` forms outputs.
+forms of the observations ``window`` picks; ``position_cascade`` is that
+chain at one position, and ``cascade_outputs`` forms outputs.
 """
 
 from __future__ import annotations
@@ -93,6 +94,13 @@ class CascadeMap:
         p = len(self.d_mats)
         return tuple(tuple(self.g[r, c] for c in self.rows[:p]) for r in self.rows[p:])
 
+    def coefficient(self, r: int, k: int, a_mat: np.ndarray | None = None) -> np.ndarray:
+        """T = C(x_r, w_k) D_k^+ + A (I - D_k D_k^+) for extra row ``r`` and output ``k``."""
+        t = self.x_cross[r][k] @ self.d_pinvs[k]
+        if a_mat is not None:
+            t = t + a_mat @ (np.eye(t.shape[1]) - self.d_mats[k] @ self.d_pinvs[k])
+        return t
+
 
 def orthogonalize(vs) -> OrthoResult:
     """``cascade_map`` and ``cascade_outputs`` of centered ensembles of one
@@ -148,6 +156,15 @@ def gram(win: np.ndarray, xs=(), kept=None) -> np.ndarray:
     if not np.isfinite(g).all():
         raise InvalidInput("covariance overflows: entries are not finite")
     return g
+
+
+def position_cascade(history, q_specs, i: int, xs=()) -> tuple[list[np.ndarray], CascadeMap]:
+    """The input arrays the transforms ``q_specs`` read at position ``i`` of
+    ``history`` (as ``window`` reads them), and their ``cascade_map`` with the
+    arrays ``xs`` as extra rows, G from ``gram``."""
+    _, rel, win = window(history, q_specs, i)
+    vs, xs = [win[x] for x in rel], list(xs)
+    return vs, cascade_map(inputs_gram(gram(win, xs), rel, win.shape[1]), vs + xs, len(vs))
 
 
 def inputs_gram(g: np.ndarray, rel, n: int) -> np.ndarray:

@@ -33,12 +33,10 @@ MAGIC = b"IFLT"
 BIN_VERSION = 1
 
 
-def _ingest(path, arr: np.ndarray, center_data: bool) -> Ensemble:
-    """``arr`` read from ``path`` as an Ensemble; data it rejects raise ParseError
-    naming the file."""
+def _ingest(path, arr: np.ndarray) -> Ensemble:
+    """``arr`` read from ``path`` as a centered Ensemble; data it rejects raise
+    ParseError naming the file."""
     try:
-        if not center_data:
-            return Ensemble(arr)
         try:  # centered data is kept bit-for-bit; the claim is checked once
             return Ensemble(arr, centered=True)
         except InvalidInput:  # not centered, or invalid: then Ensemble(arr) raises alike
@@ -53,7 +51,7 @@ def write_ensemble_csv(path, e: Ensemble) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_ensemble_csv(path, center_data: bool = True) -> Ensemble:
+def read_ensemble_csv(path) -> Ensemble:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -86,7 +84,7 @@ def read_ensemble_csv(path, center_data: bool = True) -> Ensemble:
         arr = np.asarray(values, dtype=float)
     if declared is not None and declared != arr.shape:
         raise ParseError(f"{path}: header says {declared}, data is {arr.shape}")
-    return _ingest(path, arr, center_data)
+    return _ingest(path, arr)
 
 
 def write_ensemble_bin(path, e: Ensemble) -> None:
@@ -94,7 +92,7 @@ def write_ensemble_bin(path, e: Ensemble) -> None:
     Path(path).write_bytes(head + np.ascontiguousarray(e.data, dtype="<f8").tobytes())
 
 
-def read_ensemble_bin(path, center_data: bool = True) -> Ensemble:
+def read_ensemble_bin(path) -> Ensemble:
     blob = Path(path).read_bytes()
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise ParseError(f"{path}: not an ensemble file (bad magic)")
@@ -105,7 +103,7 @@ def read_ensemble_bin(path, center_data: bool = True) -> Ensemble:
     if len(blob) != expected:
         raise ParseError(f"{path}: expected {expected} bytes, got {len(blob)}")
     arr = np.frombuffer(blob[16:], dtype="<f8").reshape(m, s).copy()
-    return _ingest(path, arr, center_data)
+    return _ingest(path, arr)
 
 
 def read_ensemble(path) -> Ensemble:

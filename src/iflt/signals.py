@@ -85,10 +85,22 @@ def center_rows(arr: np.ndarray) -> np.ndarray:
     even then.
     """
     for _ in range(2):
-        arr -= arr.mean(axis=1, keepdims=True)
+        arr -= arr.sum(axis=1, keepdims=True) / arr.shape[1]
         if is_centered(arr):
             return arr
     raise InvalidInput("row means are too large after centering")
+
+
+def finish_estimate(t: np.ndarray, data: np.ndarray, where: str) -> Ensemble:
+    """The estimate ``t @ data``, each row's mean subtracted by ``center_rows``,
+    as a centered Ensemble view: the one finish of every filter's estimate.
+    An estimate that is not finite (an overflowed product) raises
+    ``InvalidInput`` naming ``where``, with numpy's overflow warnings off."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = t @ data
+        if np.isfinite(acc).all():
+            return _view(center_rows(acc))
+    raise InvalidInput(f"the estimate {where} overflows: entries are not finite")
 
 
 class SignalSequence:
@@ -213,11 +225,15 @@ class TrainingSet:
             raise InvalidInput("sequence positions must be strictly increasing")
         if idx[0] < 0 or idx[-1] >= len(self.s_y_context):
             raise InvalidInput("sequence position out of range")
-        s = self.s_y_context.s
+        s, m = self.s_y_context.s, s_x[0].m
         for pos, e in enumerate(s_x):
             if e.s != s:
                 raise InvalidInput(
                     f"reference signal {pos} has {e.s} realizations, observations have {s}"
+                )
+            if e.m != m:
+                raise InvalidInput(
+                    f"reference signal {pos} has {e.m} components, reference signal 0 has {m}"
                 )
 
     @property

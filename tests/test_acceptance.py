@@ -182,10 +182,10 @@ def test_criterion_07_error_bound_sanity():
     dominates = all(c["bound"] >= c["measured"] for c in checks)
 
     # limit behaviour: shrink both covering radii along a 5-point grid
-    from iflt.interp import input_cascade
+    from iflt.ortho import cascade_outputs, position_cascade
 
     pos = train.s_y_indices[0]
-    ws = input_cascade(model, ctx, pos)
+    ws = cascade_outputs(*position_cascade(ys, model.q_specs, pos))
     base = optimal_error(xs[pos], ws)
     bounds = []
     for t in (1.0, 0.5, 0.25, 0.1, 0.0):

@@ -26,7 +26,7 @@ from iflt import (
     pseudo_inverse,
     sym_sqrt,
 )
-from iflt import bench
+from iflt import analysis, bench
 from iflt.analysis import ensemble_sq_distance
 from iflt.bench import ExperimentConfig, gen_observations, gen_reference_sequence, lag_specs
 from conftest import make_ensemble
@@ -248,7 +248,7 @@ def test_bound_forms_no_out_of_range_intermediate(monkeypatch, drift_scale):
     # with the probed constants the bound itself lies beyond the largest
     # float, without lambda_e it lies inside
     captured = []
-    monkeypatch.setattr(bench, "error_upper_bound",
+    monkeypatch.setattr(analysis, "error_upper_bound",
                         lambda optimal, inputs: captured.append((optimal, inputs)) or 0.0)
     bench.run_benchmark(bench.config_from_dict({
         "probe_constants": True, "drift_scale": drift_scale, "n_signals": 20,

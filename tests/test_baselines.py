@@ -8,6 +8,7 @@ from iflt import (
     Ensemble,
     InvalidInput,
     NumericalError,
+    WienerModel,
     empirical_error,
     pseudo_inverse,
     rls_apply,
@@ -136,6 +137,18 @@ def test_rls_apply_and_shapes(rng):
                        atol=1e-12)
     with pytest.raises(InvalidInput):
         rls_apply(state, make_ensemble(rng, 3, 30))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_estimates_raise_invalid_input(rng):
+    # finite coefficients whose product with the data overflows
+    y = make_ensemble(rng, 3, 30)
+    with pytest.raises(InvalidInput, match="estimate from the Wiener coefficients overflows"):
+        wiener_apply(WienerModel(np.full((2, 3), 1e308)), y)
+    state = rls_init(3, 2)
+    state.weights = np.full((2, 3), -1e308)
+    with pytest.raises(InvalidInput, match="estimate from the RLS weights overflows"):
+        rls_apply(state, y)
 
 
 def test_rls_step_validates_columns():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from iflt import ConfigError, fit, greedy_eps_net, interp, run_benchmark, write_report
+from iflt import ConfigError, fit, greedy_eps_net, ortho, run_benchmark, write_report
 from iflt.analysis import ensemble_sq_distance, node_error_decomposition
 from iflt.bench import (
     ExperimentConfig,
@@ -242,7 +242,7 @@ def test_evaluate_forms_one_reference_cascade_per_node(monkeypatch):
         calls.extend([len(us) - p] if len(us) > p else [])
         return cascade_map(g, us, p)
 
-    monkeypatch.setattr(interp, "cascade_map", counted)
+    monkeypatch.setattr(ortho, "cascade_map", counted)
     report = evaluate(cfg, xs, ys, models, supplied)
     monkeypatch.undo()
     assert calls == [model.p for model in models.values() for _ in range(model.p)]

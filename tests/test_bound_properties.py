@@ -2,7 +2,7 @@
 
 ``optimal_error`` and ``error_upper_bound`` read D^+ = ``pseudo_inverse(D)``
 for each output covariance D and take ||A (D^{1/2})^+||_F^2 as tr(A D^+ A^T);
-``bench.node_bound_checks`` reads the same quantities from the node cascade's
+``analysis.node_bound_checks`` reads the same quantities from the node cascade's
 blocks. These tests check the range of the optimal error at every scale, the
 bound checks against a data-space recomputation, and the subnormal case that
 a second rank rule, through the root of D, used to get wrong.
@@ -33,7 +33,7 @@ from iflt.bench import (
     nodes_for,
 )
 from iflt.cli import cli_main
-from iflt.interp import FilterContext, input_cascade
+from iflt.ortho import cascade_outputs, position_cascade
 from iflt.signals import energy, est_cov
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
@@ -75,9 +75,9 @@ def test_optimal_error_lies_between_zero_and_the_energy(case):
 
 def _data_space_checks(model, train, xs, ys, constants, scale):
     """(optimal, bound) per node from the data-space cascade outputs."""
-    ctx, out = FilterContext(ys), []
+    out = []
     for pos in train.s_y_indices:
-        ws = input_cascade(model, ctx, pos)
+        ws = cascade_outputs(*position_cascade(ys, model.q_specs, pos))
         base = optimal_error(xs[pos], ws)
         inputs = ErrorBoundInputs(
             eps_x=constants["eps_x"],
@@ -129,7 +129,7 @@ def test_optimal_error_at_subnormal_covariances_is_the_energy():
     xs = gen_reference_sequence(cfg)
     ys = gen_observations(xs, cfg)
     model = fit_benchmark_models(cfg, xs, ys)["interp_p2"]
-    value = optimal_error(xs[2], input_cascade(model, FilterContext(ys), 2))
+    value = optimal_error(xs[2], cascade_outputs(*position_cascade(ys, model.q_specs, 2)))
     assert value == energy(xs[2]) > 0.0
 
 

@@ -817,6 +817,29 @@ def test_fit_and_apply_on_overflowing_data_exit_1(tmp_path, capsys):
     assert "covariance overflows" in err
 
 
+def test_apply_and_eval_of_an_overflowing_estimate_exit_1_naming_the_position(tmp_path,
+                                                                            capsys):
+    # t_mats of 1e308 are finite, so the model loads, but every estimate
+    # overflows: numpy used to warn, and the error named no position
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CFG, "m": 3, "n": 3, "s": 30, "p_values": [2]}))
+    obs, model_path = _gen_and_fit(tmp_path, cfg)
+    doc = json.loads(model_path.read_text())
+    doc["t_mats"] = [[[1e308] * 3] * 3] * 2
+    model_path.write_text(json.dumps(doc))
+    errs = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for extra in ((), ("--fixed-r",)):
+            errs.append(_apply_error(tmp_path, capsys, model_path, obs, 5, *extra))
+        errs.append(_cli_error(capsys, [*_eval_argv(obs.parent, tmp_path / "eval", model_path),
+                                        "--config", str(cfg)]))
+    assert not caught
+    for err, i in zip(errs, (4, 4, 0), strict=True):
+        assert f"the estimate at sequence position {i} from the model's t_mats overflows" in err
+        assert "RuntimeWarning" not in err
+
+
 @pytest.fixture(scope="module")
 def fitted_model(tmp_path_factory):
     """Generated data and the document of a model fitted on it, shared by the

@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from iflt import (
     TrainingSet,
     apply_filter,
     apply_q,
+    center,
     empirical_error,
     fit,
     load_model,
@@ -22,7 +25,7 @@ from iflt import (
     wiener_fit,
 )
 from iflt.bench import ExperimentConfig, gen_observations, gen_reference_sequence, lag_specs
-from iflt.interp import input_cascade
+from iflt.ortho import cascade_outputs, position_cascade
 from conftest import make_ensemble
 from oracle import matching_residuals, node_cascades
 
@@ -227,13 +230,35 @@ def test_input_cascade_keeps_the_first_input_and_zeros_snapped_stages(rng):
     ys = SignalSequence(tuple(make_ensemble(rng, 3, 40) for _ in range(p + 3)))
     model = FilterModel(p=p, q_specs=lag_specs(p),
                         t_mats=[rng.normal(size=(2, 3)) for _ in range(p)])
-    ctx = FilterContext(ys)
     for i in range(len(ys)):
-        ws = input_cascade(model, ctx, i)
+        ws = cascade_outputs(*position_cascade(ys, model.q_specs, i))
         assert np.array_equal(ws[0].data, apply_q(model.q_specs[0], ys, i).data), i
         # term j reads position max(0, i - (p - 1 - j)): terms 1 .. p - 1 - i
         # repeat term 0
         assert [k for k, w in enumerate(ws) if not np.any(w.data)] == list(range(1, p - i))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("growth", [10.0, 0.1])
+def test_apply_of_an_overflowing_estimate_raises_invalid_input(rng, growth):
+    # each observation is ``growth`` times the one before it, so K is about
+    # ``growth``: at 10 Z overflows in the back-substitution, at 0.1 the sum of
+    # the fixed-R Z blocks of a clamped position overflows, and the estimate
+    # overflows at every position; t_mats of +-1e308 are finite, so a model
+    # file holding them loads
+    base = rng.normal(size=(3, 30))
+    ys = SignalSequence(tuple(center(Ensemble(base * growth**k + rng.normal(size=(3, 30))))
+                              for k in range(6)))
+    fitted = fit(TrainingSet((make_ensemble(rng, 3, 30), make_ensemble(rng, 3, 30)), ys,
+                             (2, 4)), lag_specs(2))
+    for t in (1e308, -1e308):
+        model = replace(fitted, t_mats=[np.full((3, 3), t)] * 2)
+        for i in range(len(ys)):
+            for fixed_r in (False, True):
+                with pytest.raises(InvalidInput, match=re.escape(
+                        f"the estimate at sequence position {i} from the model's t_mats "
+                        "overflows")):
+                    apply_filter(model, FilterContext(ys), i, fixed_r=fixed_r)
 
 
 def test_fixed_r_requires_stored_matrices(rng):

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from iflt import FilterContext, SignalSequence, TrainingSet, apply_filter, cascade_map, fit
-from iflt.ortho import gram
+from iflt.ortho import gram, position_cascade
 from iflt.bench import lag_specs, node_bound_checks
-from iflt.interp import _node_cascade
 from conftest import make_ensemble
 
 N, P, S = 16, 6, 128
@@ -49,7 +48,8 @@ def traced():
 
 def test_fit_holds_one_node_cascade_at_a_time(train, traced):
     specs = lag_specs(P)
-    _, node_peak = traced(_node_cascade, train, specs, P - 1)
+    _, node_peak = traced(position_cascade, train.s_y_context, specs, train.s_y_indices[P - 1],
+                          [train.s_x[P - 1].data])
     model, fit_peak = traced(fit, train, specs)
     # what fit keeps across nodes: T_j, the copies of K, and per node p
     # covariances C(w_j, w_k) and C(x_k, w_k); a tenth of a node's peak covers
@@ -68,7 +68,8 @@ def test_node_pass_holds_one_node_cascade_at_a_time(train, traced):
     model = fit(train, specs)
     constants = {"eps_x": 1.0, "eps_y": 1.0, "lambda_e": 1.0, "lambda_q": 1.0,
                  "r_hat": [1.0] * P, "x_energy": 1.0}
-    _, node_peak = traced(_node_cascade, train, specs, P - 1, train.s_x)
+    _, node_peak = traced(position_cascade, train.s_y_context, specs, train.s_y_indices[P - 1],
+                          [x.data for x in train.s_x])
     _, pass_peak = traced(node_bound_checks, model, train, [0.0] * P,
                           [constants, constants])
     assert pass_peak <= 1.5 * node_peak

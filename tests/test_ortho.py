@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from iflt import (Ensemble, FilterContext, FilterModel, InvalidInput, QOperatorSpec,
                   SignalSequence, TrainingSet, apply_filter, apply_q, cascade_map, center,
                   cross_cov_residual, est_cov, fit, orthogonalize, pseudo_inverse)
-from iflt import interp, ortho
+from iflt import ortho
 from iflt.cli import _read_windows
-from iflt.interp import _node_cascade
+from iflt.ortho import position_cascade
 from iflt.sigio import ManifestSequence, save_sequence
 from iflt.bench import ExperimentConfig, gen_observations, gen_reference_sequence, lag_specs
 from conftest import make_ensemble
@@ -165,7 +165,7 @@ def test_fit_and_apply_share_one_gram_rule(rng, n, s, p):
     # ortho.gram: at one position past the warm-up both see the same bits
     ys = SignalSequence(tuple(make_ensemble(rng, n, s) for _ in range(p + 1)))
     specs, i = lag_specs(p), p
-    node_vs, node = _node_cascade(TrainingSet((make_ensemble(rng, 2, s),), ys, (i,)), specs, 0)
+    node_vs, node = position_cascade(ys, specs, i, [make_ensemble(rng, 2, s).data])
     shared = cascade_map(FilterContext(ys)._gram(*ortho.window(ys, specs, i)), node_vs, p)
     assert not node.zero_indices
     for got, want in zip(node.k_mats, shared.k_mats, strict=True):
@@ -200,15 +200,15 @@ def test_node_and_apply_cascades_share_one_gram_rule(case, n, seed):
     rng = np.random.default_rng(seed)
     p = len(specs)
     ys = SignalSequence(tuple(make_ensemble(rng, n, 4 * p * n + 20) for _ in range(length)))
-    train = TrainingSet((make_ensemble(rng, 2, ys.s),), ys, (i,))
+    x = make_ensemble(rng, 2, ys.s)
     given_g = []
 
     def kept_g(g, us, inputs):
         given_g.append(g.copy())  # as given, before the stages overwrite it
         return cascade_map(g, us, inputs)
 
-    with mock.patch.object(interp, "cascade_map", kept_g):
-        node_vs, node = _node_cascade(train, specs, 0)
+    with mock.patch.object(ortho, "cascade_map", kept_g):
+        node_vs, node = position_cascade(ys, specs, i, [x.data])
     g = FilterContext(ys)._gram(*ortho.window(ys, specs, i))
     assert np.array_equal(given_g[0][: p * n], g)
     applied = cascade_map(g, node_vs, p)
