@@ -7,7 +7,6 @@ mean-square signal norm used everywhere else in the package.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from .exceptions import InvalidInput, ParseError
 from .interp import FilterModel, back_substitute
 from .linalg import frob_norm, frob_norm_sq, pseudo_inverse, root_pinv_norm_sq
 from .ortho import CascadeMap, cascade_outputs, cross_cov_residual, position_cascade
+from .sigio import json_object
 from .signals import Ensemble, SignalSequence, TrainingSet, energy, est_cov
 
 # optimal_error rejects outputs whose largest cross-covariance exceeds this
@@ -208,7 +208,8 @@ def probe_bound_constants(xs: SignalSequence, ys: SignalSequence, model: FilterM
 
     * ``lambda_q`` (transform Lipschitz constant): d(v_j, v_j') / d(y, y').
     * ``lambda_e`` (inverse-covariance sensitivity): ||D_j^+ - D_j'^+||_F^2 /
-      d(w_j, w_j'), with D_j = C(w_j, w_j) for cascade output w_j.
+      d(w_j, w_j'), with D_j = C(w_j, w_j) for cascade output w_j and D_j^+
+      as the position's ``CascadeMap`` holds them.
     * ``r_hat[k]`` (squared gain of deflation stage k): energy(w_k) / energy(v_k).
     """
     nodes = model.meta["node_positions"]
@@ -219,7 +220,8 @@ def probe_bound_constants(xs: SignalSequence, ys: SignalSequence, model: FilterM
     for i in sample:
         vs, cmap = position_cascade(ys, model.q_specs, i)
         ws = cascade_outputs(vs, cmap)
-        d_pinvs = [pseudo_inverse(est_cov(w, w)) for w in ws]
+        # no row below the last stage reads its D^+, so the map leaves it None
+        d_pinvs = [*cmap.d_pinvs[:-1], pseudo_inverse(cmap.d_mats[-1])]
         if prev is not None:
             prev_i, prev_vs, prev_ws, prev_pinvs = prev
             for a, b, a_pinv, b_pinv in zip(prev_ws, ws, prev_pinvs, d_pinvs):
@@ -360,12 +362,7 @@ def load_bound_constants(path) -> dict:
     number per term). Every number must be finite and nonnegative; a bad or
     missing field raises ParseError naming it.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: invalid JSON") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: bound constants must be a JSON object")
+    doc = json_object(Path(path).read_bytes(), path, "bound constants")
     out = {}
     for key in ("eps_x", "eps_y", "lambda_e", "lambda_q", "r_hat", "x_energy"):
         if key not in doc:

@@ -21,6 +21,7 @@ from .analysis import node_bound_checks, probe_bound_constants
 from .baselines import rls_apply, rls_init, rls_run, wiener_apply, wiener_fit
 from .exceptions import ConfigError, InvalidInput
 from .interp import FilterContext, FilterModel, apply_filter, fit
+from .sigio import json_object
 from .signals import Ensemble, QOperatorSpec, SignalSequence, TrainingSet, center_rows, est_cov
 
 NOISE_KINDS = ("hadamard_uniform",)
@@ -204,11 +205,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"config: {path} is not valid JSON") from exc
-    return config_from_dict(doc)
+    return config_from_dict(json_object(Path(path).read_bytes(), f"config: {path}",
+                                        "document", ConfigError))
 
 
 def nodes_for(cfg: ExperimentConfig, p: int) -> list[int]:
@@ -286,10 +284,8 @@ def node_training_set(xs, ys, nodes, field: str) -> TrainingSet:
     past the end of the data raises ``InvalidInput`` naming ``field``."""
     length = min(len(xs), len(ys))
     if max(nodes) >= length:
-        raise InvalidInput(
-            f"{field}: position {max(nodes) + 1} is past the end of the data "
-            f"({length} positions)"
-        )
+        raise InvalidInput(f"{field}: position {max(nodes) + 1} is past the end of the "
+                           f"data ({length} positions)")
     return TrainingSet(tuple(xs[k] for k in nodes), ys, tuple(nodes))
 
 
@@ -300,9 +296,7 @@ def fit_benchmark_models(
     models: dict[str, FilterModel] = {}
     for p in cfg.p_values:
         train = node_training_set(xs, ys, nodes_for(cfg, p), "s_indices")
-        models[f"interp_p{p}"] = fit(
-            train, lag_specs(p), residual_tol=cfg.residual_tol
-        )
+        models[f"interp_p{p}"] = fit(train, lag_specs(p), residual_tol=cfg.residual_tol)
     return models
 
 

@@ -143,10 +143,8 @@ def _cmd_gen(args) -> int:
     ys = gen_observations(xs, cfg)
     refs = save_sequence(args.out, "refs", xs, args.format)
     obs = save_sequence(args.out, "obs", ys, args.format)
-    out = Path(args.out)
-    (out / "config.json").write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
-    )
+    config = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
+    (Path(args.out) / "config.json").write_text(config + "\n")
     print(f"wrote {refs}")
     print(f"wrote {obs}")
     return 0
@@ -247,11 +245,8 @@ def _cmd_bench(args) -> int:
 def _cmd_epsnet(args) -> int:
     seq = load_sequence(args.data)
     net = greedy_eps_net(seq.items, args.eps)
-    doc = {
-        "eps": args.eps,
-        "achieved_eps": net.achieved_eps,
-        "center_positions": [i + 1 for i in net.center_indices],
-    }
+    doc = {"eps": args.eps, "achieved_eps": net.achieved_eps,
+           "center_positions": [i + 1 for i in net.center_indices]}
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -42,6 +42,7 @@ import numpy as np
 from .exceptions import InvalidInput, ParseError
 from .linalg import frob_norm
 from .ortho import CascadeMap, gram, inputs_gram, ldl_stages, position_cascade, window
+from .sigio import json_object
 from .signals import Ensemble, QOperatorSpec, SignalSequence, TrainingSet, finish_estimate
 
 MODEL_VERSION = 1
@@ -212,7 +213,8 @@ def apply_filter(
     ``fixed_r=True``, are the ones stored at fit time, whose Z the model
     keeps. Either way Z L = [T_1 ... T_p] gives blocks Z_j over the inputs,
     and the estimate is one GEMM over the distinct positions they read, with
-    the Z_j of inputs at one position (lags clamped at the start) summed.
+    the Z_j of inputs at one position (lags clamped at the start) summed. An
+    overflow raises ``InvalidInput`` naming the 1-based position (``--index``).
     """
     n = ctx.history.m
     if model._t_cols != [n]:
@@ -230,7 +232,8 @@ def apply_filter(
             z = model._fixed_z
         else:
             g = ctx._gram(ups, rel, win)
-            zero_indices = ldl_stages(g, [win[x] for x in rel], model.p)
+            views = list(win)  # one array per position: repeats are zero stages
+            zero_indices = ldl_stages(g, [views[x] for x in rel], model.p)
             z = back_substitute(model._t, g, n, zero_indices)
         if rel != list(range(len(ups))):
             zw = np.zeros((len(z), len(win) * n))  # Z over the distinct positions
@@ -238,7 +241,7 @@ def apply_filter(
                 zw[:, x * n : (x + 1) * n] += z[:, j * n : (j + 1) * n]
             z = zw
     return finish_estimate(z, win.reshape(len(win) * n, -1),
-                           f"at sequence position {i} from the model's t_mats")
+                           f"at sequence position {i + 1} from the model's t_mats")
 
 
 def save_model(model: FilterModel) -> bytes:
@@ -279,12 +282,7 @@ def _matrix_list(entries, name: str, count: int, shape,
 
 def load_model(blob: bytes | str) -> FilterModel:
     """Inverse of save_model; raises ParseError on malformed input."""
-    try:
-        doc = json.loads(blob)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError("model blob is not valid JSON") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("model document must be a JSON object")
+    doc = json_object(blob, "model", "document")
     if doc.get("version") != MODEL_VERSION:
         raise ParseError(f"unsupported model version {doc.get('version')!r}")
     try:

@@ -13,10 +13,11 @@ would keep the outputs orthogonal for any M_il; the package takes it zero).
 With the 1/s sample convention the resulting cross-covariances vanish to
 machine precision by construction.
 
-If an input is an exact linear image of earlier outputs its residual is the
-zero ensemble; residual norms at or below ``1e-12`` times the input scale are
-snapped to exact zeros so that downstream pseudo-inverses of their covariance
-are zero matrices rather than noise amplifiers. ``cascade_map`` (its stage
+An input that is an exact linear image of earlier outputs has the zero
+ensemble as residual, snapped to exact zeros so that pseudo-inverses of its
+covariance are zero matrices rather than noise amplifiers: an input that is
+an earlier input (a clamped lag) by that alone, any other when its residual
+norm is at most ``1e-12`` times the input scale. ``cascade_map`` (its stage
 loop ``ldl_stages``) is the one implementation, from the Gram matrix ``gram``
 forms of the observations ``window`` picks; ``position_cascade`` is that
 chain at one position, and ``cascade_outputs`` forms outputs.
@@ -160,10 +161,11 @@ def gram(win: np.ndarray, xs=(), kept=None) -> np.ndarray:
 
 def position_cascade(history, q_specs, i: int, xs=()) -> tuple[list[np.ndarray], CascadeMap]:
     """The input arrays the transforms ``q_specs`` read at position ``i`` of
-    ``history`` (as ``window`` reads them), and their ``cascade_map`` with the
-    arrays ``xs`` as extra rows, G from ``gram``."""
+    ``history`` (as ``window`` reads them, one array object per position), and
+    their ``cascade_map`` with the arrays ``xs`` as extra rows, G from ``gram``."""
     _, rel, win = window(history, q_specs, i)
-    vs, xs = [win[x] for x in rel], list(xs)
+    views = list(win)  # one array per position, so repeats are one object
+    vs, xs = [views[x] for x in rel], list(xs)
     return vs, cascade_map(inputs_gram(gram(win, xs), rel, win.shape[1]), vs + xs, len(vs))
 
 
@@ -213,21 +215,25 @@ def ldl_stages(g: np.ndarray, us, p: int, d_mats=None, d_pinvs=None) -> list[int
     Matrix Computations, 4.1 and 5.2): one GEMM and at most one
     pseudo-inverse per stage, and no pass over the data.
 
-    G carries rounding of about eps times the largest input energy E. A stage
-    that rows below read takes D_k^+ = D_k^-1 from its Cholesky factor when
-    floor tr D_k^-1 < 1 with floor = ``GRAM_RECHECK_RTOL`` E, which certifies
-    every eigenvalue of D_k above the floor (and fails when tr D_k <= floor,
-    as tr D tr D^-1 >= n^2). The last stage needs tr D_k > floor. A stage
-    without that (the factorization fails, the trace is too large or not
-    finite, or the floor is subnormal) is formed in data space instead, by
-    forward substitution: snapped to zero when its norm is at most
-    ``ZERO_W_RTOL`` times the largest input norm, or else with its covariances
-    taken from the data and D_k^+ from the SVD ``pseudo_inverse``.
+    An input that is an earlier input (the same array, as clamped lags give)
+    is a zero stage at once. Else, G carries rounding of about eps times the
+    largest input energy E. A stage that rows below read takes D_k^+ = D_k^-1
+    from its Cholesky factor when floor tr D_k^-1 < 1 with floor =
+    ``GRAM_RECHECK_RTOL`` E, which certifies every eigenvalue of D_k above the
+    floor (and fails when tr D_k <= floor, as tr D tr D^-1 >= n^2). The last
+    stage needs tr D_k > floor. A stage without that (the factorization fails,
+    the trace is too large or not finite, or the floor is subnormal) is formed
+    in data space instead, by forward substitution: a zero stage when its
+    norm is at most ``ZERO_W_RTOL`` times the largest input norm, else with
+    its covariances from the data and D_k^+ from the SVD ``pseudo_inverse``.
+    A zero stage has C(u_i, w_k) = 0, K_ik = 0 and D_k = D_k^+ = 0.
     """
+    us = list(us)  # live objects: a repeat is found by identity
     n, s = us[0].shape
     pn = p * n
     ws: list[np.ndarray] = []  # data-space outputs, formed up to the last re-check
     zero_indices: list[int] = []
+    seen: set[int] = set()  # ids of the inputs of the stages so far
     # an overflow or a failed factorization leaves entries that are not
     # finite: a stage's fail its certificate and the stage is formed in data space
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -237,33 +243,35 @@ def ldl_stages(g: np.ndarray, us, p: int, d_mats=None, d_pinvs=None) -> list[int
             done = k * n  # columns of the earlier outputs
             col = slice(done, done + n)
             cross = g[done:, col]  # becomes C(u_i, w_k), rows i >= k
-            if done:  # stage 0 has no earlier outputs to deflate against
-                cross -= g[done:, :done] @ g[:done, col]
-            d = cross[:n] + cross[:n].T
-            d *= 0.5
             below = len(cross) > n  # rows that read D_k^+
-            d_pinv = _certified_inverse(d, floor) if below else None
-            if (d_pinv is None) if below else d.trace() <= floor:
-                k_rows = [[g[l * n : (l + 1) * n, j * n : (j + 1) * n].T for l in range(j)]
-                          for j in range(k + 1)]
-                forward_substitute(us, k_rows, ws, k + 1)
-                # zero C(u_i, w_k), so zero K_ik, when w_k is at most ZERO_W_RTOL
-                # times the largest input norm
-                if frob_norm(ws[k]) <= ZERO_W_RTOL * np.sqrt(s * max_energy):
-                    zero_indices.append(k)
-                    cross[:] = 0.0
-                    d = d_pinv = np.zeros((n, n))
-                else:
-                    starts = [0, *accumulate(len(u) for u in us)]
-                    for i in range(k, len(us)):
-                        g[starts[i] : starts[i + 1], col] = (us[i] @ ws[k].T) / s
-                    d = (ws[k] @ ws[k].T) / s
-                    d_pinv = pseudo_inverse(d) if below else None
+            zero = id(us[k]) in seen  # a repeated input: w_k = 0 by construction
+            seen.add(id(us[k]))
+            if not zero:
+                if done:  # stage 0 has no earlier outputs to deflate against
+                    cross -= g[done:, :done] @ g[:done, col]
+                d = cross[:n] + cross[:n].T
+                d *= 0.5
+                d_pinv = _certified_inverse(d, floor) if below else None
+                if (d_pinv is None) if below else d.trace() <= floor:
+                    k_rows = [[g[l * n : (l + 1) * n, j * n : (j + 1) * n].T for l in range(j)]
+                              for j in range(k + 1)]
+                    forward_substitute(us[: k + 1], k_rows, ws)
+                    zero = frob_norm(ws[k]) <= ZERO_W_RTOL * np.sqrt(s * max_energy)
+                    if not zero:
+                        starts = [0, *accumulate(len(u) for u in us)]
+                        for i in range(k, len(us)):
+                            g[starts[i] : starts[i + 1], col] = (us[i] @ ws[k].T) / s
+                        d = (ws[k] @ ws[k].T) / s
+                        d_pinv = pseudo_inverse(d) if below else None
+            if zero:  # C(u_i, w_k) = 0, so K_ik = 0
+                zero_indices.append(k)
+                cross[:] = 0.0
+                d = d_pinv = np.zeros((n, n))
             if d_mats is not None:
                 d_mats.append(d)
                 d_pinvs.append(d_pinv)
             if k < p - 1:
-                g[col, done + n :] = (cross[n : pn - done] @ d_pinv).T
+                g[col, done + n :] = 0.0 if zero else (cross[n : pn - done] @ d_pinv).T
     return zero_indices
 
 
@@ -295,11 +303,11 @@ def _certified_inverse(d: np.ndarray, floor: float) -> np.ndarray | None:
     return d_inv if floor * d_inv.trace() < 1.0 else None  # false for inf and NaN
 
 
-def forward_substitute(vs, k_mats, ws=None, upto=None) -> list[np.ndarray]:
+def forward_substitute(vs, k_mats, ws=None) -> list[np.ndarray]:
     """Extend ``ws`` by w_j = v_j - sum_l K_jl w_l (K_jl = 0 for a zero-snapped w_l),
     for input arrays ``vs``."""
     ws = [] if ws is None else ws
-    for j in range(len(ws), len(vs) if upto is None else upto):
+    for j in range(len(ws), len(vs)):
         w = vs[j].copy()
         for l, k_mat in enumerate(k_mats[j]):
             w -= k_mat @ ws[l]

@@ -124,13 +124,20 @@ def _positive_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value > 0
 
 
-def read_manifest(path) -> dict:
+def json_object(blob: bytes | str, where, what: str, error: type = ParseError) -> dict:
+    """The JSON object ``blob`` (text, or UTF-8 bytes) holds, else ``error``
+    "<where>: invalid JSON" or "<where>: <what> must be a JSON object"."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(blob.decode("utf-8") if isinstance(blob, bytes) else blob)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: invalid JSON") from exc
+        raise error(f"{where}: invalid JSON") from exc
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: manifest must be a JSON object")
+        raise error(f"{where}: {what} must be a JSON object")
+    return doc
+
+
+def read_manifest(path) -> dict:
+    doc = json_object(Path(path).read_bytes(), path, "manifest")
     for key in ("m", "s", "files"):
         if key not in doc:
             raise ParseError(f"{path}: manifest missing key {key!r}")

@@ -24,8 +24,10 @@ from iflt.signals import energy, est_cov
 def data_space_cascade(vs) -> OrthoResult:
     """Run the deflation cascade over realization-aligned centered ensembles in
     data space: w_i = v_i - sum_{l < i} C(v_i, w_l) C(w_l, w_l)^+ w_l, with
-    outputs of norm at most ``ZERO_W_RTOL`` times the largest input's snapped
-    to zero and the later live ones re-centered."""
+    the outputs of inputs that are an earlier input (the same object, as
+    ``apply_q`` gives for lags clamped onto one position) and those of norm at
+    most ``ZERO_W_RTOL`` times the largest input's snapped to zero, and the
+    later live ones re-centered."""
     vs = tuple(vs)
     SignalSequence(vs)  # aligned, finite and centered, as orthogonalize checks
     scale = max(float(np.linalg.norm(v.data)) for v in vs)
@@ -39,7 +41,8 @@ def data_space_cascade(vs) -> OrthoResult:
             k = est_cov(v, ws[l]) @ pseudo_inverse(est_cov(ws[l], ws[l]))
             row.append(k)
             data -= k @ ws[l].data
-        if float(np.linalg.norm(data)) <= ZERO_W_RTOL * scale:
+        if (any(v is u for u in vs[:i])
+                or float(np.linalg.norm(data)) <= ZERO_W_RTOL * scale):
             data = np.zeros_like(data)
             zero_indices.append(i)
         elif i > 0:
@@ -153,7 +156,8 @@ def apply_exact(model, ys, i, fixed_r) -> np.ndarray:
     """``apply_filter``'s estimate in extended precision, re-centered.
 
     The deflation blocks are the stored ``r_mats`` (``fixed_r``) or those of
-    the input's own cascade, with the stages ``data_space_cascade`` snaps zero.
+    the input's own cascade, with the stages ``data_space_cascade`` snaps zero
+    (among them every lag clamped onto the position of an earlier one).
     """
     vs = [apply_q(q, ys, i) for q in model.q_specs]
     data = [v.data.astype(np.longdouble) for v in vs]

@@ -11,6 +11,16 @@ The same holds for any lag set in any term order, with gaps between the
 lags (as {0, 3}), where the estimate's one product over the observations'
 window gives zero weight to the positions no input reads.
 
+On the ill-conditioned class, C(y_0, y_0) has condition number 1e6..1e8, far
+past the Cholesky certificate's 1e5, and the position is lag-clamped, so
+several inputs are y_0. Each repeat is a zero stage by construction, and
+the estimate must match ``oracle.apply_exact`` (whose zero stages follow
+the same rule) to 1e-10 relative. The later positions are drawn
+uncorrelated with y_0: a live stage deflated against the ill-conditioned
+one loses about eps times that condition number to the Gram matrix's
+normal equations (up to 3e-10 at 3e6, measured), a float64 limit the
+near-deficient class already covers in kind.
+
 On the near-deficient class that image is perturbed by 1e-6..10^-4.5 of its
 norm, so one live stage holds 1e-12..1e-9 of its input's energy. There the
 data-space reference itself misses the extended-precision estimate of
@@ -60,10 +70,11 @@ def reference_apply(model, ys, i, fixed_r):
 
 @st.composite
 def filter_cases(draw, kinds=KINDS):
-    """(model, observation sequence, position) for one input class of ``kinds``."""
+    """(model, observation sequence, position) for one input class of ``kinds``
+    (``KINDS``, or ``"ill_conditioned"``)."""
     kind = draw(st.sampled_from(kinds))
     p = draw(st.integers(1 if kind in ("random", "zero") else 2, 5))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(2 if kind == "ill_conditioned" else 1, 4))
     m = draw(st.integers(1, 4))
     # well above p*n, so that the Gram matrix's squared conditioning stays
     # far from the tolerance
@@ -75,7 +86,15 @@ def filter_cases(draw, kinds=KINDS):
     else:
         items = [center(Ensemble(10.0 ** rng.uniform(-1, 1) * rng.normal(size=(n, s))))
                  for _ in range(length)]
-    if kind == "clamped":
+    if kind == "ill_conditioned":
+        # y_0 = B diag(g) Z, B a random rotation and Z of orthonormal centered
+        # rows times sqrt(s): C(y_0, y_0) = B diag(g)^2 B^T exactly; the later
+        # positions are made uncorrelated with y_0
+        z = np.linalg.qr(center(Ensemble(rng.normal(size=(n, s)))).data.T)[0].T * np.sqrt(s)
+        gains = 10.0 ** np.linspace(0, -draw(st.floats(3, 4)), n)
+        items[0] = center(Ensemble(np.linalg.qr(rng.normal(size=(n, n)))[0] * gains @ z))
+        items[1:] = [center(Ensemble(y.data - (y.data @ z.T / s) @ z)) for y in items[1:]]
+    if kind in ("clamped", "ill_conditioned"):
         i = draw(st.integers(0, p - 2))
     else:
         i = draw(st.integers(p - 1, length - 1))
@@ -107,6 +126,16 @@ def test_apply_matches_data_space_reference(case, fixed_r):
     got = apply_filter(model, FilterContext(ys), i, fixed_r=fixed_r).data
     want = reference_apply(model, ys, i, fixed_r)
     assert np.linalg.norm(got - want) <= REL_TOL * np.linalg.norm(want)
+
+
+@PROPERTY_SETTINGS
+@given(case=filter_cases(("ill_conditioned",)), fixed_r=st.booleans())
+def test_clamped_ill_conditioned_apply_matches_the_extended_precision_estimate(case, fixed_r):
+    model, ys, i = case
+    assert np.linalg.cond(ys[0].data @ ys[0].data.T) >= 1e6 * (1 - 1e-6)
+    got = apply_filter(model, FilterContext(ys), i, fixed_r=fixed_r).data
+    want = apply_exact(model, ys, i, fixed_r)
+    assert np.sqrt(np.sum((got - want) ** 2)) <= REL_TOL * np.sqrt(np.sum(want * want))
 
 
 def test_near_deficient_apply_is_as_accurate_as_the_data_space_reference():

@@ -68,3 +68,17 @@ def test_higher_is_better_metrics_read_the_other_way():
 def test_metrics_without_a_bound_get_no_verdict():
     cmp = bench_pairs.compare(results(PARENT, "other"), results(PARENT, "other"), {})
     assert cmp["verdicts"] == {} and cmp["change_lower_in_pairs"] == {"other": 0}
+
+
+def test_each_pair_line_names_every_bounded_metric():
+    def run(value):
+        return {"metrics": {"apply_ms_p90": {"value": value, "unit": "ms"},
+                            "wall_s_p90": {"value": 2 * value, "unit": "s"},
+                            "other": {"value": 1.0, "unit": "count"}}}
+
+    line = bench_pairs.pair_line("w seed 0", 3, run(0.5), run(0.25), bench_pairs.load_bounds())
+    assert line == "w seed 0 pair 3: wall_s_p90 1 -> 0.5, apply_ms_p90 0.5 -> 0.25"
+
+
+def test_the_note_says_medians_compare_only_within_one_file():
+    assert "compare medians only within this file" in bench_pairs.NOTE

@@ -835,9 +835,34 @@ def test_apply_and_eval_of_an_overflowing_estimate_exit_1_naming_the_position(tm
         errs.append(_cli_error(capsys, [*_eval_argv(obs.parent, tmp_path / "eval", model_path),
                                         "--config", str(cfg)]))
     assert not caught
-    for err, i in zip(errs, (4, 4, 0), strict=True):
+    for err, i in zip(errs, (5, 5, 1), strict=True):  # 1-based, as --index
         assert f"the estimate at sequence position {i} from the model's t_mats overflows" in err
         assert "RuntimeWarning" not in err
+
+
+def test_apply_at_the_first_position_of_ill_conditioned_data_is_the_first_term(tmp_path):
+    # noise [0.99, 1] leaves C(y_0, y_0) with condition number near 4e6; at
+    # position 1 every lag of an order-3 filter reads y_0, so the two repeats
+    # are zero stages and the estimate is T_0 y_0 (it scored 52.4 against
+    # 0.081 when the repeats escaped the zero snap)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CFG, "m": 16, "n": 16, "s": 256,
+                               "noise": {"low": 0.99, "high": 1.0}}))
+    data = tmp_path / "data"
+    assert cli_main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+    model_path, est_path = tmp_path / "m3.json", tmp_path / "est.iflt"
+    assert cli_main(["fit", "--config", str(cfg), "--refs", str(data / "refs_manifest.json"),
+                     "--obs", str(data / "obs_manifest.json"), "--p", "3",
+                     "--out", str(model_path)]) == 0
+    assert cli_main(["apply", "--model", str(model_path), "--obs",
+                     str(data / "obs_manifest.json"), "--index", "1", "--out", str(est_path)]) == 0
+    x0, y0 = (load_sequence(data / f"{name}_manifest.json")[0].data for name in ("refs", "obs"))
+    assert np.linalg.cond(y0 @ y0.T) > 1e6
+    first = np.asarray(json.loads(model_path.read_text())["t_mats"][0]) @ y0
+    first -= first.mean(axis=1, keepdims=True)
+    want = np.sum((x0 - first) ** 2) / x0.shape[1]
+    got = np.sum((x0 - read_ensemble(est_path).data) ** 2) / x0.shape[1]
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 @pytest.fixture(scope="module")

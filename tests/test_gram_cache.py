@@ -5,7 +5,8 @@ whatever order, a call must give the bits a fresh context gives, must keep one
 Gram matrix of at most p positions, and must agree with the data-space cascade
 ``oracle.data_space_cascade`` for any order of identities and lags. A steady-state
 apply of a lag filter forms only its p new Gram blocks, its p - 1 certified
-inverses and the one product of its estimate.
+inverses and the one product of its estimate; a warm-up apply, whose lags
+clamp, does no more than its distinct inputs need.
 """
 
 import tempfile
@@ -26,7 +27,7 @@ from iflt import (
     center,
     ortho,
 )
-from iflt.bench import lag_specs
+from iflt.bench import ExperimentConfig, gen_observations, gen_reference_sequence, lag_specs
 from iflt.sigio import ManifestSequence, save_sequence
 from oracle import data_space_cascade
 
@@ -222,6 +223,17 @@ def test_steady_state_apply_does_only_its_products_and_certified_inverses(
                         t_mats=[rng.normal(size=(3, n)) for _ in range(p)])
     ctx = FilterContext(ys)
     apply_filter(model, ctx, 6)
+    calls = counting(monkeypatch, ("_cholesky", "pseudo_inverse", "forward_substitute"))
+    log.clear()
+    apply_filter(model, ctx, 7)
+    gram = [pair for pair in log if pair]
+    assert len(gram) == p and len(set(gram)) == p
+    assert len(log) - len(gram) == 1
+    assert calls == {"_cholesky": p - 1}
+
+
+def counting(monkeypatch, names) -> Counter:
+    """Calls of the ``ortho`` functions ``names``, counted from now on."""
     calls = Counter()
 
     def counted(name, fn):
@@ -230,11 +242,27 @@ def test_steady_state_apply_does_only_its_products_and_certified_inverses(
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_cholesky", "pseudo_inverse", "forward_substitute"):
+    for name in names:
         monkeypatch.setattr(ortho, name, counted(name, getattr(ortho, name)))
-    log.clear()
-    apply_filter(model, ctx, 7)
-    gram = [pair for pair in log if pair]
-    assert len(gram) == p and len(set(gram)) == p
-    assert len(log) - len(gram) == 1
-    assert calls == {"_cholesky": p - 1}
+    return calls
+
+
+@pytest.mark.parametrize("specs", [newest_first, lag_specs])
+def test_warm_up_apply_forms_no_data_space_output_for_a_repeated_input(specs, monkeypatch):
+    # default sizes, order 5, positions 0..3 in one context: a lag clamped
+    # onto an earlier input's position is a zero stage by construction, so
+    # no stage is formed in data space or given an SVD pseudo-inverse, and
+    # only the stages of distinct inputs that rows below read are factored
+    cfg = ExperimentConfig(n_signals=8)
+    ys = gen_observations(gen_reference_sequence(cfg), cfg)
+    p = 5
+    rng = np.random.default_rng(3)
+    model = FilterModel(p=p, q_specs=specs(p),
+                        t_mats=[rng.normal(size=(cfg.m, cfg.n)) for _ in range(p)])
+    calls = counting(monkeypatch, ("_cholesky", "pseudo_inverse", "forward_substitute"))
+    ctx, factored = FilterContext(ys), 0
+    for i in range(p - 1):
+        apply_filter(model, ctx, i)
+        pos = [q.position(i) for q in model.q_specs]
+        factored += sum(a not in pos[:k] for k, a in enumerate(pos[:-1]))
+    assert calls == {"_cholesky": factored}

@@ -256,7 +256,7 @@ def test_apply_of_an_overflowing_estimate_raises_invalid_input(rng, growth):
         for i in range(len(ys)):
             for fixed_r in (False, True):
                 with pytest.raises(InvalidInput, match=re.escape(
-                        f"the estimate at sequence position {i} from the model's t_mats "
+                        f"the estimate at sequence position {i + 1} from the model's t_mats "
                         "overflows")):
                     apply_filter(model, FilterContext(ys), i, fixed_r=fixed_r)
 

@@ -14,7 +14,9 @@ percentiles 25 and 75), the median over pairs of change / parent - 1, the
 count of pairs in which the change read lower, summed attempted and failed
 operation counts, and the environment line ``perfbench`` prints. Each
 end-to-end metric gets, with the bound ``BENCHMARK.json`` fixes for it, the
-parent's spread (q3 - q1) / median and a verdict (see ``verdict``).
+parent's spread (q3 - q1) / median and a verdict (see ``verdict``). Each
+pair prints one line with every bounded metric, parent -> change. Medians
+compare only within one file (see ``NOTE``).
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+NOTE = ("alternating pairs of runs: odd pairs run the parent first, even pairs the working "
+        "tree first; quartiles are numpy linear percentiles 25 and 75; median_pair_change is "
+        "the median over pairs of change / parent - 1; compare medians only within this "
+        "file: the same code reads very differently in files measured at other times")
 
 
 def export_tree(rev: str, dest: Path) -> str:
@@ -103,6 +109,13 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return {"bound": bound, "parent_spread": float(spread), "verdict": out}
 
 
+def pair_line(label: str, pair: int, parent: dict, change: dict, bounds: dict) -> str:
+    """One pair's line: each metric ``bounds`` names, parent then change."""
+    return f"{label} pair {pair}: " + ", ".join(
+        f"{name} {parent['metrics'][name]['value']:.4g} -> {change['metrics'][name]['value']:.4g}"
+        for name in bounds if name in parent["metrics"])
+
+
 def compare(parent: list[dict], change: list[dict], bounds: dict) -> dict:
     """Per metric over the pairs: the median change / parent - 1, the count of
     pairs where the change read lower, and the ``verdict`` of each metric
@@ -135,9 +148,7 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.tag}.json"
     doc = {"command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
                       f"--seconds {args.seconds} --trace 0",
-           "note": "alternating pairs of runs: odd pairs run the parent first, even pairs "
-                   "the working tree first; quartiles are numpy linear percentiles 25 and 75; "
-                   "median_pair_change is the median over pairs of change / parent - 1",
+           "note": NOTE,
            "workloads": json.loads(out.read_text())["workloads"] if args.append else {}}
     bounds = load_bounds()
     with tempfile.TemporaryDirectory() as tmp:
@@ -151,9 +162,8 @@ def main(argv=None) -> int:
                     for side in order:
                         result, doc["env"] = run_once(sides[side], workload, seed, args.seconds)
                         runs[side].append(result)
-                    print(f"{workload} seed {seed} pair {pair}: " + ", ".join(
-                        f"{side} apply_ms_p90 {runs[side][-1]['metrics']['apply_ms_p90']['value']:.4f}"
-                        for side in ("parent", "change")), flush=True)
+                    print(pair_line(f"{workload} seed {seed}", pair, runs["parent"][-1],
+                                    runs["change"][-1], bounds), flush=True)
                 compared = compare(runs["parent"], runs["change"], bounds)
                 for name, v in compared["verdicts"].items():
                     print(f"{workload} seed {seed} {name}: {v['verdict']} (parent spread "
