@@ -2,7 +2,6 @@
 
 from .analysis import (
     EpsNet,
-    ErrorBoundInputs,
     empirical_error,
     ensemble_sq_distance,
     error_upper_bound,

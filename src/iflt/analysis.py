@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import InvalidInput, ParseError
 from .interp import FilterModel, back_substitute
-from .linalg import frob_norm, frob_norm_sq, pseudo_inverse, root_pinv_norm_sq
+from .linalg import frob_norm, pseudo_inverse, root_pinv_norm_sq
 from .ortho import CascadeMap, cascade_outputs, cross_cov_residual, position_cascade
 from .sigio import json_object
 from .signals import Ensemble, SignalSequence, TrainingSet, energy, est_cov
@@ -32,44 +32,6 @@ class EpsNet:
 
     center_indices: tuple[int, ...]
     achieved_eps: float
-
-
-@dataclass(frozen=True)
-class ErrorBoundInputs:
-    """Constants feeding the a-priori error bound.
-
-    ``eps_x`` / ``eps_y`` are the covering radii of the training sets inside
-    the reference and observation families. ``lambda_e`` bounds how fast the
-    pseudo-inverse of a cascade-output covariance moves with the output,
-    ``lambda_q`` how fast the observation transforms move with their input,
-    and ``r_hat[k]`` the squared gain of the k-th deflation stage. These are
-    assumptions about the signal families, supplied by the caller
-    (``probe_bound_constants`` gives crude empirical lower bounds).
-    ``x_energy`` stands in for the unknown target's mean squared norm;
-    ``w_covs`` / ``xw_covs`` are the per-term covariances C(w_k, w_k) and
-    C(x_k, w_k).
-    """
-
-    eps_x: float
-    eps_y: float
-    lambda_e: float
-    lambda_q: float
-    r_hat: tuple[float, ...]
-    w_covs: tuple[np.ndarray, ...]
-    xw_covs: tuple[np.ndarray, ...]
-    x_energy: float
-    a_mats: tuple[np.ndarray, ...] | None = None
-
-    def __post_init__(self):
-        consts = (self.eps_x, self.eps_y, self.lambda_e, self.lambda_q,
-                  self.x_energy, *self.r_hat)
-        if not all(np.isfinite(c) and c >= 0.0 for c in consts):
-            raise InvalidInput("bound constants must be finite and nonnegative")
-        p = len(self.r_hat)
-        if not (len(self.w_covs) == len(self.xw_covs) == p):
-            raise InvalidInput("need one covariance pair per term")
-        if self.a_mats is not None and len(self.a_mats) != p:
-            raise InvalidInput("need one free matrix per term")
 
 
 def ensemble_sq_distance(a: Ensemble, b: Ensemble) -> float:
@@ -167,13 +129,14 @@ def node_bound_checks(model: FilterModel, train: TrainingSet, measured,
 
     Node k's cascade map, with every node's reference as extra rows, gives the
     ``node_error_decomposition`` record (plus the node and ``rel_gap``), the
-    optimal error and the bound's covariances D_j = C(w_j, w_j) and
-    C(x_j, w_j); it is freed before the next node's is formed. ``measured[k]``,
-    the realized error at node k, is read from the model's report row there:
-    the filter is not applied again. An optimum below zero by at most
-    ``ORTHO_RTOL`` times the node reference's energy is rounding (the reference
-    lies in the span of the outputs) and counts as zero; a larger negative one
-    still raises. Returns the node gaps and each set's checks.
+    optimal error and the bound's D_j = C(w_j, w_j), D_j^+ and C(x_j, w_j), so
+    that the bound and the optimum share one D_j^+; it is freed before the
+    next node's is formed. ``measured[k]``, the realized error at node k, is
+    read from the model's report row there: the filter is not applied again.
+    An optimum below zero by at most ``ORTHO_RTOL`` times the node reference's
+    energy is rounding (the reference lies in the span of the outputs) and
+    counts as zero; a larger negative one still raises. Returns the node gaps
+    and each set's checks.
     """
     gaps, checks = [], [[] for _ in constant_sets]
     for k, pos in enumerate(train.s_y_indices):
@@ -183,12 +146,8 @@ def node_bound_checks(model: FilterModel, train: TrainingSet, measured,
         if optimal < 0.0 and -ORTHO_RTOL * energy(train.s_x[k]) <= optimal:
             optimal = 0.0  # x_k in the span of the outputs, up to rounding
         for out, constants in zip(checks, constant_sets):
-            bound = error_upper_bound(optimal, ErrorBoundInputs(
-                eps_x=constants["eps_x"], eps_y=constants["eps_y"],
-                lambda_e=constants["lambda_e"], lambda_q=constants["lambda_q"],
-                r_hat=tuple(constants["r_hat"]),
-                w_covs=cmap.d_mats, xw_covs=tuple(cmap.x_cross[j][j] for j in range(model.p)),
-                x_energy=constants["x_energy"], a_mats=model.a_mats))
+            bound = error_upper_bound(optimal, constants, cmap.d_mats, cmap.d_pinvs,
+                                      [cmap.x_cross[j][j] for j in range(model.p)], model.a_mats)
             out.append({"node": pos + 1, "measured": measured[k], "optimal": optimal,
                         "bound": bound})
         del cmap  # free its work buffers before the next node's are formed
@@ -209,7 +168,8 @@ def probe_bound_constants(xs: SignalSequence, ys: SignalSequence, model: FilterM
     * ``lambda_q`` (transform Lipschitz constant): d(v_j, v_j') / d(y, y').
     * ``lambda_e`` (inverse-covariance sensitivity): ||D_j^+ - D_j'^+||_F^2 /
       d(w_j, w_j'), with D_j = C(w_j, w_j) for cascade output w_j and D_j^+
-      as the position's ``CascadeMap`` holds them.
+      as the position's ``CascadeMap`` holds them. One beyond the largest
+      float (data near the bottom of the range) raises ``InvalidInput``.
     * ``r_hat[k]`` (squared gain of deflation stage k): energy(w_k) / energy(v_k).
     """
     nodes = model.meta["node_positions"]
@@ -226,8 +186,11 @@ def probe_bound_constants(xs: SignalSequence, ys: SignalSequence, model: FilterM
             prev_i, prev_vs, prev_ws, prev_pinvs = prev
             for a, b, a_pinv, b_pinv in zip(prev_ws, ws, prev_pinvs, d_pinvs):
                 base = ensemble_sq_distance(a, b)
-                if base > 0.0:
-                    lambda_e = max(lambda_e, frob_norm_sq(a_pinv - b_pinv) / base)
+                if base > 0.0:  # as (m, e) pairs: inf where the ratio overflows
+                    bm, be = math.frexp(base)
+                    with np.errstate(over="ignore"):
+                        m, e = _square_sum(a_pinv - b_pinv)
+                        lambda_e = max(lambda_e, float(np.ldexp(m / bm, e - be)))
             base = ensemble_sq_distance(ys[prev_i], ys[i])
             if base > 0.0:
                 for a, b in zip(prev_vs, vs):
@@ -237,6 +200,8 @@ def probe_bound_constants(xs: SignalSequence, ys: SignalSequence, model: FilterM
             if base > 0.0:
                 r_hat[k] = max(r_hat[k], energy(w) / base)
         prev = i, vs, ws, d_pinvs
+    if lambda_e == math.inf:
+        raise InvalidInput("probed bound constant lambda_e is beyond the largest float")
     return {
         "eps_x": net_radius(xs.items, nodes),
         "eps_y": net_radius(ys.items, nodes),
@@ -248,16 +213,29 @@ def probe_bound_constants(xs: SignalSequence, ys: SignalSequence, model: FilterM
     }
 
 
-def error_upper_bound(optimal_err: float, inputs: ErrorBoundInputs) -> float:
+def error_upper_bound(optimal_err: float, constants: dict, d_mats, d_pinvs, xw_covs,
+                      a_mats=None) -> float:
     """A-priori bound on the filter error for any member of the signal family.
+
+    ``constants`` is the dict ``load_bound_constants`` and
+    ``probe_bound_constants`` return; other keys are ignored. ``eps_x`` /
+    ``eps_y`` are the covering radii of the training sets inside the reference
+    and observation families, ``lambda_e`` bounds how fast the pseudo-inverse
+    of a cascade-output covariance moves with the output, ``lambda_q`` how fast
+    the observation transforms move with their input, the list ``r_hat`` the
+    squared gain of each deflation stage, and ``x_energy`` stands in for the
+    unknown target's mean squared norm. These are assumptions about the signal
+    families, supplied by the caller (the probe gives crude empirical lower
+    bounds); each must be finite and nonnegative, else ``InvalidInput`` names
+    it. Term k reads D_k = C(w_k, w_k), D_k^+, C(x_k, w_k) and A_k from
+    ``d_mats``, ``d_pinvs``, ``xw_covs`` and ``a_mats`` (optional), as a node's
+    ``CascadeMap`` and the model hold them.
 
     Adds to the optimal error one penalty per term for the reference-side
     covering radius (scaled by the term's energy and inverse-covariance mass)
     and one for the observation-side radius (scaled by the Lipschitz and gain
     constants), plus the free-term leakage outside each covariance range.
-    With D_k = C(w_k, w_k) and D_k^+ its ``pseudo_inverse``, taken once per
-    term, every factor is a trace or a norm (the cutoff of ``pseudo_inverse``
-    is the only rank rule):
+    Every factor is a trace or a norm:
 
         bound = optimal_err + sum_k (eps_x * tr D_k * E_k + eps_y * P_k) + C,
         E_k = ||(D_k^{1/2})^+||_F^2 = tr D_k^+,
@@ -272,16 +250,24 @@ def error_upper_bound(optimal_err: float, inputs: ErrorBoundInputs) -> float:
     """
     if not (np.isfinite(optimal_err) and optimal_err >= 0.0):
         raise InvalidInput("optimal_err must be finite and nonnegative")
+    c, p = constants, len(d_mats)
+    for key in ("eps_x", "eps_y", "lambda_e", "lambda_q", "x_energy", "r_hat"):
+        values = c.get(key) if key == "r_hat" else [c.get(key)]
+        if not (isinstance(values, list) and all(map(_nonnegative_number, values))):
+            raise InvalidInput(f"bound constant {key} must be finite and nonnegative, "
+                               f"got {c.get(key)!r}")
+    if not (len(c["r_hat"]) == len(d_pinvs) == len(xw_covs) == p
+            and (a_mats is None or len(a_mats) == p)):
+        raise InvalidInput(f"need {p} of each of r_hat, D_k^+, C(x_k, w_k) and A_k, one per term")
     total = math.frexp(optimal_err)
-    for k, (eww, exw) in enumerate(zip(inputs.w_covs, inputs.xw_covs)):
-        eww_pinv = pseudo_inverse(eww)
-        e_k, w_energy = float(np.trace(eww_pinv)), float(np.trace(eww))
-        p_k = _product(inputs.lambda_e, inputs.lambda_q, inputs.r_hat[k],
-                       _sum(_product(inputs.x_energy, e_k), _square_sum(exw)), w_energy)
-        total = _sum(total, _sum(_product(inputs.eps_x, w_energy, e_k),
-                                 _product(inputs.eps_y, p_k)))
-        if inputs.a_mats is not None:
-            leak = inputs.a_mats[k] @ (np.eye(eww.shape[0]) - eww @ eww_pinv)
+    for k, (d, d_pinv, exw) in enumerate(zip(d_mats, d_pinvs, xw_covs)):
+        e_k, w_energy = float(np.trace(d_pinv)), float(np.trace(d))
+        p_k = _product(c["lambda_e"], c["lambda_q"], c["r_hat"][k],
+                       _sum(_product(c["x_energy"], e_k), _square_sum(exw)), w_energy)
+        total = _sum(total, _sum(_product(c["eps_x"], w_energy, e_k),
+                                 _product(c["eps_y"], p_k)))
+        if a_mats is not None:
+            leak = a_mats[k] @ (np.eye(len(d)) - d @ d_pinv)
             total = _sum(total, _product(_square_sum(leak), w_energy))
     try:
         return math.ldexp(*total)
@@ -350,8 +336,9 @@ def net_radius(pool, center_indices) -> float:
 
 
 def _nonnegative_number(value) -> bool:
-    """Whether a JSON value is a number, not a bool, in [0, the largest float]."""
-    return type(value) in (int, float) and 0.0 <= value <= sys.float_info.max
+    """Whether a value is a number, not a bool, in [0, the largest float]."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0.0 <= value <= sys.float_info.max)
 
 
 def load_bound_constants(path) -> dict:

@@ -261,17 +261,18 @@ def save_model(model: FilterModel) -> bytes:
 
 def _matrix_list(entries, name: str, count: int, shape,
                  error: type[Exception] = ParseError) -> list[np.ndarray]:
-    """``count`` finite matrices of ``shape`` from ``entries``, else ``error``
-    naming the entry: ParseError for a model field, InvalidInput for fit's
-    ``a_mats``."""
+    """``count`` finite matrices of ``shape`` (``None``: the first one's, 2-D)
+    from ``entries``, else ``error`` naming the entry: ParseError for a model
+    field, InvalidInput for fit's ``a_mats``."""
     if not isinstance(entries, list) or len(entries) != count:
-        raise error(f"{name} must hold {count} matrices of shape {shape}")
+        raise error(f"{name} must hold {count} matrices of shape {shape or '(m, n)'}")
     out = []
     for j, entry in enumerate(entries):
         try:
             arr = np.asarray(entry, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise error(f"{name}[{j}] is not a numeric matrix") from exc
+        shape = shape or (arr.shape if arr.ndim == 2 else "(m, n)")
         if arr.shape != shape:
             raise error(f"{name}[{j}] has shape {arr.shape}, expected {shape}")
         if not np.all(np.isfinite(arr)):
@@ -281,29 +282,22 @@ def _matrix_list(entries, name: str, count: int, shape,
 
 
 def load_model(blob: bytes | str) -> FilterModel:
-    """Inverse of save_model; raises ParseError on malformed input."""
+    """Inverse of save_model; raises ParseError naming the malformed field."""
     doc = json_object(blob, "model", "document")
     if doc.get("version") != MODEL_VERSION:
         raise ParseError(f"unsupported model version {doc.get('version')!r}")
-    try:
-        p = int(doc["p"])
-        specs = list(doc["q_specs"])
-        t_mats = [np.asarray(t, dtype=float) for t in doc["t_mats"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed model document: {exc}") from exc
+    p, specs = doc.get("p"), doc.get("q_specs")
+    if type(p) is not int or p < 1:
+        raise ParseError(f"p must be a positive integer, got {p!r}")
+    if not isinstance(specs, list) or len(specs) != p:
+        raise ParseError(f"q_specs must hold {p} transform specs, one per term")
     q_specs = []
     for j, d in enumerate(specs):
         try:
             q_specs.append(QOperatorSpec.from_dict(d))
         except (TypeError, ValueError, OverflowError) as exc:  # InvalidInput is a ValueError
             raise ParseError(f"q_specs[{j}]: {exc}") from exc
-    if len(q_specs) != p or len(t_mats) != p:
-        raise ParseError("q_specs/t_mats length does not match p")
-    shapes = {t.shape for t in t_mats}
-    if len(shapes) != 1 or any(t.ndim != 2 for t in t_mats):
-        raise ParseError("coefficient matrices must share one 2-D shape")
-    if not all(np.all(np.isfinite(t)) for t in t_mats):
-        raise ParseError("t_mats contain non-finite entries")
+    t_mats = _matrix_list(doc.get("t_mats"), "t_mats", p, None)
     t_shape = t_mats[0].shape
     n = t_shape[1]
     a_mats = doc.get("a_mats")

@@ -120,7 +120,7 @@ def window(history, q_specs, i: int) -> tuple[list[int], list[int], np.ndarray]:
     read. ``history`` offers ``len``, ``[i]`` and ``window(lo, hi)`` as
     ``SignalSequence`` does; an ``i`` out of range raises ``InvalidInput``."""
     if not 0 <= i < len(history):
-        raise InvalidInput(f"sequence position {i} out of range [0, {len(history) - 1}]")
+        raise InvalidInput(f"sequence position {i + 1} out of range [1, {len(history)}]")
     pos = [q.position(i) for q in q_specs]
     ups = sorted(set(pos))
     win = (history.window(ups[0], ups[-1]) if ups[-1] - ups[0] == len(ups) - 1

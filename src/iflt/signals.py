@@ -121,9 +121,9 @@ class SignalSequence:
             raise InvalidInput(f"a signal sequence needs ensembles of one shape: {exc}") from exc
         for pos, arr in enumerate(data):
             if not np.isfinite(arr).all():
-                raise InvalidInput(f"sequence position {pos} contains non-finite entries")
+                raise InvalidInput(f"sequence position {pos + 1} contains non-finite entries")
             if not is_centered(arr):
-                raise InvalidInput(f"sequence position {pos} is not centered: "
+                raise InvalidInput(f"sequence position {pos + 1} is not centered: "
                                    "row means are too large")
         self.data, self.items = data, tuple(map(_view, data))
 
@@ -272,5 +272,5 @@ def energy(e: Ensemble) -> float:
 def apply_q(q: QOperatorSpec, seq: SignalSequence, i: int) -> Ensemble:
     """Evaluate one observation transform at sequence position ``i``."""
     if not 0 <= i < len(seq):
-        raise InvalidInput(f"sequence position {i} out of range [0, {len(seq) - 1}]")
+        raise InvalidInput(f"sequence position {i + 1} out of range [1, {len(seq)}]")
     return seq[q.position(i)]

@@ -12,7 +12,6 @@ import numpy as np
 
 from iflt import (
     Ensemble,
-    ErrorBoundInputs,
     FilterContext,
     QOperatorSpec,
     SignalSequence,
@@ -188,18 +187,12 @@ def test_criterion_07_error_bound_sanity():
     ws = cascade_outputs(*position_cascade(ys, model.q_specs, pos))
     base = optimal_error(xs[pos], ws)
     bounds = []
+    d_mats = [est_cov(w, w) for w in ws]
+    covs = (d_mats, [pseudo_inverse(d) for d in d_mats],
+            [est_cov(train.s_x[j], ws[j]) for j in range(3)])
     for t in (1.0, 0.5, 0.25, 0.1, 0.0):
-        inputs = ErrorBoundInputs(
-            eps_x=t * constants["eps_x"],
-            eps_y=t * constants["eps_y"],
-            lambda_e=10.0 * constants["lambda_e"],
-            lambda_q=10.0 * constants["lambda_q"],
-            r_hat=tuple(10.0 * g for g in constants["r_hat"]),
-            w_covs=tuple(est_cov(w, w) for w in ws),
-            xw_covs=tuple(est_cov(train.s_x[j], ws[j]) for j in range(3)),
-            x_energy=constants["x_energy"],
-        )
-        bounds.append(error_upper_bound(base, inputs))
+        shrunk = {**inflated, "eps_x": t * constants["eps_x"], "eps_y": t * constants["eps_y"]}
+        bounds.append(error_upper_bound(base, shrunk, *covs))
     monotone = all(b <= a + 1e-12 for a, b in zip(bounds, bounds[1:]))
     reaches_base = abs(bounds[-1] - base) <= 1e-12 * max(base, 1.0)
     ok = dominates and monotone and reaches_base

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -8,7 +7,6 @@ import pytest
 
 from iflt import (
     Ensemble,
-    ErrorBoundInputs,
     InvalidInput,
     QOperatorSpec,
     SignalSequence,
@@ -172,37 +170,25 @@ def test_node_decomposition_index_range(rng):
 def hand_bound_inputs(rng, p=2):
     ws = ortho_set(rng, p, m=3, s=36)
     xs = [make_ensemble(rng, 3, 36) for _ in range(p)]
-    return ErrorBoundInputs(
-        eps_x=0.3,
-        eps_y=0.2,
-        lambda_e=1.5,
-        lambda_q=2.0,
-        r_hat=tuple(1.0 + 0.5 * k for k in range(p)),
-        w_covs=tuple(est_cov(w, w) for w in ws),
-        xw_covs=tuple(est_cov(x, w) for x, w in zip(xs, ws)),
-        x_energy=4.0,
-    ), ws
+    constants = {"eps_x": 0.3, "eps_y": 0.2, "lambda_e": 1.5, "lambda_q": 2.0,
+                 "r_hat": [1.0 + 0.5 * k for k in range(p)], "x_energy": 4.0}
+    d_mats = [est_cov(w, w) for w in ws]
+    covs = (d_mats, [pseudo_inverse(d) for d in d_mats],
+            [est_cov(x, w) for x, w in zip(xs, ws)])
+    return constants, covs, ws
 
 
 def test_bound_reduces_to_base_error_at_zero_radii(rng):
-    inputs, ws = hand_bound_inputs(rng)
-    zeroed = ErrorBoundInputs(
-        eps_x=0.0, eps_y=0.0, lambda_e=inputs.lambda_e, lambda_q=inputs.lambda_q,
-        r_hat=inputs.r_hat, w_covs=inputs.w_covs, xw_covs=inputs.xw_covs,
-        x_energy=inputs.x_energy,
-    )
-    assert error_upper_bound(1.25, zeroed) == 1.25
+    constants, covs, ws = hand_bound_inputs(rng)
+    zeroed = {**constants, "eps_x": 0.0, "eps_y": 0.0}
+    assert error_upper_bound(1.25, zeroed, *covs) == 1.25
 
 
 def test_bound_free_term_vanishes_at_full_rank(rng):
-    inputs, ws = hand_bound_inputs(rng)
-    with_a = ErrorBoundInputs(
-        eps_x=0.0, eps_y=0.0, lambda_e=inputs.lambda_e, lambda_q=inputs.lambda_q,
-        r_hat=inputs.r_hat, w_covs=inputs.w_covs, xw_covs=inputs.xw_covs,
-        x_energy=inputs.x_energy, a_mats=tuple(np.eye(3) for _ in ws),
-    )
+    constants, covs, ws = hand_bound_inputs(rng)
+    zeroed = {**constants, "eps_x": 0.0, "eps_y": 0.0}
     # full-rank covariances annihilate the free-term leakage
-    assert error_upper_bound(1.25, with_a) == pytest.approx(
+    assert error_upper_bound(1.25, zeroed, *covs, [np.eye(3) for _ in ws]) == pytest.approx(
         1.25, abs=1e-12
     )
 
@@ -213,31 +199,31 @@ def test_bound_term_by_term_oracle(rng):
     x = make_ensemble(rng, 3, 36)
     eww = est_cov(ws[0], ws[0])
     exw = est_cov(x, ws[0])
-    inputs = ErrorBoundInputs(
-        eps_x=0.7, eps_y=0.11, lambda_e=1.3, lambda_q=0.9, r_hat=(2.0,),
-        w_covs=(eww,), xw_covs=(exw,), x_energy=5.0,
-    )
+    constants = {"eps_x": 0.7, "eps_y": 0.11, "lambda_e": 1.3, "lambda_q": 0.9,
+                 "r_hat": [2.0], "x_energy": 5.0}
     w_energy = energy(ws[0])
     half = sym_sqrt(eww)
     e_1 = float(np.sum(pseudo_inverse(half) ** 2))
     d_1 = 1.3 * 0.9 * 2.0 * (5.0 * e_1 + float(np.sum(exw**2))) * float(np.sum(half**2))
     expected = 0.5 + 0.7 * w_energy * e_1 + 0.11 * d_1
-    got = error_upper_bound(0.5, inputs)
+    got = error_upper_bound(0.5, constants, [eww], [pseudo_inverse(eww)], [exw])
     assert got == pytest.approx(expected, rel=1e-12)
     assert got >= 0.5
 
 
-def exact_bound(optimal, inputs):
+def exact_bound(optimal, constants, d_mats, d_pinvs, xw_covs, a_mats=None):
     """``error_upper_bound``'s formula in exact rational arithmetic on the same
     factors: the traces of D_k and D_k^+, and the entries of C(x_k, w_k)."""
+    assert a_mats is None  # no leakage term
+    c = constants
     total = Fraction(optimal)
-    for k, (eww, exw) in enumerate(zip(inputs.w_covs, inputs.xw_covs)):
-        e_k = Fraction(float(np.trace(pseudo_inverse(eww))))
+    for k, (eww, eww_pinv, exw) in enumerate(zip(d_mats, d_pinvs, xw_covs)):
+        e_k = Fraction(float(np.trace(eww_pinv)))
         w_energy = Fraction(float(np.trace(eww)))
         f_k = sum(Fraction(float(v)) ** 2 for v in exw.ravel())
-        p_k = (Fraction(inputs.lambda_e) * Fraction(inputs.lambda_q)
-               * Fraction(inputs.r_hat[k]) * (Fraction(inputs.x_energy) * e_k + f_k) * w_energy)
-        total += Fraction(inputs.eps_x) * w_energy * e_k + Fraction(inputs.eps_y) * p_k
+        p_k = (Fraction(c["lambda_e"]) * Fraction(c["lambda_q"])
+               * Fraction(c["r_hat"][k]) * (Fraction(c["x_energy"]) * e_k + f_k) * w_energy)
+        total += Fraction(c["eps_x"]) * w_energy * e_k + Fraction(c["eps_y"]) * p_k
     return total
 
 
@@ -249,34 +235,29 @@ def test_bound_forms_no_out_of_range_intermediate(monkeypatch, drift_scale):
     # float, without lambda_e it lies inside
     captured = []
     monkeypatch.setattr(analysis, "error_upper_bound",
-                        lambda optimal, inputs: captured.append((optimal, inputs)) or 0.0)
+                        lambda optimal, *args: captured.append((optimal, args)) or 0.0)
     bench.run_benchmark(bench.config_from_dict({
         "probe_constants": True, "drift_scale": drift_scale, "n_signals": 20,
         "m": 4, "n": 4, "s": 48, "p_values": [2], "s_indices": [3, 7]}))
     assert len(captured) == 2
-    for optimal, inputs in captured:
-        assert exact_bound(optimal, inputs) > Fraction(sys.float_info.max)
-        assert error_upper_bound(optimal, inputs) == math.inf
-        inputs = dataclasses.replace(inputs, lambda_e=0.0)
-        want = exact_bound(optimal, inputs)
+    for optimal, (constants, *covs) in captured:
+        assert exact_bound(optimal, constants, *covs) > Fraction(sys.float_info.max)
+        assert error_upper_bound(optimal, constants, *covs) == math.inf
+        constants = {**constants, "lambda_e": 0.0}
+        want = exact_bound(optimal, constants, *covs)
         assert want < Fraction(sys.float_info.max)
-        assert abs(Fraction(error_upper_bound(optimal, inputs)) - want) <= 1e-12 * want
+        assert abs(Fraction(error_upper_bound(optimal, constants, *covs)) - want) <= 1e-12 * want
 
 
 def test_bound_validates_inputs(rng):
-    inputs, ws = hand_bound_inputs(rng)
+    constants, covs, ws = hand_bound_inputs(rng)
+    one_term = [c[:1] for c in covs]
+    with pytest.raises(InvalidInput, match="eps_x"):
+        error_upper_bound(0.0, {**constants, "eps_x": -0.1, "r_hat": [1.0]}, *one_term)
     with pytest.raises(InvalidInput):
-        ErrorBoundInputs(
-            eps_x=-0.1, eps_y=0.0, lambda_e=1.0, lambda_q=1.0, r_hat=(1.0,),
-            w_covs=inputs.w_covs[:1], xw_covs=inputs.xw_covs[:1], x_energy=1.0,
-        )
-    with pytest.raises(InvalidInput):
-        error_upper_bound(-1.0, inputs)
-    with pytest.raises(InvalidInput):  # one covariance pair for two terms
-        ErrorBoundInputs(
-            eps_x=0.3, eps_y=0.2, lambda_e=1.0, lambda_q=1.0, r_hat=(1.0, 1.0),
-            w_covs=inputs.w_covs[:1], xw_covs=inputs.xw_covs[:1], x_energy=1.0,
-        )
+        error_upper_bound(-1.0, constants, *covs)
+    with pytest.raises(InvalidInput, match="r_hat"):  # one covariance pair for two terms
+        error_upper_bound(0.0, constants, *one_term)
 
 
 def collinear_pool():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from iflt import ConfigError, fit, greedy_eps_net, ortho, run_benchmark, write_report
+from iflt import ConfigError, analysis, fit, greedy_eps_net, ortho, run_benchmark, write_report
 from iflt.analysis import ensemble_sq_distance, node_error_decomposition
 from iflt.bench import (
     ExperimentConfig,
@@ -25,6 +25,7 @@ from iflt.bench import (
     validate_config,
 )
 from iflt.interp import FilterContext, apply_filter
+from iflt.linalg import pseudo_inverse
 from iflt.ortho import cascade_map
 from iflt.signals import Ensemble, SignalSequence, TrainingSet, center
 
@@ -225,6 +226,30 @@ def test_node_bound_checks_add_the_free_matrices_leakage():
     plain = node_bound_checks(replace(model, a_mats=None), train, [0.0] * p, [constants])[1][0]
     for a, b in zip(freed, plain, strict=True):
         assert a["optimal"] == b["optimal"] and a["bound"] > b["bound"] * (1 + 1e-6)
+
+
+def test_node_bound_checks_read_every_pseudo_inverse_from_the_map(monkeypatch):
+    # the bound reads D_k^+ from the node's cascade map, as the optimum does:
+    # at the default config the node pass takes no SVD (it took p per node)
+    cfg = ExperimentConfig()
+    xs = gen_reference_sequence(cfg)
+    ys = gen_observations(xs, cfg)
+    models = fit_benchmark_models(cfg, xs, ys)
+    calls = []
+
+    def counted(d):
+        calls.append(d.shape)
+        return pseudo_inverse(d)
+
+    for module in (analysis, ortho):
+        monkeypatch.setattr(module, "pseudo_inverse", counted)
+    for model in models.values():
+        train = node_training_set(xs, ys, nodes_for(cfg, model.p), "s_indices")
+        constants = {"eps_x": 1.0, "eps_y": 1.0, "lambda_e": 1.0, "lambda_q": 1.0,
+                     "r_hat": [1.0] * model.p, "x_energy": 1.0}
+        checks = node_bound_checks(model, train, [0.0] * model.p, [constants])[1][0]
+        assert len(checks) == model.p and all(c["bound"] >= c["optimal"] for c in checks)
+    assert calls == []
 
 
 def test_evaluate_forms_one_reference_cascade_per_node(monkeypatch):

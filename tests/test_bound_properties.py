@@ -1,11 +1,12 @@
 """The error formulas under one rank rule: ``pseudo_inverse``'s cutoff.
 
-``optimal_error`` and ``error_upper_bound`` read D^+ = ``pseudo_inverse(D)``
-for each output covariance D and take ||A (D^{1/2})^+||_F^2 as tr(A D^+ A^T);
-``analysis.node_bound_checks`` reads the same quantities from the node cascade's
-blocks. These tests check the range of the optimal error at every scale, the
-bound checks against a data-space recomputation, and the subnormal case that
-a second rank rule, through the root of D, used to get wrong.
+``optimal_error`` reads D^+ = ``pseudo_inverse(D)`` for each output
+covariance D, and ``error_upper_bound`` takes it with D; both take
+||A (D^{1/2})^+||_F^2 as tr(A D^+ A^T). ``analysis.node_bound_checks`` reads
+the same quantities from the node cascade's blocks. These tests check the
+range of the optimal error at every scale, the bound checks against a
+data-space recomputation, and the subnormal case that a second rank rule,
+through the root of D, used to get wrong.
 """
 
 import json
@@ -16,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from iflt import (
     Ensemble,
-    ErrorBoundInputs,
     center,
     error_upper_bound,
     optimal_error,
     orthogonalize,
+    pseudo_inverse,
 )
 from iflt.bench import (
     ExperimentConfig,
@@ -79,17 +80,13 @@ def _data_space_checks(model, train, xs, ys, constants, scale):
     for pos in train.s_y_indices:
         ws = cascade_outputs(*position_cascade(ys, model.q_specs, pos))
         base = optimal_error(xs[pos], ws)
-        inputs = ErrorBoundInputs(
-            eps_x=constants["eps_x"],
-            eps_y=constants["eps_y"],
-            lambda_e=scale * constants["lambda_e"],
-            lambda_q=scale * constants["lambda_q"],
-            r_hat=tuple(scale * g for g in constants["r_hat"]),
-            w_covs=tuple(est_cov(w, w) for w in ws),
-            xw_covs=tuple(est_cov(x, w) for x, w in zip(train.s_x, ws)),
-            x_energy=constants["x_energy"],
-        )
-        out.append((base, error_upper_bound(base, inputs)))
+        scaled = {**constants, "lambda_e": scale * constants["lambda_e"],
+                  "lambda_q": scale * constants["lambda_q"],
+                  "r_hat": [scale * g for g in constants["r_hat"]]}
+        d_mats = [est_cov(w, w) for w in ws]
+        covs = (d_mats, [pseudo_inverse(d) for d in d_mats],
+                [est_cov(x, w) for x, w in zip(train.s_x, ws)])
+        out.append((base, error_upper_bound(base, scaled, *covs)))
     return out
 
 

@@ -374,6 +374,20 @@ def test_bound_beyond_the_float_range_exits_1_naming_it(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("low", [1e-60, 1e-100])
+def test_probed_lambda_e_beyond_the_float_range_exits_1_naming_it(tmp_path, capsys, low):
+    # the probe's ||D_j^+ - D_j'^+||^2 / d(w_j, w_j') grows like the data
+    # scale to the power -6: at these noise levels it passes the largest float
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"low": low, "high": 2 * low}, "n_signals": 30,
+                               "m": 4, "n": 4, "s": 40, "s_indices": [3, 9, 17, 22, 28]}))
+    err = _cli_error(capsys, ["bench", "--config", str(cfg), "--probe-constants",
+                              "--out", str(tmp_path / "o")])
+    assert "error: probed bound constant lambda_e is beyond the largest float" in err
+    assert not (tmp_path / "o").exists()
+
+
 _FIT_ARGS = ["--config", "{cfg}", "--refs", "{refs}", "--obs", "{obs}"]
 
 

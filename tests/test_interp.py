@@ -363,12 +363,20 @@ def _fitted_doc(rng):
     ("a_mats", [np.zeros((2, 3)).tolist()]),
     ("a_mats", [np.zeros((2, 3)).tolist(), np.zeros((3, 3)).tolist()]),
     ("a_mats", [np.zeros((2, 3)).tolist(), [[float("inf"), 0.0, 0.0]] * 2]),
+    ("p", "2"),
+    ("p", 2.5),
+    ("p", True),
+    ("q_specs", 5),
+    ("t_mats", "abc"),
+    ("t_mats", [[[0.0, 0.0, 0.0], [0.0]], np.zeros((2, 3)).tolist()]),
+    ("t_mats", [np.zeros((2, 3)).tolist(), np.zeros((2, 2)).tolist()]),
+    ("a_mats", [np.zeros((2, 3)).tolist(), [[10**400, 0, 0]] * 2]),  # beyond a float
 ])
 def test_load_model_rejects_malformed_matrix_fields(rng, field, value):
     doc = _fitted_doc(rng)
     load_model(json.dumps(doc))  # the unmodified document loads
     doc[field] = value
-    with pytest.raises(ParseError, match=field):
+    with pytest.raises(ParseError, match=f"^{field}"):  # the message opens with the field
         load_model(json.dumps(doc))
 
 

@@ -273,9 +273,9 @@ def test_center_of_a_constant_row_is_zero(value):
 
 
 @pytest.mark.parametrize("bad, message", [
-    (np.nan, "sequence position 2 contains non-finite entries"),
-    (np.inf, "sequence position 2 contains non-finite entries"),
-    (5.0, "sequence position 2 is not centered"),
+    (np.nan, "sequence position 3 contains non-finite entries"),
+    (np.inf, "sequence position 3 contains non-finite entries"),
+    (5.0, "sequence position 3 is not centered"),
 ])
 def test_sequence_rejects_a_bad_position_naming_it(rng, bad, message):
     items = [make_ensemble(rng, 3, 8) for _ in range(4)]
