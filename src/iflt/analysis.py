@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,9 @@ from .signals import Ensemble, SignalSequence, TrainingSet, energy, est_cov
 # optimal_error rejects outputs whose largest cross-covariance exceeds this
 # share of their largest covariance
 ORTHO_RTOL = 1e-8
+
+# the keys of the bound constants dict, as ``check_bound_constants`` checks them
+BOUND_CONSTANTS = ("eps_x", "eps_y", "lambda_e", "lambda_q", "r_hat", "x_energy")
 
 
 @dataclass(frozen=True)
@@ -168,8 +172,10 @@ def probe_bound_constants(xs: SignalSequence, ys: SignalSequence, model: FilterM
     * ``lambda_q`` (transform Lipschitz constant): d(v_j, v_j') / d(y, y').
     * ``lambda_e`` (inverse-covariance sensitivity): ||D_j^+ - D_j'^+||_F^2 /
       d(w_j, w_j'), with D_j = C(w_j, w_j) for cascade output w_j and D_j^+
-      as the position's ``CascadeMap`` holds them. One beyond the largest
-      float (data near the bottom of the range) raises ``InvalidInput``.
+      as the position's ``CascadeMap`` holds them. Each ratio is
+      ``Fraction(frob_norm(D_j^+ - D_j'^+)) ** 2 / Fraction(d)`` rounded once;
+      one beyond the largest float (data near the bottom of the range) raises
+      ``InvalidInput``.
     * ``r_hat[k]`` (squared gain of deflation stage k): energy(w_k) / energy(v_k).
     """
     nodes = model.meta["node_positions"]
@@ -186,11 +192,11 @@ def probe_bound_constants(xs: SignalSequence, ys: SignalSequence, model: FilterM
             prev_i, prev_vs, prev_ws, prev_pinvs = prev
             for a, b, a_pinv, b_pinv in zip(prev_ws, ws, prev_pinvs, d_pinvs):
                 base = ensemble_sq_distance(a, b)
-                if base > 0.0:  # as (m, e) pairs: inf where the ratio overflows
-                    bm, be = math.frexp(base)
+                if base > 0.0:  # inf where the norm or the ratio passes the largest float
                     with np.errstate(over="ignore"):
-                        m, e = _square_sum(a_pinv - b_pinv)
-                        lambda_e = max(lambda_e, float(np.ldexp(m / bm, e - be)))
+                        norm = frob_norm(a_pinv - b_pinv)
+                    lambda_e = max(lambda_e, _rounded(Fraction(norm) ** 2 / Fraction(base))
+                                   if norm < math.inf else math.inf)
             base = ensemble_sq_distance(ys[prev_i], ys[i])
             if base > 0.0:
                 for a, b in zip(prev_vs, vs):
@@ -226,8 +232,8 @@ def error_upper_bound(optimal_err: float, constants: dict, d_mats, d_pinvs, xw_c
     squared gain of each deflation stage, and ``x_energy`` stands in for the
     unknown target's mean squared norm. These are assumptions about the signal
     families, supplied by the caller (the probe gives crude empirical lower
-    bounds); each must be finite and nonnegative, else ``InvalidInput`` names
-    it. Term k reads D_k = C(w_k, w_k), D_k^+, C(x_k, w_k) and A_k from
+    bounds); ``check_bound_constants`` checks them, raising ``InvalidInput``.
+    Term k reads D_k = C(w_k, w_k), D_k^+, C(x_k, w_k) and A_k from
     ``d_mats``, ``d_pinvs``, ``xw_covs`` and ``a_mats`` (optional), as a node's
     ``CascadeMap`` and the model hold them.
 
@@ -243,62 +249,42 @@ def error_upper_bound(optimal_err: float, constants: dict, d_mats, d_pinvs, xw_c
               * (x_energy * E_k + ||C(x_k, w_k)||_F^2) * tr D_k,
         C   = sum_k ||A_k (I - D_k D_k^+)||_F^2 * tr D_k,
 
-    where tr D_k = ||D_k^{1/2}||_F^2 is the energy of w_k. The terms are
-    formed as (mantissa, exponent) pairs, so that no intermediate leaves the
-    float range: in range each step rounds as the float operation does, and a
-    bound beyond the largest float is ``inf``.
+    where tr D_k = ||D_k^{1/2}||_F^2 is the energy of w_k. The sum is formed
+    in exact rationals (``fractions.Fraction``) on these float factors, each
+    norm taken as ``Fraction(frob_norm(.)) ** 2``, and rounded once to the
+    nearest float; a bound beyond the largest float is ``inf``. A factor that
+    is not finite raises ``InvalidInput`` naming its term.
     """
     if not (np.isfinite(optimal_err) and optimal_err >= 0.0):
         raise InvalidInput("optimal_err must be finite and nonnegative")
-    c, p = constants, len(d_mats)
-    for key in ("eps_x", "eps_y", "lambda_e", "lambda_q", "x_energy", "r_hat"):
-        values = c.get(key) if key == "r_hat" else [c.get(key)]
-        if not (isinstance(values, list) and all(map(_nonnegative_number, values))):
-            raise InvalidInput(f"bound constant {key} must be finite and nonnegative, "
-                               f"got {c.get(key)!r}")
-    if not (len(c["r_hat"]) == len(d_pinvs) == len(xw_covs) == p
+    check_bound_constants(constants, InvalidInput)
+    p, r_hat = len(d_mats), constants["r_hat"]
+    if not (len(r_hat) == len(d_pinvs) == len(xw_covs) == p
             and (a_mats is None or len(a_mats) == p)):
         raise InvalidInput(f"need {p} of each of r_hat, D_k^+, C(x_k, w_k) and A_k, one per term")
-    total = math.frexp(optimal_err)
+    c = {key: Fraction(constants[key]) for key in BOUND_CONSTANTS if key != "r_hat"}
+    total = Fraction(optimal_err)
     for k, (d, d_pinv, exw) in enumerate(zip(d_mats, d_pinvs, xw_covs)):
-        e_k, w_energy = float(np.trace(d_pinv)), float(np.trace(d))
-        p_k = _product(c["lambda_e"], c["lambda_q"], c["r_hat"][k],
-                       _sum(_product(c["x_energy"], e_k), _square_sum(exw)), w_energy)
-        total = _sum(total, _sum(_product(c["eps_x"], w_energy, e_k),
-                                 _product(c["eps_y"], p_k)))
-        if a_mats is not None:
-            leak = a_mats[k] @ (np.eye(len(d)) - d @ d_pinv)
-            total = _sum(total, _product(_square_sum(leak), w_energy))
+        with np.errstate(over="ignore", invalid="ignore"):
+            factors = [np.trace(d_pinv), np.trace(d), frob_norm(exw)]
+            if a_mats is not None:  # the leakage ||A_k (I - D_k D_k^+)||_F
+                factors.append(frob_norm(a_mats[k] @ (np.eye(len(d)) - d @ d_pinv)))
+        if not np.isfinite(factors).all():
+            raise InvalidInput(f"bound term {k + 1}: a trace of D_k or D_k^+, or the norm of "
+                               "C(x_k, w_k) or of the leakage, is not finite")
+        e_k, w_energy, exw_norm, *leak = map(Fraction, factors)
+        p_k = (c["lambda_e"] * c["lambda_q"] * Fraction(r_hat[k])
+               * (c["x_energy"] * e_k + exw_norm**2) * w_energy)
+        total += (c["eps_x"] * e_k + sum(n**2 for n in leak)) * w_energy + c["eps_y"] * p_k
+    return _rounded(total)
+
+
+def _rounded(exact: Fraction) -> float:
+    """``exact`` rounded once to the nearest float, ``inf`` beyond the largest."""
     try:
-        return math.ldexp(*total)
+        return float(exact)
     except OverflowError:
         return math.inf
-
-
-def _product(*factors) -> tuple[float, int]:
-    """The product of floats and (m, e) pairs, m 2^e, left to right, as such a pair."""
-    m, e = 1.0, 0
-    for f in factors:
-        fm, fe = f if isinstance(f, tuple) else math.frexp(f)
-        m, k = math.frexp(m * fm)
-        e += fe + k
-    return (m, e) if m else (0.0, 0)
-
-
-def _sum(a: tuple[float, int], b: tuple[float, int]) -> tuple[float, int]:
-    """a + b for (m, e) pairs, as such a pair."""
-    e = max(a[1], b[1])
-    m, k = math.frexp(math.ldexp(a[0], a[1] - e) + math.ldexp(b[0], b[1] - e))
-    return (m, e + k) if m else (0.0, 0)
-
-
-def _square_sum(a: np.ndarray) -> tuple[float, int]:
-    """||a||_F^2 as an (m, e) pair: the sum of squares, of entries first divided
-    by a power of two if their squares could overflow."""
-    shift = max(0, int(np.frexp(np.abs(a).max(initial=0.0))[1]) - 500)
-    scaled = np.ldexp(a, -shift)
-    m, e = math.frexp(float(np.sum(scaled * scaled)))
-    return m, e + 2 * shift
 
 
 def greedy_eps_net(pool, eps: float) -> EpsNet:
@@ -313,7 +299,7 @@ def greedy_eps_net(pool, eps: float) -> EpsNet:
     if not pool:
         raise InvalidInput("pool must be nonempty")
     if not (np.isfinite(eps) and eps > 0.0):
-        raise InvalidInput("eps must be positive")
+        raise InvalidInput(f"eps must be positive and finite, got {eps!r}")
     centers: list[int] = []
     for idx, cand in enumerate(pool):
         covered = any(
@@ -335,10 +321,24 @@ def net_radius(pool, center_indices) -> float:
     )
 
 
-def _nonnegative_number(value) -> bool:
-    """Whether a value is a number, not a bool, in [0, the largest float]."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0.0 <= value <= sys.float_info.max)
+def check_bound_constants(constants: dict, error: type, prefix: str = "") -> None:
+    """The one rule for the bound constants: each of ``BOUND_CONSTANTS`` is
+    present, ``r_hat`` a list of finite nonnegative numbers and the rest such
+    numbers. Else raises ``error`` with ``prefix`` and a message naming the key."""
+    def number(v) -> bool:  # a number, not a bool, in [0, the largest float]
+        return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and 0.0 <= v <= sys.float_info.max)
+
+    for key in BOUND_CONSTANTS:
+        if key not in constants:
+            raise error(f"{prefix}missing bound constant {key!r}")
+        value = constants[key]
+        if key == "r_hat":
+            if not (isinstance(value, list) and all(map(number, value))):
+                raise error(f"{prefix}r_hat must be a list of finite nonnegative numbers, "
+                            f"got {value!r}")
+        elif not number(value):
+            raise error(f"{prefix}{key} must be a finite nonnegative number, got {value!r}")
 
 
 def load_bound_constants(path) -> dict:
@@ -346,18 +346,9 @@ def load_bound_constants(path) -> dict:
 
     The file holds a JSON object with the numbers ``eps_x``, ``eps_y``,
     ``lambda_e``, ``lambda_q`` and ``x_energy`` and the list ``r_hat`` (one
-    number per term). Every number must be finite and nonnegative; a bad or
-    missing field raises ParseError naming it.
+    number per term), as ``check_bound_constants`` requires; a bad or missing
+    field raises ParseError naming it.
     """
     doc = json_object(Path(path).read_bytes(), path, "bound constants")
-    out = {}
-    for key in ("eps_x", "eps_y", "lambda_e", "lambda_q", "r_hat", "x_energy"):
-        if key not in doc:
-            raise ParseError(f"{path}: missing bound constant {key!r}")
-        value = out[key] = doc[key]
-        if key != "r_hat" and not _nonnegative_number(value):
-            raise ParseError(f"{path}: {key} must be a finite nonnegative number")
-    if not (isinstance(out["r_hat"], list) and all(map(_nonnegative_number, out["r_hat"]))):
-        raise ParseError(f"{path}: r_hat must be a list of finite nonnegative numbers")
-    out["r_hat"] = [float(v) for v in out["r_hat"]]
-    return out
+    check_bound_constants(doc, ParseError, f"{path}: ")
+    return {**{k: doc[k] for k in BOUND_CONSTANTS}, "r_hat": [float(v) for v in doc["r_hat"]]}

@@ -301,7 +301,11 @@ def fit_benchmark_models(
 
 
 def _row(method: str, i: int, x: Ensemble, est: Ensemble, is_node: bool = False) -> RunRow:
-    err_f = float(np.sum((x.data - est.data) ** 2))
+    with np.errstate(over="ignore"):
+        err_f = float(np.sum((x.data - est.data) ** 2))
+    if not np.isfinite(err_f):
+        raise InvalidInput(f"{method}: the squared error at sequence position {i + 1} "
+                           "is beyond the largest float")
     return RunRow(method, i + 1, err_f / x.s, err_f, is_node)
 
 
@@ -333,13 +337,14 @@ def _method_summary(rows: list[RunRow]) -> dict:
     err_e = [r.err_e for r in rows]
     node = [r.err_e for r in rows if r.is_node]
     off = [r.err_e for r in rows if not r.is_node]
-    return {
-        "mean_err_e": float(np.mean(err_e)),
-        "mean_err_f": float(np.mean([r.err_f for r in rows])),
-        "node_mean_err_e": float(np.mean(node)) if node else None,
-        "offnode_mean_err_e": float(np.mean(off)) if off else None,
-        "count": len(rows),
-    }
+    with np.errstate(over="ignore"):  # a mean beyond the floats: write_report names it
+        return {
+            "mean_err_e": float(np.mean(err_e)),
+            "mean_err_f": float(np.mean([r.err_f for r in rows])),
+            "node_mean_err_e": float(np.mean(node)) if node else None,
+            "offnode_mean_err_e": float(np.mean(off)) if off else None,
+            "count": len(rows),
+        }
 
 
 def evaluate(

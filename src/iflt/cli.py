@@ -243,6 +243,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_epsnet(args) -> int:
+    if not 0.0 < args.eps < float("inf"):  # nan fails both; 1e400 reads as inf
+        raise IfltError(f"--eps must be positive and finite, got {args.eps}")
     seq = load_sequence(args.data)
     net = greedy_eps_net(seq.items, args.eps)
     doc = {"eps": args.eps, "achieved_eps": net.achieved_eps,

@@ -27,6 +27,7 @@ from iflt import (
 from iflt import analysis, bench
 from iflt.analysis import ensemble_sq_distance
 from iflt.bench import ExperimentConfig, gen_observations, gen_reference_sequence, lag_specs
+from iflt.linalg import frob_norm
 from conftest import make_ensemble
 
 
@@ -258,6 +259,60 @@ def test_bound_validates_inputs(rng):
         error_upper_bound(-1.0, constants, *covs)
     with pytest.raises(InvalidInput, match="r_hat"):  # one covariance pair for two terms
         error_upper_bound(0.0, constants, *one_term)
+
+
+def rational_bound(optimal, constants, d_mats, d_pinvs, xw_covs, a_mats=None):
+    """``error_upper_bound``'s formula in exact rationals on its float factors:
+    the traces of D_k and D_k^+, the constants, and each squared norm taken as
+    ``Fraction(frob_norm(.)) ** 2``."""
+    def sq(a):
+        return Fraction(frob_norm(a)) ** 2
+
+    c = {key: Fraction(v) for key, v in constants.items() if key != "r_hat"}
+    total = Fraction(optimal)
+    for k, (d, d_pinv, exw) in enumerate(zip(d_mats, d_pinvs, xw_covs)):
+        e_k, w_energy = Fraction(np.trace(d_pinv)), Fraction(np.trace(d))
+        total += c["eps_x"] * w_energy * e_k + (
+            c["eps_y"] * c["lambda_e"] * c["lambda_q"] * Fraction(constants["r_hat"][k])
+            * (c["x_energy"] * e_k + sq(exw)) * w_energy)
+        if a_mats is not None:
+            total += sq(a_mats[k] @ (np.eye(len(d)) - d @ d_pinv)) * w_energy
+    return total
+
+
+@pytest.mark.parametrize("with_a_mats", [False, True])
+def test_bound_is_the_exact_rational_of_its_factors_rounded_once(with_a_mats):
+    # rank-deficient D_k (so the leakage is not zero) and constants spread
+    # over many binades
+    rng = np.random.default_rng(28)
+    for _ in range(150):
+        p, m = int(rng.integers(1, 5)), int(rng.integers(2, 6))
+        d_mats, xw_covs = [], []
+        for _ in range(p):
+            rank = int(rng.integers(1, m + 1))
+            w = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, 24))
+            d_mats.append(w @ w.T / 24)
+            xw_covs.append(rng.normal(size=(m, m)) * 10.0 ** rng.uniform(-3, 3))
+        constants = {key: float(10.0 ** rng.uniform(-4, 4)) for key in
+                     ("eps_x", "eps_y", "lambda_e", "lambda_q", "x_energy")}
+        constants["r_hat"] = [float(rng.uniform(0, 2)) for _ in range(p)]
+        a_mats = [rng.normal(size=(m, m)) for _ in range(p)] if with_a_mats else None
+        args = (float(rng.uniform(0, 10)), constants, d_mats,
+                [pseudo_inverse(d) for d in d_mats], xw_covs, a_mats)
+        assert error_upper_bound(*args) == float(rational_bound(*args))
+
+
+@pytest.mark.filterwarnings("error")
+def test_bound_refuses_a_factor_that_is_not_finite_naming_its_term(rng):
+    constants, (d_mats, d_pinvs, xw_covs), _ = hand_bound_inputs(rng)
+    big = np.full((3, 3), 1e308)  # finite, but its trace is not
+    for covs in ((d_mats, [d_pinvs[0], d_pinvs[1] * np.nan], xw_covs),
+                 ([d_mats[0], big], d_pinvs, xw_covs),
+                 (d_mats, d_pinvs, [xw_covs[0], xw_covs[1] * np.inf])):
+        with pytest.raises(InvalidInput, match="bound term 2: .* not finite"):
+            error_upper_bound(1.0, constants, *covs)
+    with pytest.raises(InvalidInput, match="bound term 1: .* not finite"):
+        error_upper_bound(1.0, constants, d_mats, d_pinvs, xw_covs, [big * np.inf, big])
 
 
 def collinear_pool():

@@ -160,6 +160,18 @@ def test_epsnet_covers_pool(tmp_path, cfg_path, capsys):
         ) <= 0.4
 
 
+@pytest.mark.parametrize("eps, shown", [("inf", "inf"), ("nan", "nan"), ("1e400", "inf"),
+                                         ("0", "0.0")])
+def test_epsnet_refuses_an_eps_not_positive_and_finite(tmp_path, cfg_path, capsys, eps, shown):
+    # the message used to say "eps must be positive" for inf as well
+    data = tmp_path / "data"
+    assert cli_main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 0
+    err = _cli_error(capsys, ["epsnet", "--data", str(data / "refs_manifest.json"),
+                              "--eps", eps, "--out", str(tmp_path / "net.json")])
+    assert f"error: --eps must be positive and finite, got {shown}" in err
+    assert not (tmp_path / "net.json").exists()
+
+
 def test_gen_csv_format(tmp_path, cfg_path, capsys):
     data = tmp_path / "data_csv"
     assert cli_main(["gen", "--config", str(cfg_path), "--format", "csv",
@@ -852,6 +864,34 @@ def test_apply_and_eval_of_an_overflowing_estimate_exit_1_naming_the_position(tm
     for err, i in zip(errs, (5, 5, 1), strict=True):  # 1-based, as --index
         assert f"the estimate at sequence position {i} from the model's t_mats overflows" in err
         assert "RuntimeWarning" not in err
+
+
+def test_eval_of_an_overflowing_error_exits_1_naming_the_position_or_the_mean(tmp_path,
+                                                                            capsys):
+    # the estimates of a c * I model on the default data are finite, but at
+    # c = 1e160 their squares overflow and at 3e152 their sum does (numpy
+    # used to warn and the error named only the mean); at 1.5e152 each
+    # position's error fits and only the mean of err_F overflows
+    data = tmp_path / "data"
+    assert cli_main(["gen", "--out", str(data)]) == 0
+    model_path = tmp_path / "m1.json"
+    assert cli_main(["fit", "--refs", str(data / "refs_manifest.json"), "--obs",
+                     str(data / "obs_manifest.json"), "--p", "1",
+                     "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    want = {1e160: "error: interp_p1: the squared error at sequence position 1 is beyond "
+                   "the largest float",
+            3e152: "error: interp_p1: the squared error at sequence position 1 is beyond "
+                   "the largest float",
+            1.5e152: "error: summary.json: summary.methods.interp_p1.mean_err_f is not finite"}
+    for scale, message in want.items():
+        model_path.write_text(json.dumps({**doc, "t_mats": [(scale * np.eye(16)).tolist()]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = _cli_error(capsys, _eval_argv(data, tmp_path / "eval", model_path))
+        assert not caught
+        assert message in err
+        assert not (tmp_path / "eval").exists()
 
 
 def test_apply_at_the_first_position_of_ill_conditioned_data_is_the_first_term(tmp_path):
